@@ -7,7 +7,8 @@ mod n, products of integers-mod rings, products of finite fields):
   BFS from every vertex (the ground-truth oracle);
 * :func:`wiener_quotient` works on ideal-label equivalence classes with
   arithmetic sizes and class-graph BFS distances;
-* :func:`wiener_closed` dispatches to the family-specific closed forms.
+* :func:`wiener_closed` evaluates one arithmetic formula over the ring's
+  local factors, with no graph search.
 
 All three agree on every supported ring, which the test suite enforces.
 """

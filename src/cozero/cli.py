@@ -7,9 +7,10 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .closedform import wiener_closed, wiener_reduced
+from .closedform import wiener_closed
 from .elementgraph import (
     BRUTE_LIMIT_ENV,
+    DEFAULT_BRUTE_LIMIT,
     BruteForceLimitError,
     build_graph,
     graph_export,
@@ -256,25 +257,26 @@ def _parse_tuple(token: str, arity: int | None, what: str) -> tuple[int, ...]:
 
 def _cmd_table(args) -> int:
     family = args.family
-    rows: list[tuple[str, WienerReport]] = []
+    specs: list[tuple[str, RingSpec]] = []
     if family == "zn":
         ns = [int(p) for p in args.params] if args.params else list(TABLE_ZN)
         for n in ns:
-            rows.append((str(n), wiener_quotient(integers_mod(n))))
+            specs.append((str(n), integers_mod(n)))
         head = "n"
     elif family in ("fields2", "fields3"):
         arity = 2 if family == "fields2" else 3
         defaults = TABLE_FIELD_PAIRS if family == "fields2" else TABLE_FIELD_TRIPLES
         tuples = [_parse_tuple(p, arity, family) for p in args.params] if args.params else list(defaults)
         for orders in tuples:
-            rows.append(("(" + ", ".join(str(q) for q in orders) + ")", wiener_reduced(orders)))
+            specs.append(("(" + ", ".join(str(q) for q in orders) + ")", product_of_fields(orders)))
         head = "(q1, q2)" if family == "fields2" else "(q1, q2, q3)"
     else:  # ppprod
         tuples = [_parse_tuple(p, None, "ppprod") for p in args.params] if args.params else list(TABLE_PP_PRODUCTS)
         for moduli in tuples:
             spec = product_of_integers_mod(moduli)
-            rows.append((str(spec), wiener_closed(spec)))
+            specs.append((str(spec), spec))
         head = "ring"
+    rows = [(label, wiener_closed(spec)) for label, spec in specs]
 
     def cell(rep: WienerReport) -> str:
         return str(rep.wiener) if rep.wiener is not None else rep.status
@@ -392,14 +394,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, default_format: str = "plain") -> None:
     p.add_argument("--format", choices=("plain", "json", "csv", "md"), default=default_format)
     p.add_argument(
         "--brute-limit",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
-        help=f"element cap for brute force (overrides ${BRUTE_LIMIT_ENV}; default {resolve_brute_limit(None)})",
+        help=f"element cap for brute force (overrides ${BRUTE_LIMIT_ENV}; default {DEFAULT_BRUTE_LIMIT})",
     )
     p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE instead of stdout")
 

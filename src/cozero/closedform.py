@@ -1,37 +1,36 @@
-"""Family-specific closed forms for the Wiener index.
+"""Closed form for the Wiener index, one formula for every supported ring.
 
-Three arithmetic routes, one per supported family, each assembling the
-Wiener index from class sizes and a direct classification of class-pair
-distances instead of any graph search:
+Every supported ring is a product of local factors (q, a) whose principal
+ideals form a chain: Z(p**a) gives (p, a), a field of order q gives
+(q, 1), and Z(n) or ZxZ(n1,...,nk) split into the prime-power factors of
+their moduli.  An element is described by its vector of ideal exponents,
+x in 0..a per factor (0 for a unit, a for zero), and two vertices are
+adjacent exactly when their exponent vectors are incomparable.
 
-* products of finite fields: classes are the nonzero proper support sets,
-  incomparable supports sit at distance 1 and nested ones at distance 2;
-* Z(n) with at least two distinct primes: classes are the proper divisors
-  d with sizes phi(n/d); incomparable divisor pairs sit at distance 1 and
-  nested pairs at distance 2, except the chains that stay inside a single
-  prime, which are forced out to distance 3;
-* products of prime-power integers-mod rings: classes are per-component
-  level tuples, classified to distance 1, 2, or 3 by comparing ideal
-  exponent vectors and spotting the one pattern that needs three steps.
+With at least two factors the graph is connected and every distance is 1,
+2 or 3, so the Wiener index is the diameter-2 identity W = 2*C(N, 2) - |E|
+(Plesník, "On the sum of all distances in a graph or digraph", 1984) plus
+one per distance-3 pair.  |E| follows from products over the factors of
+comparable-pair counts, and the distance-3 pairs are exactly the chain
+pattern of the paper's classification (`_chain_pattern`), counted per
+factor.  No class is enumerated and no class pair is visited.
 
-Every route is cross-checked against the general quotient method and the
-element-level brute force in the test suite.
+The pairwise classifiers `classify_divisor_pairs` and
+`classify_prime_power_distance` stay public: the test suite checks them
+against class-graph BFS.  The formula itself is cross-checked against the
+general quotient method and the element-level brute force.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
 
-from .numtheory import euler_phi, factorize, is_prime, prime_power_radical, proper_divisors
+from .numtheory import factorize, is_prime, prime_power_radical, proper_divisors
 from .report import STATUS_DISCONNECTED, STATUS_EMPTY, STATUS_VALUE, WienerReport
-from .ringspec import (
-    FAMILY_Z,
-    RingSpec,
-    prime_power_components,
-)
+from .ringspec import RingSpec, prime_power_components
 
 
 # --------------------------------------------------------------------------
@@ -98,140 +97,8 @@ def classify_divisor_pairs(n: int) -> DivisorPairSets:
     )
 
 
-def _degenerate_prime_power(p: int, m: int, method: str, t0: float) -> WienerReport:
-    # Z(p**m): the ideals form a chain, so the class graph has no edges.
-    if m == 1:
-        return WienerReport(
-            status=STATUS_EMPTY,
-            method=method,
-            vertex_count=0,
-            class_count=0,
-            component_count=0,
-            elapsed=time.perf_counter() - t0,
-        )
-    vertex_count = p ** (m - 1) - 1
-    if vertex_count == 1:
-        return WienerReport(
-            status=STATUS_VALUE,
-            method=method,
-            vertex_count=1,
-            class_count=1,
-            component_count=1,
-            wiener=0,
-            elapsed=time.perf_counter() - t0,
-        )
-    return WienerReport(
-        status=STATUS_DISCONNECTED,
-        method=method,
-        vertex_count=vertex_count,
-        class_count=m - 1,
-        component_count=vertex_count,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
-def wiener_zn(n: int) -> WienerReport:
-    """Closed form for Z(n) via the divisor-pair classification."""
-    t0 = time.perf_counter()
-    if n < 2:
-        raise ValueError(f"wiener_zn requires n >= 2, got {n}")
-    fac = factorize(n)
-    if len(fac) == 1:
-        return _degenerate_prime_power(fac[0][0], fac[0][1], "closed", t0)
-
-    ds = proper_divisors(n)
-    size = {d: euler_phi(n // d) for d in ds}
-    pairs = classify_divisor_pairs(n)
-
-    total = sum(s * (s - 1) for s in size.values())
-    total += sum(size[a] * size[b] for a, b in pairs.incomparable)
-    total += 2 * sum(size[a] * size[b] for a, b in pairs.distance_two_composite)
-    total += 2 * sum(size[a] * size[b] for a, b in pairs.distance_two_cross_prime)
-    total += 3 * sum(size[a] * size[b] for a, b in pairs.distance_three_chain)
-
-    if pairs.distance_three_chain:
-        diameter = 3
-    elif pairs.nested or any(s >= 2 for s in size.values()):
-        diameter = 2
-    else:
-        diameter = 1
-    return WienerReport(
-        status=STATUS_VALUE,
-        method="closed",
-        vertex_count=sum(size.values()),
-        class_count=len(ds),
-        component_count=1,
-        wiener=total,
-        diameter=diameter,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
 # --------------------------------------------------------------------------
-# Products of finite fields (reduced rings)
-
-
-def wiener_reduced(orders) -> WienerReport:
-    """Closed form for a product of k >= 2 finite fields.
-
-    Classes correspond to the nonzero proper subsets of component positions
-    (the support of an element), with size prod(q_i - 1) over the support.
-    Incomparable supports are adjacent; nested supports sit at distance 2.
-    """
-    t0 = time.perf_counter()
-    orders = tuple(orders)
-    k = len(orders)
-    if k < 2:
-        raise ValueError("wiener_reduced needs at least two field components; use the quotient route for a single field")
-    for q in orders:
-        if prime_power_radical(q) is None:
-            raise ValueError(f"{q} is not a prime power")
-
-    masks = list(range(1, (1 << k) - 1))
-    sizes = []
-    for mask in masks:
-        s = 1
-        for i in range(k):
-            if mask >> i & 1:
-                s *= orders[i] - 1
-        sizes.append(s)
-
-    total = sum(s * (s - 1) for s in sizes)
-    nested_any = False
-    for a in range(len(masks)):
-        ma, sa = masks[a], sizes[a]
-        for b in range(a + 1, len(masks)):
-            mb, sb = masks[b], sizes[b]
-            if ma & ~mb == 0 or mb & ~ma == 0:
-                total += 2 * sa * sb
-                nested_any = True
-            else:
-                total += sa * sb
-
-    diameter = 2 if nested_any or any(s >= 2 for s in sizes) else 1
-    return WienerReport(
-        status=STATUS_VALUE,
-        method="closed",
-        vertex_count=sum(sizes),
-        class_count=len(masks),
-        component_count=1,
-        wiener=total,
-        diameter=diameter,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
-# --------------------------------------------------------------------------
-# Products of prime-power integers-mod rings
-
-
-def _level_size(level: int, p: int, m: int) -> int:
-    # level 0 is the zero element, 1 the units, j >= 2 the class of ideal (p**(j-1)).
-    if level == 0:
-        return 1
-    if level == 1:
-        return p**m - p ** (m - 1)
-    return p ** (m - level + 1) - p ** (m - level)
+# Prime-power products: level tuples and the pairwise classifier
 
 
 def level_to_divisor_label(levels, prime_powers) -> tuple[int, ...]:
@@ -306,10 +173,6 @@ def classify_prime_power_distance(a, b, prime_powers) -> int:
     _validate_levels(b, prime_powers, "class")
     if a == b:
         raise ValueError("classify_prime_power_distance needs two distinct classes")
-    return _distance_unchecked(a, b, prime_powers)
-
-
-def _distance_unchecked(a, b, prime_powers) -> int:
     ea = _ideal_exponents(a, prime_powers)
     eb = _ideal_exponents(b, prime_powers)
     a_in_b = all(x >= y for x, y in zip(ea, eb))
@@ -321,11 +184,90 @@ def _distance_unchecked(a, b, prime_powers) -> int:
     return 2
 
 
+# --------------------------------------------------------------------------
+# The product-of-chains formula
+
+
+def _wiener_local(factors, t0: float) -> WienerReport:
+    """Wiener report for the product of local rings `factors`, each (q, a).
+
+    `s[x]` counts the elements of a factor with ideal exponent x:
+    q**(a-x) - q**(a-x-1) for x < a, and 1 for the zero element x = a.
+    Over all C elements, units and zero included, the ordered pairs with
+    comparable exponent vectors number L = 2*prod(#{x <= y}) - prod(#{x = y}),
+    and units and zero are comparable with everything, so 2|E| = C**2 - L.
+    """
+    levels = [[q ** (a - x) - q ** (a - x - 1) for x in range(a)] + [1] for q, a in factors]
+    cardinality = prod(q**a for q, a in factors)
+    units = prod(s[0] for s in levels)
+    vertices = cardinality - units - 1
+    classes = prod(len(s) for s in levels) - 2
+    if len(factors) == 1:
+        # A single chain: all vertices are comparable, so there are no edges.
+        status = STATUS_EMPTY if vertices == 0 else STATUS_VALUE if vertices == 1 else STATUS_DISCONNECTED
+        return WienerReport(
+            status=status,
+            method="closed",
+            vertex_count=vertices,
+            class_count=classes,
+            component_count=vertices,
+            wiener=0 if vertices == 1 else None,
+            elapsed=time.perf_counter() - t0,
+        )
+
+    below = same = 1
+    distance3 = 0
+    for s in levels:
+        prefix = list(accumulate(s))
+        below *= sum(v * c for v, c in zip(s, prefix))
+        same *= sum(v * v for v in s)
+        # Chain pattern in this factor r: one side is zero off r, the other a
+        # unit off r, and both carry zero-divisor exponents 1 <= y <= x < a at r.
+        distance3 += units // s[0] * sum(s[x] * (prefix[x] - s[0]) for x in range(1, len(s) - 1))
+    twice_edges = cardinality * cardinality - (2 * below - same)
+    ordered_pairs = vertices * (vertices - 1)
+    return WienerReport(
+        status=STATUS_VALUE,
+        method="closed",
+        vertex_count=vertices,
+        class_count=classes,
+        component_count=1,
+        wiener=ordered_pairs - twice_edges // 2 + distance3,
+        diameter=3 if distance3 else 2 if twice_edges < ordered_pairs else 1,
+        elapsed=time.perf_counter() - t0,
+    )
+
+
+def wiener_zn(n: int) -> WienerReport:
+    """Closed form for Z(n), from the prime-power factors of n."""
+    t0 = time.perf_counter()
+    if n < 2:
+        raise ValueError(f"wiener_zn requires n >= 2, got {n}")
+    return _wiener_local(factorize(n), t0)
+
+
+def wiener_reduced(orders) -> WienerReport:
+    """Closed form for a product of k >= 2 finite fields.
+
+    Classes correspond to the nonzero proper subsets of component positions
+    (the support of an element), with size prod(q_i - 1) over the support.
+    Incomparable supports are adjacent; nested supports sit at distance 2.
+    """
+    t0 = time.perf_counter()
+    orders = tuple(orders)
+    if len(orders) < 2:
+        raise ValueError("wiener_reduced needs at least two field components; use the quotient route for a single field")
+    for q in orders:
+        if prime_power_radical(q) is None:
+            raise ValueError(f"{q} is not a prime power")
+    return _wiener_local([(q, 1) for q in orders], t0)
+
+
 def wiener_prime_power_product(prime_powers) -> WienerReport:
     """Closed form for a product of k >= 2 rings of prime-power order.
 
-    Enumerates the level-tuple classes, sizes them arithmetically, and sums
-    size products weighted by the classified distances.
+    Each (p, m) is the local ring Z(p**m); classes are the level tuples of
+    `classify_prime_power_distance`, counted and sized arithmetically.
     """
     t0 = time.perf_counter()
     pps = tuple((int(p), int(m)) for p, m in prime_powers)
@@ -334,66 +276,16 @@ def wiener_prime_power_product(prime_powers) -> WienerReport:
     for p, m in pps:
         if m < 1 or not is_prime(p):
             raise ValueError(f"({p}, {m}) is not a prime power")
-
-    zero = tuple(0 for _ in pps)
-    unit = tuple(1 for _ in pps)
-    classes = [
-        levels
-        for levels in itertools.product(*(range(m + 1) for _, m in pps))
-        if levels != zero and levels != unit
-    ]
-    sizes = [prod(_level_size(j, p, m) for j, (p, m) in zip(levels, pps)) for levels in classes]
-
-    total = sum(s * (s - 1) for s in sizes)
-    max_pair = 0
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            d = _distance_unchecked(classes[i], classes[j], pps)
-            total += sizes[i] * sizes[j] * d
-            if d > max_pair:
-                max_pair = d
-
-    diameter = max(max_pair, 2 if any(s >= 2 for s in sizes) else 0)
-    return WienerReport(
-        status=STATUS_VALUE,
-        method="closed",
-        vertex_count=sum(sizes),
-        class_count=len(classes),
-        component_count=1,
-        wiener=total,
-        diameter=diameter,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
-# --------------------------------------------------------------------------
-# Dispatch
+    return _wiener_local(pps, t0)
 
 
 def wiener_closed(spec: RingSpec) -> WienerReport:
-    """Pick the closed form matching a spec's family.
+    """Closed form for any supported spec, through its local factors.
 
-    Z(n) uses the divisor-pair route; products of integers-mod rings are
-    split into their prime-power factors first (an isomorphic ring); field
-    products use the reduced-ring form.  Single-component degenerate cases
-    are resolved directly.
+    A field of order q is the factor (q, 1); Z(n) and ZxZ(n1,...,nk) split
+    into the prime-power factors of their moduli (an isomorphic ring).
     """
     t0 = time.perf_counter()
     if spec.is_field_product:
-        if len(spec.components) == 1:
-            # A field alone has no vertices at all.
-            return WienerReport(
-                status=STATUS_EMPTY,
-                method="closed",
-                vertex_count=0,
-                class_count=0,
-                component_count=0,
-                elapsed=time.perf_counter() - t0,
-            )
-        return wiener_reduced(spec.components)
-    if spec.family == FAMILY_Z:
-        return wiener_zn(spec.components[0])
-    pps = prime_power_components(spec)
-    if len(pps) == 1:
-        return _degenerate_prime_power(pps[0][0], pps[0][1], "closed", t0)
-    return wiener_prime_power_product(pps)
+        return _wiener_local([(q, 1) for q in spec.components], t0)
+    return _wiener_local(prime_power_components(spec), t0)

@@ -41,9 +41,12 @@ def resolve_brute_limit(limit: int | None = None) -> int:
     env = os.environ.get(BRUTE_LIMIT_ENV)
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ValueError(f"{BRUTE_LIMIT_ENV} must be an integer, got {env!r}") from None
+        if cap < 0:
+            raise ValueError(f"{BRUTE_LIMIT_ENV} must be a non-negative integer, got {env!r}")
+        return cap
     return DEFAULT_BRUTE_LIMIT
 
 

@@ -73,6 +73,18 @@ def test_wiener_brute_limit_flag_beats_env(capsys, monkeypatch):
     assert "wiener=2954" in out
 
 
+def test_negative_brute_limit_is_rejected(capsys, monkeypatch):
+    code, out, err = run(capsys, "wiener", "Z(12)", "--method", "brute", "--brute-limit", "-5")
+    assert code == 1
+    assert out == ""
+    assert "--brute-limit" in err and "non-negative" in err
+    monkeypatch.setenv("COZERO_BRUTE_LIMIT", "-5")
+    code, out, err = run(capsys, "wiener", "Z(12)", "--method", "brute")
+    assert code == 1
+    assert out == ""
+    assert "COZERO_BRUTE_LIMIT" in err and "non-negative" in err
+
+
 def test_compare_agreement(capsys):
     code, out, _ = run(capsys, "compare", "ZxZ(2,4,9)")
     assert code == 0

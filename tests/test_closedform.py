@@ -1,4 +1,6 @@
 import itertools
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,13 @@ def poly_two_fields(p: int, q: int) -> int:
     return p * p + q * q - 4 * p - 4 * q + p * q + 5
 
 
+def poly_fields_of_two(k: int) -> int:
+    # Wiener index of F(2, ..., 2) with k factors: N = 2**k - 2 vertices,
+    # every nested support pair at distance 2.
+    n = 2**k - 2
+    return comb(n, 2) + 3**k - 3 * 2**k + 3
+
+
 def poly_three_fields(p: int, q: int, r: int) -> int:
     return (
         p * q * r * (p + q + r - 3)
@@ -36,6 +45,17 @@ def poly_three_fields(p: int, q: int, r: int) -> int:
         - 2 * (p * q + p * r + q * r)
         + 4 * (p + q + r)
         - 3
+    )
+
+
+def outcome(report) -> tuple:
+    return (
+        report.status,
+        report.wiener,
+        report.vertex_count,
+        report.class_count,
+        report.component_count,
+        report.diameter,
     )
 
 
@@ -65,6 +85,27 @@ def test_wiener_reduced_matches_polynomials():
         assert wiener_reduced((p, q)).wiener == poly_two_fields(p, q)
     for p, q, r in ((2, 3, 5), (3, 5, 7), (2, 3, 7), (5, 7, 11)):
         assert wiener_reduced((p, q, r)).wiener == poly_three_fields(p, q, r)
+    for k in range(2, 12):
+        assert wiener_reduced((2,) * k).wiener == poly_fields_of_two(k)
+
+
+def test_wiener_reduced_twenty_two_fields_of_two_is_fast():
+    # 2**22 - 2 classes: any per-class or per-pair loop would take minutes.
+    start = time.perf_counter()
+    report = wiener_reduced((2,) * 22)
+    elapsed = time.perf_counter() - start
+    assert report.wiener == poly_fields_of_two(22) == 8827451013151
+    assert report.class_count == 2**22 - 2 and report.diameter == 2
+    assert elapsed < 1.0
+
+
+def test_wiener_reduced_eleven_fields_is_fast():
+    start = time.perf_counter()
+    report = wiener_reduced((2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17))
+    elapsed = time.perf_counter() - start
+    assert report.wiener == 2817402440312668111
+    assert report.class_count == 2046 and report.diameter == 2
+    assert elapsed < 1.0
 
 
 def test_wiener_reduced_rejects_single_field_and_non_prime_power():
@@ -133,11 +174,20 @@ def test_wiener_zn_degenerates():
 
 def test_wiener_zn_agrees_with_quotient_and_brute():
     for n in range(2, 200):
-        closed = wiener_zn(n)
-        quot = wiener_quotient(integers_mod(n))
-        assert (closed.status, closed.wiener) == (quot.status, quot.wiener), n
-        brute = wiener_brute(integers_mod(n))
-        assert (closed.status, closed.wiener) == (brute.status, brute.wiener), n
+        closed = outcome(wiener_zn(n))
+        assert closed == outcome(wiener_quotient(integers_mod(n))), n
+        assert closed == outcome(wiener_brute(integers_mod(n))), n
+
+
+def test_wiener_zn_many_classes_is_fast():
+    # 6718 classes; the value was pinned from the pairwise divisor form.
+    start = time.perf_counter()
+    report = wiener_zn(963761198400)
+    elapsed = time.perf_counter() - start
+    assert report.wiener == 413966247180657242451350
+    assert report.vertex_count == 806101243199
+    assert report.class_count == 6718 and report.diameter == 3
+    assert elapsed < 1.0
 
 
 # --------------------------------------------------------------------------
@@ -241,8 +291,6 @@ def test_wiener_closed_dispatch():
 def test_wiener_closed_splits_composite_moduli():
     # ZxZ(6,10) is isomorphic to the product of its prime-power factors.
     spec = product_of_integers_mod((6, 10))
-    closed = wiener_closed(spec)
-    brute = wiener_brute(spec)
-    assert (closed.status, closed.wiener) == (brute.status, brute.wiener)
-    quot = wiener_quotient(spec)
-    assert (closed.status, closed.wiener) == (quot.status, quot.wiener)
+    closed = outcome(wiener_closed(spec))
+    assert closed == outcome(wiener_brute(spec))
+    assert closed == outcome(wiener_quotient(spec))
