@@ -101,8 +101,8 @@ def _resolve_method(method: str) -> str:
     if method != "auto":
         return method
     # Every supported family has a closed form (products of integers-mod
-    # rings are split into prime-power factors first); quotient remains the
-    # fallback for anything without one.  Brute force is never auto-picked.
+    # rings are split into prime-power factors first), so auto always picks
+    # it; quotient and brute run only when asked for by name.
     return "closed"
 
 
@@ -318,6 +318,7 @@ def _cmd_classes(args) -> int:
     spec = parse_ring_spec(args.spec)
     qg = build_quotient_graph(spec)
     names = [_label_name(spec, c.key) for c in qg.classes]
+    edges = qg.edges()
     if args.format == "json":
         payload = {
             "ring": str(spec),
@@ -325,7 +326,7 @@ def _cmd_classes(args) -> int:
                 {"key": list(c.key), "size": c.size, "degree": qg.degree(i)}
                 for i, c in enumerate(qg.classes)
             ],
-            "edges": [[i, j] for i, j in qg.edges()],
+            "edges": [[i, j] for i, j in edges],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     elif args.format == "csv":
@@ -333,11 +334,11 @@ def _cmd_classes(args) -> int:
         lines.extend(f"{names[i]},{c.size},{qg.degree(i)}" for i, c in enumerate(qg.classes))
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        lines = [f"{spec}: {qg.class_count} classes, {len(qg.edges())} class-graph edges"]
+        lines = [f"{spec}: {qg.class_count} classes, {len(edges)} class-graph edges"]
         for i, c in enumerate(qg.classes):
             lines.append(f"  key={names[i]}  size={c.size}  degree={qg.degree(i)}")
-        if qg.edges():
-            lines.append("edges: " + " ".join(f"{names[i]}~{names[j]}" for i, j in qg.edges()))
+        if edges:
+            lines.append("edges: " + " ".join(f"{names[i]}~{names[j]}" for i, j in edges))
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

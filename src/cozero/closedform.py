@@ -29,7 +29,7 @@ from itertools import accumulate
 from math import prod
 
 from .numtheory import factorize, is_prime, prime_power_radical, proper_divisors
-from .report import STATUS_DISCONNECTED, STATUS_EMPTY, STATUS_VALUE, WienerReport
+from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import RingSpec, prime_power_components
 
 
@@ -204,9 +204,8 @@ def _wiener_local(factors, t0: float) -> WienerReport:
     classes = prod(len(s) for s in levels) - 2
     if len(factors) == 1:
         # A single chain: all vertices are comparable, so there are no edges.
-        status = STATUS_EMPTY if vertices == 0 else STATUS_VALUE if vertices == 1 else STATUS_DISCONNECTED
         return WienerReport(
-            status=status,
+            status=graph_status(vertices, vertices),
             method="closed",
             vertex_count=vertices,
             class_count=classes,

@@ -8,12 +8,12 @@ every single vertex, making it the ground-truth oracle the arithmetic
 routes are checked against.
 
 Because adjacency between two elements depends only on their ideal labels,
-vertices sharing a label have identical neighbor sets.  The BFS below
-exploits that to run each per-source search on bitmask frontiers (one
-Python int per frontier, one OR per label group and level) instead of
-walking explicit adjacency lists; it still performs a genuine breadth-first
-search from every vertex and assumes nothing about distances, diameter, or
-connectivity.
+vertices sharing a label have identical neighbor sets.  The searches here
+therefore run on the label groups through `groupbfs.sweep`, the BFS the
+quotient route's class graph shares, with one bit per vertex instead of
+walking explicit adjacency lists.  Brute still performs a genuine
+breadth-first search from every vertex and assumes nothing about
+distances, diameter, or connectivity.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import os
 import time
 from math import gcd
 
-from .report import STATUS_DISCONNECTED, STATUS_EMPTY, STATUS_VALUE, WienerReport
+from .groupbfs import members, sweep
+from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec, ideal_contains
 
 BRUTE_LIMIT_ENV = "COZERO_BRUTE_LIMIT"
@@ -76,11 +77,10 @@ class ElementGraph:
         self.group_keys = group_keys
         self.group_members = group_members
         self.group_adjacency = group_adjacency
-        self._group_index = {key: g for g, key in enumerate(group_keys)}
-        self._group_of_vertex = [self._group_index[lab] for lab in labels]
+        group_index = {key: g for g, key in enumerate(group_keys)}
+        self._group_of_vertex = [group_index[lab] for lab in labels]
         self._adjacency_sets = [set(neigh) for neigh in group_adjacency]
-        self._group_bits: list[int] | None = None
-        self._group_rows: list[int] | None = None
+        self._groups: list[tuple[int, int]] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -92,25 +92,11 @@ class ElementGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def group_of(self, i: int) -> int:
-        return self._group_of_vertex[i]
-
     def adjacent(self, i: int, j: int) -> bool:
         """True when distinct vertices i and j share an edge."""
         if i == j:
             return False
         return self._group_of_vertex[j] in self._adjacency_sets[self._group_of_vertex[i]]
-
-    def neighbors(self, i: int) -> list[int]:
-        """Neighbor indices of vertex i, ascending."""
-        out: list[int] = []
-        for g in self.group_adjacency[self._group_of_vertex[i]]:
-            out.extend(self.group_members[g])
-        out.sort()
-        return out
-
-    def degree(self, i: int) -> int:
-        return sum(len(self.group_members[g]) for g in self.group_adjacency[self._group_of_vertex[i]])
 
     def edge_count(self) -> int:
         total = 0
@@ -132,48 +118,28 @@ class ElementGraph:
         out.sort()
         return out
 
-    def _bitmasks(self) -> tuple[list[int], list[int]]:
-        # group_bits[g]: members of group g as a bitmask over vertex indices;
-        # group_rows[g]: the shared neighbor bitmask of every vertex in g.
-        if self._group_bits is None:
+    def _sweep_groups(self) -> list[tuple[int, int]]:
+        """`(member_bits, neighbour_row)` per label group, the input of `groupbfs.sweep`."""
+        if self._groups is None:
             nbytes = (len(self.vertices) + 7) // 8
             bits = []
-            for members in self.group_members:
+            for group in self.group_members:
                 buf = bytearray(nbytes)
-                for i in members:
+                for i in group:
                     buf[i >> 3] |= 1 << (i & 7)
                 bits.append(int.from_bytes(buf, "little"))
-            rows = []
-            for g in range(len(self.group_keys)):
-                row = 0
-                for h in self.group_adjacency[g]:
-                    row |= bits[h]
-                rows.append(row)
-            self._group_bits = bits
-            self._group_rows = rows
-        return self._group_bits, self._group_rows
+            # Member masks are disjoint, so their sum is their union.
+            rows = [sum(bits[h] for h in neigh) for neigh in self.group_adjacency]
+            self._groups = list(zip(bits, rows))
+        return self._groups
 
     def bfs_distances(self, source: int) -> list[int | None]:
         """Shortest-path distances from one vertex; None where unreachable."""
-        bits, rows = self._bitmasks()
         dist: list[int | None] = [None] * len(self.vertices)
         dist[source] = 0
-        seen = 1 << source
-        frontier = rows[self._group_of_vertex[source]] & ~seen
-        d = 0
-        while frontier:
-            d += 1
-            mask = frontier
-            while mask:
-                low = mask & -mask
-                dist[low.bit_length() - 1] = d
-                mask ^= low
-            seen |= frontier
-            nxt = 0
-            for g in range(len(self.group_keys)):
-                if frontier & bits[g]:
-                    nxt |= rows[g]
-            frontier = nxt & ~seen
+        for _, d, frontier in sweep(self._sweep_groups(), self._group_of_vertex, (source,)):
+            for v in members(frontier):
+                dist[v] = d
         return dist
 
 
@@ -229,76 +195,41 @@ def compute_wiener(graph: ElementGraph) -> WienerReport:
     """Run BFS from every vertex of a built graph and aggregate the results."""
     t0 = time.perf_counter()
     n = graph.vertex_count
-    if n == 0:
-        return WienerReport(
-            status=STATUS_EMPTY,
-            method="brute",
-            vertex_count=0,
-            class_count=0,
-            component_count=0,
-            edge_count=0,
-            elapsed=time.perf_counter() - t0,
-        )
-
-    bits, rows = graph._bitmasks()
-    group_range = range(len(graph.group_keys))
+    groups = graph._sweep_groups()
     group_of = graph._group_of_vertex
-    full = (1 << n) - 1
 
+    # One component per root: `sweep` takes the next root, the lowest vertex
+    # not reached yet, only once the previous root's levels are consumed.
+    unreached = (1 << n) - 1
     components = 0
-    remaining = full
-    while remaining:
-        low = remaining & -remaining
-        comp = low
-        frontier = rows[group_of[low.bit_length() - 1]] & ~comp
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for g in group_range:
-                if frontier & bits[g]:
-                    nxt |= rows[g]
-            frontier = nxt & ~comp
-        components += 1
-        remaining &= ~comp
 
-    if components > 1:
-        return WienerReport(
-            status=STATUS_DISCONNECTED,
-            method="brute",
-            vertex_count=n,
-            class_count=len(graph.group_keys),
-            component_count=components,
-            edge_count=graph.edge_count(),
-            elapsed=time.perf_counter() - t0,
-        )
+    def roots():
+        nonlocal unreached, components
+        while unreached:
+            low = unreached & -unreached
+            unreached ^= low
+            components += 1
+            yield low.bit_length() - 1
 
-    total = 0
-    diameter = 0
-    for s in range(n):
-        seen = 1 << s
-        frontier = rows[group_of[s]] & ~seen
-        d = 0
-        while frontier:
-            d += 1
+    for _, _, frontier in sweep(groups, group_of, roots()):
+        unreached &= ~frontier
+
+    status = graph_status(n, components)
+    total = diameter = 0
+    if status == STATUS_VALUE:
+        for _, d, frontier in sweep(groups, group_of, range(n)):
             total += d * frontier.bit_count()
-            seen |= frontier
-            nxt = 0
-            for g in group_range:
-                if frontier & bits[g]:
-                    nxt |= rows[g]
-            frontier = nxt & ~seen
-        if d > diameter:
-            diameter = d
-
+            if d > diameter:
+                diameter = d
     return WienerReport(
-        status=STATUS_VALUE,
+        status=status,
         method="brute",
         vertex_count=n,
         class_count=len(graph.group_keys),
-        component_count=1,
-        wiener=total // 2,
+        component_count=components,
+        wiener=total // 2 if status == STATUS_VALUE else None,
         edge_count=graph.edge_count(),
-        diameter=diameter if n >= 2 else None,
+        diameter=diameter or None,
         elapsed=time.perf_counter() - t0,
     )
 

@@ -11,21 +11,23 @@ is therefore
 
     2 * sum_i C(size_i, 2)  +  sum_{i<j} size_i * size_j * d(i, j)
 
-whenever the class graph is connected and a second class exists; the
-degenerate layouts (no classes, one singleton class, one non-singleton
-class, disconnected class graph) are resolved explicitly first.
+whenever the element graph is connected.  The class graph is searched by
+`groupbfs.sweep`, the BFS the brute route runs on its label groups, here
+with one bit per class.  The status follows from the vertex and component
+counts alone; a class without neighbours scatters into `size` isolated
+vertices, and any other class component is one element-level component.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
 from math import comb
 
+from .groupbfs import members, sweep
 from .numtheory import euler_phi, proper_divisors
-from .report import STATUS_DISCONNECTED, STATUS_EMPTY, STATUS_VALUE, WienerReport
+from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec, labels_comparable
 
 
@@ -102,119 +104,53 @@ def build_quotient_graph(spec: RingSpec) -> QuotientGraph:
 
 def quotient_distances(qg: QuotientGraph) -> tuple[list[list[int | None]], bool]:
     """BFS distance table over class pairs, plus whether the class graph is connected."""
-    n = qg.class_count
-    table: list[list[int | None]] = []
-    for s in range(n):
-        dist: list[int | None] = [None] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in qg.adjacency[u]:
-                if dist[v] is None:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        table.append(dist)
-    connected = n <= 1 or all(d is not None for d in table[0])
-    return table, connected
-
-
-def _class_components(qg: QuotientGraph) -> list[list[int]]:
-    seen = [False] * qg.class_count
-    comps = []
-    for s in range(qg.class_count):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in qg.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(comp)
-    return comps
+    k = qg.class_count
+    groups = [(1 << i, sum(1 << j for j in neigh)) for i, neigh in enumerate(qg.adjacency)]
+    table: list[list[int | None]] = [[None] * k for _ in range(k)]
+    for s in range(k):
+        table[s][s] = 0
+    for s, d, frontier in sweep(groups, range(k), range(k)):
+        row = table[s]
+        for j in members(frontier):
+            row[j] = d
+    return table, k == 0 or None not in table[0]
 
 
 def wiener_quotient(spec: RingSpec) -> WienerReport:
     """Wiener index from class sizes and class-graph BFS distances."""
     t0 = time.perf_counter()
     qg = build_quotient_graph(spec)
-    classes = qg.classes
-    k = len(classes)
-    if k == 0:
-        return WienerReport(
-            status=STATUS_EMPTY,
-            method="quotient",
-            vertex_count=0,
-            class_count=0,
-            component_count=0,
-            elapsed=time.perf_counter() - t0,
-        )
-
-    sizes = [c.size for c in classes]
+    sizes = [c.size for c in qg.classes]
+    k = len(sizes)
     vertex_count = sum(sizes)
-    if k == 1:
-        # A lone class is edgeless: one vertex is the whole (trivial) graph,
-        # two or more are pairwise unreachable.
-        if sizes[0] == 1:
-            return WienerReport(
-                status=STATUS_VALUE,
-                method="quotient",
-                vertex_count=1,
-                class_count=1,
-                component_count=1,
-                wiener=0,
-                elapsed=time.perf_counter() - t0,
-            )
-        return WienerReport(
-            status=STATUS_DISCONNECTED,
-            method="quotient",
-            vertex_count=vertex_count,
-            class_count=1,
-            component_count=vertex_count,
-            elapsed=time.perf_counter() - t0,
-        )
-
-    table, connected = quotient_distances(qg)
-    if not connected:
-        # An isolated class scatters into isolated vertices; any other class
-        # component glues into a single element-level component.
-        components = 0
-        for comp in _class_components(qg):
-            if len(comp) == 1:
-                components += sizes[comp[0]]
-            else:
-                components += 1
-        return WienerReport(
-            status=STATUS_DISCONNECTED,
-            method="quotient",
-            vertex_count=vertex_count,
-            class_count=k,
-            component_count=components,
-            elapsed=time.perf_counter() - t0,
-        )
-
-    total = 2 * sum(comb(s, 2) for s in sizes)
-    max_pair = 0
-    for i in range(k):
-        row = table[i]
-        for j in range(i + 1, k):
-            d = row[j]
-            total += sizes[i] * sizes[j] * d
-            if d > max_pair:
-                max_pair = d
-    diameter = max(max_pair, 2 if any(s >= 2 for s in sizes) else 0)
+    table, _ = quotient_distances(qg)
+    # Count each class component at its first class, the one reaching no lower
+    # class: once, or `size` times for a class without neighbours.
+    components = sum(
+        1 if qg.adjacency[i] else sizes[i]
+        for i, row in enumerate(table)
+        if all(d is None for d in itertools.islice(row, i))
+    )
+    status = graph_status(vertex_count, components)
+    total = diameter = 0
+    if status == STATUS_VALUE:
+        total = 2 * sum(comb(s, 2) for s in sizes)
+        for i in range(k):
+            row = table[i]
+            for j in range(i + 1, k):
+                d = row[j]
+                total += sizes[i] * sizes[j] * d
+                if d > diameter:
+                    diameter = d
+        if any(s >= 2 for s in sizes):
+            diameter = max(diameter, 2)
     return WienerReport(
-        status=STATUS_VALUE,
+        status=status,
         method="quotient",
         vertex_count=vertex_count,
         class_count=k,
-        component_count=1,
-        wiener=total,
-        diameter=diameter,
+        component_count=components,
+        wiener=total if status == STATUS_VALUE else None,
+        diameter=diameter or None,
         elapsed=time.perf_counter() - t0,
     )

@@ -9,6 +9,13 @@ STATUS_EMPTY = "empty_graph"
 STATUS_DISCONNECTED = "disconnected"
 
 
+def graph_status(vertex_count: int, component_count: int) -> str:
+    """Status of a graph from its size: empty, connected (a value), or disconnected."""
+    if vertex_count == 0:
+        return STATUS_EMPTY
+    return STATUS_VALUE if component_count == 1 else STATUS_DISCONNECTED
+
+
 @dataclass(frozen=True)
 class WienerReport:
     """Result of one Wiener computation, by whichever method produced it.

@@ -131,6 +131,7 @@ def test_bfs_distances_vector():
     assert dist[idx[4]] == 2
     assert dist[idx[6]] == 3
     assert dist[idx[10]] == 2  # 10 shares the label of 2
+    assert build_graph(integers_mod(8)).bfs_distances(0) == [0, None, None]  # disconnected
 
 
 def test_limit_enforced_with_named_numbers():

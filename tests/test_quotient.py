@@ -103,6 +103,7 @@ def test_wiener_quotient_degenerates():
     assert wiener_quotient(integers_mod(9)).component_count == 2
     z8 = wiener_quotient(integers_mod(8))
     assert z8.status == "disconnected" and z8.component_count == 3
+    assert quotient_distances(build_quotient_graph(integers_mod(8))) == ([[0, None], [None, 0]], False)
 
 
 def test_wiener_quotient_matches_brute_small():
