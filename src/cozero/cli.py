@@ -255,11 +255,18 @@ def _parse_tuple(token: str, arity: int | None, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what}: {token!r} is not a comma-separated integer tuple") from None
 
 
+def _parse_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{what}: {token!r} is not an integer") from None
+
+
 def _cmd_table(args) -> int:
     family = args.family
     specs: list[tuple[str, RingSpec]] = []
     if family == "zn":
-        ns = [int(p) for p in args.params] if args.params else list(TABLE_ZN)
+        ns = [_parse_int(p, "zn") for p in args.params] if args.params else list(TABLE_ZN)
         for n in ns:
             specs.append((str(n), integers_mod(n)))
         head = "n"
@@ -351,6 +358,8 @@ def _cmd_export_graph(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.n and args.family != "zn":
+        raise ValueError(f"--n applies to the zn family only, not {args.family}")
     specs: list[RingSpec]
     if args.family == "zn":
         ns = args.n if args.n else [n for n in TABLE_ZN if n <= args.max]

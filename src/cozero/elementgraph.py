@@ -23,7 +23,7 @@ import os
 import time
 from math import gcd
 
-from .groupbfs import members, sweep
+from .groupbfs import component_roots, members, sweep
 from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec, ideal_contains
 
@@ -198,22 +198,7 @@ def compute_wiener(graph: ElementGraph) -> WienerReport:
     groups = graph._sweep_groups()
     group_of = graph._group_of_vertex
 
-    # One component per root: `sweep` takes the next root, the lowest vertex
-    # not reached yet, only once the previous root's levels are consumed.
-    unreached = (1 << n) - 1
-    components = 0
-
-    def roots():
-        nonlocal unreached, components
-        while unreached:
-            low = unreached & -unreached
-            unreached ^= low
-            components += 1
-            yield low.bit_length() - 1
-
-    for _, _, frontier in sweep(groups, group_of, roots()):
-        unreached &= ~frontier
-
+    components = len(component_roots(groups, group_of, n))
     status = graph_status(n, components)
     total = diameter = 0
     if status == STATUS_VALUE:

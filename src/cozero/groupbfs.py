@@ -40,6 +40,28 @@ def sweep(
             frontier = reached & ~seen
 
 
+def component_roots(groups: Sequence[tuple[int, int]], group_of: Sequence[int], n: int) -> list[int]:
+    """The lowest vertex of each connected component of an n-vertex graph, ascending.
+
+    One `sweep` runs over lazily drawn roots: the next root is the lowest
+    vertex that no earlier root's search reached.
+    """
+    unreached = (1 << n) - 1
+    roots: list[int] = []
+
+    def lowest_unreached() -> Iterator[int]:
+        nonlocal unreached
+        while unreached:
+            low = unreached & -unreached
+            unreached ^= low
+            roots.append(low.bit_length() - 1)
+            yield roots[-1]
+
+    for _, _, frontier in sweep(groups, group_of, lowest_unreached()):
+        unreached &= ~frontier
+    return roots
+
+
 def members(mask: int) -> Iterator[int]:
     """Indices of the set bits of `mask`, ascending."""
     while mask:

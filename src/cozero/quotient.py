@@ -11,22 +11,29 @@ is therefore
 
     2 * sum_i C(size_i, 2)  +  sum_{i<j} size_i * size_j * d(i, j)
 
-whenever the element graph is connected.  The class graph is searched by
+whenever the element graph is connected.  The class graph is held as one
+bitmask row per class.  The rows come from per-prime order masks: a label
+is an exponent vector over the primes of each component, and one ANDs,
+per coordinate, the masks of the classes at most and at least as large,
+so no class pair is visited.  The class graph is searched by
 `groupbfs.sweep`, the BFS the brute route runs on its label groups, here
-with one bit per class.  The status follows from the vertex and component
-counts alone; a class without neighbours scatters into `size` isolated
-vertices, and any other class component is one element-level component.
+with one bit per class; each level from class s adds `size_s * d` times
+the frontier's total size, so no distance table is built.  The status
+follows from the vertex and component counts alone; a class without
+neighbours scatters into `size` isolated vertices, and any other class
+component is one element-level component.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from math import comb
 
-from .groupbfs import members, sweep
-from .numtheory import euler_phi, proper_divisors
+from .groupbfs import component_roots, members, sweep
+from .numtheory import euler_phi, factorize, proper_divisors
 from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec, labels_comparable
 
@@ -41,21 +48,29 @@ class ClassInfo:
 
 @dataclass
 class QuotientGraph:
-    """Classes of a ring plus adjacency between them, indexed positionally."""
+    """Classes of a ring plus adjacency between them, indexed positionally.
+
+    `rows[i]` is the bitmask of the classes adjacent to class i.
+    """
 
     spec: RingSpec
     classes: list[ClassInfo]
-    adjacency: list[list[int]]
+    rows: list[int]
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
 
+    @property
+    def adjacency(self) -> list[list[int]]:
+        """Neighbour lists, ascending, decoded from the rows."""
+        return [list(members(row)) for row in self.rows]
+
     def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+        return self.rows[i].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, neigh in enumerate(self.adjacency) for j in neigh if j > i]
+        return [(i, j) for i, row in enumerate(self.rows) for j in members(row >> (i + 1) << (i + 1))]
 
 
 def enumerate_classes(spec: RingSpec) -> list[ClassInfo]:
@@ -91,57 +106,96 @@ def class_adjacent(a: IdealLabel, b: IdealLabel) -> bool:
     return not labels_comparable(a, b)
 
 
+def _comparability_rows(spec: RingSpec, keys: list[IdealLabel]) -> list[int]:
+    """Bitmask rows of the incomparable (adjacent) classes, one per key.
+
+    Each prime p of each component is one coordinate, and a label's value
+    there is its exponent of p; one label contains another exactly when it
+    is no larger in every coordinate.  Per coordinate, `le[x]` (`ge[x]`) is
+    the mask of classes with exponent at most (at least) x, so ANDing them
+    over all coordinates gives the classes below (above) a class.
+    """
+    full = (1 << len(keys)) - 1
+    below = [full] * len(keys)
+    above = [full] * len(keys)
+    for i, c in enumerate(spec.components):
+        with_label: dict[int, int] = {}
+        for j, key in enumerate(keys):
+            with_label[key[i]] = with_label.get(key[i], 0) | 1 << j
+        for p, e in factorize(c):
+            exponent = {d: _valuation(d, p) for d in with_label}
+            at = [0] * (e + 1)
+            for d, mask in with_label.items():
+                at[exponent[d]] |= mask
+            le = list(itertools.accumulate(at, operator.or_))
+            ge = list(itertools.accumulate(reversed(at), operator.or_))[::-1]
+            for j, key in enumerate(keys):
+                x = exponent[key[i]]
+                below[j] &= le[x]
+                above[j] &= ge[x]
+    return [full & ~(b | a) for b, a in zip(below, above)]
+
+
+def _valuation(d: int, p: int) -> int:
+    x = 0
+    while d % p == 0:
+        d //= p
+        x += 1
+    return x
+
+
 def build_quotient_graph(spec: RingSpec) -> QuotientGraph:
     classes = enumerate_classes(spec)
-    adjacency: list[list[int]] = [[] for _ in classes]
-    for i, a in enumerate(classes):
-        for j in range(i + 1, len(classes)):
-            if class_adjacent(a.key, classes[j].key):
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-    return QuotientGraph(spec, classes, adjacency)
+    return QuotientGraph(spec, classes, _comparability_rows(spec, [c.key for c in classes]))
 
 
 def quotient_distances(qg: QuotientGraph) -> tuple[list[list[int | None]], bool]:
     """BFS distance table over class pairs, plus whether the class graph is connected."""
     k = qg.class_count
-    groups = [(1 << i, sum(1 << j for j in neigh)) for i, neigh in enumerate(qg.adjacency)]
     table: list[list[int | None]] = [[None] * k for _ in range(k)]
     for s in range(k):
         table[s][s] = 0
-    for s, d, frontier in sweep(groups, range(k), range(k)):
+    for s, d, frontier in sweep(_class_groups(qg), range(k), range(k)):
         row = table[s]
         for j in members(frontier):
             row[j] = d
     return table, k == 0 or None not in table[0]
 
 
+def _class_groups(qg: QuotientGraph) -> list[tuple[int, int]]:
+    """The class graph as `groupbfs` groups: one single-bit group per class."""
+    return [(1 << i, row) for i, row in enumerate(qg.rows)]
+
+
 def wiener_quotient(spec: RingSpec) -> WienerReport:
-    """Wiener index from class sizes and class-graph BFS distances."""
+    """Wiener index from class sizes and one all-sources sweep of the class graph.
+
+    Each BFS level from class s adds `size_s * d * w(frontier)`, where
+    `w` is the total size of the frontier's classes, read from bit-sliced
+    size masks with one `bit_count` per size bit.  Every class pair is met
+    from both ends, hence the halving.
+    """
     t0 = time.perf_counter()
     qg = build_quotient_graph(spec)
     sizes = [c.size for c in qg.classes]
     k = len(sizes)
     vertex_count = sum(sizes)
-    table, _ = quotient_distances(qg)
-    # Count each class component at its first class, the one reaching no lower
-    # class: once, or `size` times for a class without neighbours.
+    groups = _class_groups(qg)
+    # A class without neighbours scatters into `size` isolated vertices; any
+    # other class component is one element-level component.
     components = sum(
-        1 if qg.adjacency[i] else sizes[i]
-        for i, row in enumerate(table)
-        if all(d is None for d in itertools.islice(row, i))
+        1 if qg.rows[r] else sizes[r] for r in component_roots(groups, range(k), k)
     )
     status = graph_status(vertex_count, components)
     total = diameter = 0
     if status == STATUS_VALUE:
-        total = 2 * sum(comb(s, 2) for s in sizes)
-        for i in range(k):
-            row = table[i]
-            for j in range(i + 1, k):
-                d = row[j]
-                total += sizes[i] * sizes[j] * d
-                if d > diameter:
-                    diameter = d
+        slices = _size_slices(sizes)
+        for s, d, frontier in sweep(groups, range(k), range(k)):
+            weight = sum((frontier & mask).bit_count() << b for b, mask in enumerate(slices))
+            total += sizes[s] * d * weight
+            if d > diameter:
+                diameter = d
+        total = total // 2 + 2 * sum(comb(s, 2) for s in sizes)
         if any(s >= 2 for s in sizes):
             diameter = max(diameter, 2)
     return WienerReport(
@@ -154,3 +208,16 @@ def wiener_quotient(spec: RingSpec) -> WienerReport:
         diameter=diameter or None,
         elapsed=time.perf_counter() - t0,
     )
+
+
+def _size_slices(sizes: list[int]) -> list[int]:
+    """`slices[b]` is the mask of the classes whose size has bit b set."""
+    by_size: dict[int, int] = {}
+    for j, s in enumerate(sizes):
+        by_size[s] = by_size.get(s, 0) | 1 << j
+    slices = [0] * max(sizes).bit_length()
+    for s, mask in by_size.items():
+        for b in range(s.bit_length()):
+            if s >> b & 1:
+                slices[b] |= mask
+    return slices

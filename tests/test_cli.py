@@ -169,6 +169,13 @@ def test_table_rejects_bad_tuple(capsys):
     assert "expects 2" in err
 
 
+def test_table_zn_rejects_non_integer(capsys):
+    code, _, err = run(capsys, "table", "zn", "abc")
+    assert code == 1
+    assert "zn: 'abc' is not an integer" in err
+    assert "invalid literal" not in err
+
+
 def test_classes_listing(capsys):
     code, out, _ = run(capsys, "classes", "Z(12)")
     assert code == 0
@@ -221,6 +228,13 @@ def test_bench_only_method(capsys):
     code, out, _ = run(capsys, "bench", "zn", "--n", "2500", "--only", "quotient", "--format", "csv")
     assert code == 0
     assert "Z(2500),quotient,value,1946274" in out
+
+
+def test_bench_rejects_n_outside_zn(capsys):
+    code, out, err = run(capsys, "bench", "fields2", "--n", "5")
+    assert code == 1
+    assert out == ""
+    assert "--n" in err and "fields2" in err
 
 
 def test_help_exits_zero(capsys):

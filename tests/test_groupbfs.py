@@ -1,4 +1,4 @@
-from cozero.groupbfs import members, sweep
+from cozero.groupbfs import component_roots, members, sweep
 
 # Six vertices in three label groups: {0, 1} ~ {2} form one component, and
 # the group {3, 4, 5} has no neighbours, so its vertices are isolated.
@@ -33,6 +33,12 @@ def test_sweep_counts_element_components():
     for _, _, frontier in sweep(GROUPS, GROUP_OF, lowest_unreached()):
         unreached &= ~frontier
     assert roots == [0, 3, 4, 5]  # four components
+
+
+def test_component_roots_are_lowest_vertices():
+    assert component_roots(GROUPS, GROUP_OF, 6) == [0, 3, 4, 5]
+    assert component_roots([(0b1, 0b10), (0b10, 0b1)], [0, 1], 2) == [0]
+    assert component_roots([], [], 0) == []
 
 
 def test_members_lists_set_bits_ascending():

@@ -1,5 +1,10 @@
-import pytest
+import time
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cozero.closedform import wiener_closed
 from cozero.elementgraph import build_graph, wiener_brute
 from cozero.numtheory import euler_phi
 from cozero.quotient import (
@@ -151,3 +156,55 @@ def test_crt_invariance_spot_checks():
         a = wiener_quotient(integers_mod(n))
         b = wiener_quotient(crt_normalize(integers_mod(n)))
         assert (a.status, a.wiener) == (b.status, b.wiener)
+
+
+def assert_rows_match_pairwise(spec):
+    qg = build_quotient_graph(spec)
+    keys = [c.key for c in qg.classes]
+    for i, a in enumerate(keys):
+        assert not qg.rows[i] >> i & 1, (spec, a)
+        for j in range(i + 1, len(keys)):
+            adjacent = class_adjacent(a, keys[j])
+            assert bool(qg.rows[i] >> j & 1) == adjacent, (spec, a, keys[j])
+            assert bool(qg.rows[j] >> i & 1) == adjacent, (spec, keys[j], a)
+        assert qg.rows[i] < 1 << len(keys), (spec, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10**6))
+def test_rows_match_class_adjacent_zn(n):
+    assert_rows_match_pairwise(integers_mod(n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(2, 40), min_size=2, max_size=3))
+@example([12, 18])
+@example([4, 6, 9])
+def test_rows_match_class_adjacent_products(moduli):
+    assert_rows_match_pairwise(product_of_integers_mod(moduli))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27]), min_size=1, max_size=5))
+@example([4, 4, 9])
+def test_rows_match_class_adjacent_fields(orders):
+    assert_rows_match_pairwise(product_of_fields(orders))
+
+
+def test_quotient_graph_views_follow_rows():
+    qg = build_quotient_graph(integers_mod(12))
+    assert [c.key for c in qg.classes] == [(2,), (3,), (4,), (6,)]
+    assert qg.rows == [0b0010, 0b0101, 0b1010, 0b0100]  # 2 ~ 3 ~ 4 ~ 6
+    assert qg.adjacency == [[1], [0, 2], [1, 3], [2]]
+    assert [qg.degree(i) for i in range(4)] == [1, 2, 2, 1]
+    assert qg.edges() == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_wiener_quotient_two_thousand_classes():
+    spec = product_of_fields((2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17))
+    start = time.perf_counter()
+    report = wiener_quotient(spec)
+    elapsed = time.perf_counter() - start
+    assert report.wiener == 2817402440312668111 == wiener_closed(spec).wiener
+    assert (report.status, report.class_count, report.diameter) == ("value", 2046, 2)
+    assert elapsed < 10.0
