@@ -30,6 +30,7 @@ from .ringspec import (
 )
 
 TABLE_ZN = (100, 500, 1000, 1500, 2000, 2500)
+BENCH_ZN_MAX = 2500
 TABLE_FIELD_PAIRS = ((9, 25), (49, 81), (101, 121), (125, 139), (163, 169), (289, 343))
 TABLE_FIELD_TRIPLES = (
     (7, 8, 13),
@@ -358,11 +359,13 @@ def _cmd_export_graph(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.n and args.family != "zn":
-        raise ValueError(f"--n applies to the zn family only, not {args.family}")
+    for flag, value in (("--n", args.n), ("--max", args.max)):
+        if value is not None and args.family != "zn":
+            raise ValueError(f"{flag} applies to the zn family only, not {args.family}")
     specs: list[RingSpec]
     if args.family == "zn":
-        ns = args.n if args.n else [n for n in TABLE_ZN if n <= args.max]
+        top = BENCH_ZN_MAX if args.max is None else args.max
+        ns = args.n if args.n else [n for n in TABLE_ZN if n <= top]
         specs = [integers_mod(n) for n in ns]
     elif args.family == "ppprod":
         specs = [product_of_integers_mod(m) for m in TABLE_PP_PRODUCTS]
@@ -460,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time every method on a family of rings")
     p.add_argument("family", choices=("zn", "ppprod", "fields2", "fields3"))
-    p.add_argument("--max", type=int, default=2500, help="largest n for the zn family")
+    p.add_argument("--max", type=int, default=None, help=f"largest n for the zn family (default {BENCH_ZN_MAX})")
     p.add_argument("--n", type=int, action="append", default=None, help="explicit n (repeatable, zn only)")
     p.add_argument("--only", choices=("brute", "quotient", "closed"), default=None)
     _add_common(p, default_format="csv")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -55,6 +56,17 @@ def test_wiener_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "wiener", "F(6,25)")
     assert code == 1
     assert "6 is not a prime power" in err
+
+
+def test_wiener_unprovable_prime_fails_fast(capsys):
+    # 2**89 - 1 is prime but lies beyond the Miller-Rabin bound psi_13.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wiener", f"F({2**89 - 1})")
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert out == ""
+    assert "3317044064679887385961981" in err
+    assert elapsed < 1.0
 
 
 def test_wiener_unknown_method_is_usage_error(capsys):
@@ -235,6 +247,20 @@ def test_bench_rejects_n_outside_zn(capsys):
     assert code == 1
     assert out == ""
     assert "--n" in err and "fields2" in err
+
+
+def test_bench_rejects_max_outside_zn(capsys):
+    code, out, err = run(capsys, "bench", "fields2", "--max", "5", "--only", "closed")
+    assert code == 1
+    assert out == ""
+    assert "error: --max applies to the zn family only, not fields2" in err
+
+
+def test_bench_zn_default_max_covers_the_table(capsys):
+    code, out, _ = run(capsys, "bench", "zn", "--only", "closed", "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == [f"Z({n})" for n in (100, 500, 1000, 1500, 2000, 2500)]
 
 
 def test_help_exits_zero(capsys):

@@ -18,7 +18,7 @@ from cozero.closedform import (
 from cozero.elementgraph import wiener_brute
 from cozero.numtheory import factorize
 from cozero.quotient import build_quotient_graph, quotient_distances, wiener_quotient
-from cozero.ringspec import integers_mod, product_of_fields, product_of_integers_mod
+from cozero.ringspec import integers_mod, parse_ring_spec, product_of_fields, product_of_integers_mod
 
 
 def poly_two_fields(p: int, q: int) -> int:
@@ -187,6 +187,20 @@ def test_wiener_zn_many_classes_is_fast():
     assert report.wiener == 413966247180657242451350
     assert report.vertex_count == 806101243199
     assert report.class_count == 6718 and report.diameter == 3
+    assert elapsed < 1.0
+
+
+def test_wiener_closed_two_ten_digit_primes_is_fast():
+    # Z(pq) is the complete bipartite K_{q-1,p-1} plus distance 2 inside each
+    # side; trial division up to p ~ 1e9 used to take minutes.
+    p, q = 1000000007, 1000000009
+    assert p * q == 1000000016000000063
+    start = time.perf_counter()
+    report = wiener_closed(parse_ring_spec("Z(1000000016000000063)"))
+    elapsed = time.perf_counter() - start
+    assert report.wiener == (p - 1) * (q - 1) + (p - 1) * (p - 2) + (q - 1) * (q - 2)
+    assert report.wiener == 3000000040000000134
+    assert report.class_count == 2 and report.diameter == 2
     assert elapsed < 1.0
 
 
