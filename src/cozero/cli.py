@@ -5,16 +5,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .closedform import wiener_closed
 from .elementgraph import (
     BRUTE_LIMIT_ENV,
     DEFAULT_BRUTE_LIMIT,
-    BruteForceLimitError,
     build_graph,
     graph_export,
     resolve_brute_limit,
+    vertex_name,
     wiener_brute,
 )
 from .quotient import build_quotient_graph, wiener_quotient
@@ -56,57 +55,6 @@ TABLE_PP_PRODUCTS = (
 _RECORD_FIELDS = ("ring", "method", "status", "wiener", "vertices", "edges", "classes", "diameter", "elapsed_ms")
 
 
-@dataclass
-class OutputRecord:
-    """One row of CLI output; the Wiener value stays a decimal string."""
-
-    ring: str
-    method: str
-    status: str
-    wiener: str | None
-    vertices: int
-    edges: int | None
-    classes: int
-    diameter: int | None
-    elapsed_ms: float
-
-    @classmethod
-    def from_report(cls, ring: str, report: WienerReport) -> "OutputRecord":
-        return cls(
-            ring=ring,
-            method=report.method,
-            status=report.status,
-            wiener=None if report.wiener is None else str(report.wiener),
-            vertices=report.vertex_count,
-            edges=report.edge_count,
-            classes=report.class_count,
-            diameter=report.diameter,
-            elapsed_ms=report.elapsed * 1000.0,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "method": self.method,
-            "status": self.status,
-            "wiener": self.wiener,
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "classes": self.classes,
-            "diameter": self.diameter,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-
-
-def _resolve_method(method: str) -> str:
-    if method != "auto":
-        return method
-    # Every supported family has a closed form (products of integers-mod
-    # rings are split into prime-power factors first), so auto always picks
-    # it; quotient and brute run only when asked for by name.
-    return "closed"
-
-
 def _run_method(spec: RingSpec, method: str, limit: int | None) -> WienerReport:
     if method == "brute":
         return wiener_brute(spec, limit)
@@ -117,58 +65,85 @@ def _run_method(spec: RingSpec, method: str, limit: int | None) -> WienerReport:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _run_routes(
+    routes: list[tuple[str, RingSpec, str]], limit: int | None
+) -> tuple[list[tuple[str, RingSpec, WienerReport]], list[str], int]:
+    """Run each (name, spec, method) route, brute only within the element cap.
+
+    Returns the runs, their mismatches against the first run, and the cap.
+    """
+    cap = resolve_brute_limit(limit)
+    runs = [
+        (name, spec, _run_method(spec, method, limit))
+        for name, spec, method in routes
+        if method != "brute" or spec.cardinality <= cap
+    ]
+    diffs = []
+    for name, _, rep in runs[1:]:
+        name0, _, base = runs[0]
+        for field in ("status", "wiener", "vertex_count", "class_count", "diameter"):
+            a, b = getattr(base, field), getattr(rep, field)
+            # A diameter is compared only where both routes report one.
+            if a != b and (field != "diameter" or None not in (a, b)):
+                diffs.append(f"{field}: {name0}={a} vs {name}={b}")
+    return runs, diffs, cap
+
+
 # --------------------------------------------------------------------------
 # output helpers
 
 
-def _csv_cell(value) -> str:
-    return "" if value is None else str(value)
+def _record(method: str, spec: RingSpec, report: WienerReport) -> dict:
+    """One row of record output; the Wiener value stays a decimal string."""
+    return {
+        "ring": str(spec),
+        "method": method,
+        "status": report.status,
+        "wiener": None if report.wiener is None else str(report.wiener),
+        "vertices": report.vertex_count,
+        "edges": report.edge_count,
+        "classes": report.class_count,
+        "diameter": report.diameter,
+        "elapsed_ms": round(report.elapsed * 1000.0, 3),
+    }
 
 
-def _records_text(records: list[OutputRecord], fmt: str) -> str:
+def _md_row(cells) -> str:
+    return "| " + " | ".join(cells) + " |"
+
+
+def _render(fields, rows: list[dict], fmt: str) -> str:
+    """The given fields of each row as a json list, csv lines or a markdown table."""
     if fmt == "json":
-        return json.dumps([r.as_dict() for r in records], indent=2) + "\n"
+        return json.dumps([{f: row[f] for f in fields} for row in rows], indent=2) + "\n"
+    cells = [["" if row[f] is None else str(row[f]) for f in fields] for row in rows]
     if fmt == "csv":
-        lines = [",".join(_RECORD_FIELDS)]
-        for r in records:
-            d = r.as_dict()
-            lines.append(",".join(_csv_cell(d[f]) for f in _RECORD_FIELDS))
-        return "\n".join(lines) + "\n"
-    if fmt == "md":
-        lines = ["| " + " | ".join(_RECORD_FIELDS) + " |"]
-        lines.append("| " + " | ".join("---" for _ in _RECORD_FIELDS) + " |")
-        for r in records:
-            d = r.as_dict()
-            lines.append("| " + " | ".join(_csv_cell(d[f]) for f in _RECORD_FIELDS) + " |")
-        return "\n".join(lines) + "\n"
-    out = []
+        lines = [",".join(fields)] + [",".join(c) for c in cells]
+    else:
+        lines = [_md_row(fields), _md_row("---" for _ in fields)] + [_md_row(c) for c in cells]
+    return "\n".join(lines) + "\n"
+
+
+def _render_records(records: list[dict], fmt: str) -> str:
+    """Records through `_render`, or for plain one `key=value` line each, absent values left out."""
+    if fmt != "plain":
+        return _render(_RECORD_FIELDS, records, fmt)
+    lines = []
     for r in records:
-        parts = [r.ring, f"method={r.method}", f"status={r.status}"]
-        if r.wiener is not None:
-            parts.append(f"wiener={r.wiener}")
-        parts.append(f"vertices={r.vertices}")
-        if r.edges is not None:
-            parts.append(f"edges={r.edges}")
-        parts.append(f"classes={r.classes}")
-        if r.diameter is not None:
-            parts.append(f"diameter={r.diameter}")
-        parts.append(f"elapsed_ms={r.elapsed_ms:.3f}")
-        out.append("  ".join(parts))
-    return "\n".join(out) + "\n"
+        parts = [r["ring"]] + [f"{f}={r[f]}" for f in _RECORD_FIELDS[1:-1] if r[f] is not None]
+        lines.append("  ".join(parts + [f"elapsed_ms={r['elapsed_ms']:.3f}"]))
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _label_name(spec: RingSpec, key: tuple[int, ...]) -> str:
-    if spec.family == FAMILY_Z:
-        return str(key[0])
-    return "(" + ",".join(str(d) for d in key) + ")"
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -177,70 +152,40 @@ def _label_name(spec: RingSpec, key: tuple[int, ...]) -> str:
 
 def _cmd_wiener(args) -> int:
     spec = parse_ring_spec(args.spec)
-    method = _resolve_method(args.method)
+    # Every supported family has a closed form (products of integers-mod
+    # rings are split into prime-power factors first), so auto always picks
+    # it; quotient and brute run only when asked for by name.
+    method = "closed" if args.method == "auto" else args.method
     report = _run_method(spec, method, args.brute_limit)
-    record = OutputRecord.from_report(str(spec), report)
-    _emit(_records_text([record], args.format), args.out)
+    _emit(_render_records([_record(method, spec, report)], args.format), args.out)
     return 2 if report.status == STATUS_DISCONNECTED else 0
-
-
-def _compare_reports(spec: RingSpec, limit: int | None) -> tuple[list[tuple[str, RingSpec, WienerReport]], list[str]]:
-    cap = resolve_brute_limit(limit)
-    runs: list[tuple[str, RingSpec, WienerReport]] = []
-    notes: list[str] = []
-    if spec.cardinality <= cap:
-        runs.append(("brute", spec, wiener_brute(spec, limit)))
-    else:
-        notes.append(f"brute skipped: {spec.cardinality} elements exceed the limit of {cap}")
-    runs.append(("quotient", spec, wiener_quotient(spec)))
-    runs.append(("closed", spec, wiener_closed(spec)))
-    if spec.family == FAMILY_Z:
-        crt = crt_normalize(spec)
-        runs.append(("quotient[crt]", crt, wiener_quotient(crt)))
-    return runs, notes
-
-
-def _diff_reports(runs: list[tuple[str, RingSpec, WienerReport]]) -> list[str]:
-    name0, _, base = runs[0]
-    diffs = []
-    for name, _, rep in runs[1:]:
-        for field in ("status", "wiener", "vertex_count", "class_count"):
-            a, b = getattr(base, field), getattr(rep, field)
-            if a != b:
-                diffs.append(f"{field}: {name0}={a} vs {name}={b}")
-        if base.diameter is not None and rep.diameter is not None and base.diameter != rep.diameter:
-            diffs.append(f"diameter: {name0}={base.diameter} vs {name}={rep.diameter}")
-    return diffs
 
 
 def _cmd_compare(args) -> int:
     spec = parse_ring_spec(args.spec)
-    runs, notes = _compare_reports(spec, args.brute_limit)
-    diffs = _diff_reports(runs)
-    records = [OutputRecord.from_report(str(s), rep) for name, s, rep in runs]
-    for record, (name, _, _) in zip(records, runs):
-        record.method = name
+    routes = [(method, spec, method) for method in ("brute", "quotient", "closed")]
+    if spec.family == FAMILY_Z:
+        routes.append(("quotient[crt]", crt_normalize(spec), "quotient"))
+    runs, diffs, cap = _run_routes(routes, args.brute_limit)
+    notes = []
+    if spec.cardinality > cap:
+        notes.append(f"brute skipped: {spec.cardinality} elements exceed the limit of {cap}")
+    records = [_record(*run) for run in runs]
     if args.format == "json":
-        payload = {
-            "ring": str(spec),
-            "agree": not diffs,
-            "notes": notes,
-            "mismatches": diffs,
-            "records": [r.as_dict() for r in records],
-        }
+        payload = {"ring": str(spec), "agree": not diffs, "notes": notes, "mismatches": diffs, "records": records}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        return 3 if diffs else 0
+    lines = [f"{spec}: comparing {len(runs)} method(s)"]
+    lines.extend(f"note: {n}" for n in notes)
+    lines.append(_render_records(records, args.format).rstrip("\n"))
+    if diffs:
+        lines.append("MISMATCH:")
+        lines.extend(f"  {d}" for d in diffs)
     else:
-        lines = [f"{spec}: comparing {len(runs)} method(s)"]
-        lines.extend(f"note: {n}" for n in notes)
-        lines.append(_records_text(records, args.format).rstrip("\n"))
-        if diffs:
-            lines.append("MISMATCH:")
-            lines.extend(f"  {d}" for d in diffs)
-        else:
-            _, _, base = runs[0]
-            shown = base.wiener if base.wiener is not None else base.status
-            lines.append(f"all methods agree: {shown}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _, _, base = runs[0]
+        shown = base.wiener if base.wiener is not None else base.status
+        lines.append(f"all methods agree: {shown}")
+    _emit("\n".join(lines) + "\n", args.out)
     return 3 if diffs else 0
 
 
@@ -265,89 +210,70 @@ def _parse_int(token: str, what: str) -> int:
 
 def _cmd_table(args) -> int:
     family = args.family
-    specs: list[tuple[str, RingSpec]] = []
+    # Each row names its ring in the `head` cell, which json, plain and md
+    # show; the csv shows `columns` instead, which split the field orders.
     if family == "zn":
         ns = [_parse_int(p, "zn") for p in args.params] if args.params else list(TABLE_ZN)
-        for n in ns:
-            specs.append((str(n), integers_mod(n)))
-        head = "n"
+        head, columns = "n", ("n",)
+        cases = [({head: str(n)}, integers_mod(n)) for n in ns]
     elif family in ("fields2", "fields3"):
         arity = 2 if family == "fields2" else 3
         defaults = TABLE_FIELD_PAIRS if family == "fields2" else TABLE_FIELD_TRIPLES
         tuples = [_parse_tuple(p, arity, family) for p in args.params] if args.params else list(defaults)
-        for orders in tuples:
-            specs.append(("(" + ", ".join(str(q) for q in orders) + ")", product_of_fields(orders)))
-        head = "(q1, q2)" if family == "fields2" else "(q1, q2, q3)"
+        columns = tuple(f"q{i}" for i in range(1, arity + 1))
+        head = "(" + ", ".join(columns) + ")"
+        cases = [
+            ({head: "(" + ", ".join(map(str, orders)) + ")", **dict(zip(columns, orders))}, product_of_fields(orders))
+            for orders in tuples
+        ]
     else:  # ppprod
         tuples = [_parse_tuple(p, None, "ppprod") for p in args.params] if args.params else list(TABLE_PP_PRODUCTS)
-        for moduli in tuples:
-            spec = product_of_integers_mod(moduli)
-            specs.append((str(spec), spec))
-        head = "ring"
-    rows = [(label, wiener_closed(spec)) for label, spec in specs]
+        head, columns = "ring", ("ring",)
+        cases = [({head: str(spec)}, spec) for spec in map(product_of_integers_mod, tuples)]
+    rows = []
+    for cells, spec in cases:
+        rep = wiener_closed(spec)
+        wiener = str(rep.wiener) if rep.wiener is not None else rep.status
+        rows.append({**cells, "wiener": wiener, "status": rep.status})
 
-    def cell(rep: WienerReport) -> str:
-        return str(rep.wiener) if rep.wiener is not None else rep.status
-
-    if args.format == "json":
-        payload = [{head: label, "wiener": cell(rep), "status": rep.status} for label, rep in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        if family in ("fields2", "fields3"):
-            lines = ["q1,q2,wiener"] if family == "fields2" else ["q1,q2,q3,wiener"]
-            for label, rep in rows:
-                orders = label.strip("()").replace(" ", "")
-                lines.append(f"{orders},{cell(rep)}")
-        else:
-            lines = [f"{'n' if family == 'zn' else 'ring'},wiener"]
-            for label, rep in rows:
-                lines.append(f"{label},{cell(rep)}")
-        _emit("\n".join(lines) + "\n", args.out)
+    if args.format == "plain":
+        width = max(len(row[head]) for row in rows)
+        text = "".join(f"{row[head].ljust(width)}  {row['wiener']}\n" for row in rows)
     elif args.format == "md" and family != "ppprod":
         # Horizontal layout: one header row of parameters, one row of values.
         lines = [
-            "| " + " | ".join([head] + [label for label, _ in rows]) + " |",
-            "| " + " | ".join("---" for _ in range(len(rows) + 1)) + " |",
-            "| " + " | ".join(["wiener"] + [cell(rep) for _, rep in rows]) + " |",
+            _md_row([head] + [row[head] for row in rows]),
+            _md_row("---" for _ in range(len(rows) + 1)),
+            _md_row(["wiener"] + [row["wiener"] for row in rows]),
         ]
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "md":
-        lines = ["| ring | wiener |", "| --- | --- |"]
-        lines.extend(f"| {label} | {cell(rep)} |" for label, rep in rows)
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
-        width = max(len(label) for label, _ in rows)
-        lines = [f"{label.ljust(width)}  {cell(rep)}" for label, rep in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = _render((head, "wiener", "status") if args.format == "json" else columns + ("wiener",), rows, args.format)
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_classes(args) -> int:
     spec = parse_ring_spec(args.spec)
     qg = build_quotient_graph(spec)
-    names = [_label_name(spec, c.key) for c in qg.classes]
+    rows = [{"key": vertex_name(spec, c.key), "size": c.size, "degree": qg.degree(i)} for i, c in enumerate(qg.classes)]
     edges = qg.edges()
     if args.format == "json":
         payload = {
             "ring": str(spec),
-            "classes": [
-                {"key": list(c.key), "size": c.size, "degree": qg.degree(i)}
-                for i, c in enumerate(qg.classes)
-            ],
+            "classes": [{**row, "key": list(c.key)} for row, c in zip(rows, qg.classes)],
             "edges": [[i, j] for i, j in edges],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        lines = ["key,size,degree"]
-        lines.extend(f"{names[i]},{c.size},{qg.degree(i)}" for i, c in enumerate(qg.classes))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "plain":
         lines = [f"{spec}: {qg.class_count} classes, {len(edges)} class-graph edges"]
-        for i, c in enumerate(qg.classes):
-            lines.append(f"  key={names[i]}  size={c.size}  degree={qg.degree(i)}")
+        lines.extend(f"  key={row['key']}  size={row['size']}  degree={row['degree']}" for row in rows)
         if edges:
-            lines.append("edges: " + " ".join(f"{names[i]}~{names[j]}" for i, j in edges))
-        _emit("\n".join(lines) + "\n", args.out)
+            lines.append("edges: " + " ".join(f"{rows[i]['key']}~{rows[j]['key']}" for i, j in edges))
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _render(("key", "size", "degree"), rows, args.format)
+    _emit(text, args.out)
     return 0
 
 
@@ -374,23 +300,18 @@ def _cmd_bench(args) -> int:
     else:
         specs = [product_of_fields(t) for t in TABLE_FIELD_TRIPLES]
 
-    cap = resolve_brute_limit(args.brute_limit)
-    records: list[OutputRecord] = []
+    methods = [args.only] if args.only else ["brute", "quotient", "closed"]
+    records: list[dict] = []
     mismatched = False
     for spec in specs:
-        methods = [args.only] if args.only else ["brute", "quotient", "closed"]
-        runs: list[tuple[str, RingSpec, WienerReport]] = []
-        for method in methods:
-            if method == "brute" and spec.cardinality > cap:
-                print(f"note: brute skipped for {spec} ({spec.cardinality} elements)", file=sys.stderr)
-                continue
-            runs.append((method, spec, _run_method(spec, method, args.brute_limit)))
-        diffs = _diff_reports(runs) if len(runs) > 1 else []
+        runs, diffs, cap = _run_routes([(method, spec, method) for method in methods], args.brute_limit)
+        if "brute" in methods and spec.cardinality > cap:
+            print(f"note: brute skipped for {spec} ({spec.cardinality} elements)", file=sys.stderr)
         if diffs:
             mismatched = True
             print(f"MISMATCH on {spec}: " + "; ".join(diffs), file=sys.stderr)
-        records.extend(OutputRecord.from_report(str(spec), rep) for _, _, rep in runs)
-    _emit(_records_text(records, args.format), args.out)
+        records.extend(_record(*run) for run in runs)
+    _emit(_render_records(records, args.format), args.out)
     return 3 if mismatched else 0
 
 
@@ -480,10 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except BruteForceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # bad input, a limit hit, or an --out file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

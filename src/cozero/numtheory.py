@@ -207,8 +207,3 @@ def prime_power_radical(n: int) -> tuple[int, int] | None:
     if len(pairs) == 1:
         return pairs[0]
     return None
-
-
-def is_prime_power(n: int) -> bool:
-    """True when n is a positive power of a single prime."""
-    return n >= 2 and len(_factor_pairs(n)) == 1

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from math import comb
 
 from .groupbfs import component_roots, members, sweep
-from .numtheory import euler_phi, factorize, proper_divisors
+from .numtheory import factorize
 from .report import STATUS_VALUE, WienerReport, graph_status
-from .ringspec import FAMILY_Z, IdealLabel, RingSpec, labels_comparable
+from .ringspec import IdealLabel, RingSpec, labels_comparable
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,12 @@ class QuotientGraph:
 def enumerate_classes(spec: RingSpec) -> list[ClassInfo]:
     """All vertex classes with arithmetic sizes, ordered lexicographically by key.
 
-    For Z(n) this is one class per proper divisor d with size phi(n/d).  For
-    products, keys run over the Cartesian product of per-component label
-    sets minus the all-zero and all-unit tuples, and sizes multiply
-    componentwise (phi(m/d) for an integers-mod component, q - 1 or 1 for
-    the nonzero/zero label of a field component).
+    Keys run over the Cartesian product of per-component label sets minus
+    the all-zero and all-unit tuples, and sizes multiply componentwise
+    (phi(m/d) for an integers-mod component, q - 1 or 1 for the
+    nonzero/zero label of a field component).  For Z(n) that is one class
+    per proper divisor d, with size phi(n/d).
     """
-    if spec.family == FAMILY_Z:
-        n = spec.components[0]
-        return [ClassInfo((d,), euler_phi(n // d)) for d in proper_divisors(n)]
     label_sets = [spec.component_labels(i) for i in range(len(spec.components))]
     zero_key = spec.components
     unit_key = tuple(1 for _ in spec.components)

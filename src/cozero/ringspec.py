@@ -21,17 +21,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 from .numtheory import divisors, euler_phi, factorize, prime_power_radical
 
 FAMILY_Z = "Z"
 FAMILY_PRODUCT = "ZxZ"
 FAMILY_FIELDS = "F"
-
-ROLE_ZERO = "zero"
-ROLE_UNIT = "unit"
-ROLE_VERTEX = "vertex"
 
 IdealLabel = tuple[int, ...]
 
@@ -144,37 +140,6 @@ def prime_power_components(spec: RingSpec) -> list[tuple[int, int]]:
         parts.extend(factorize(n))
     parts.sort(key=lambda pm: (pm[0] ** pm[1], pm[0]))
     return parts
-
-
-def _coerce_element(spec: RingSpec, element) -> tuple[int, ...]:
-    coords = (element,) if isinstance(element, int) else tuple(element)
-    if len(coords) != len(spec.components):
-        raise ValueError(
-            f"element {coords} has {len(coords)} coordinates, spec {spec} expects {len(spec.components)}"
-        )
-    for x, c in zip(coords, spec.components):
-        if not 0 <= x < c:
-            raise ValueError(f"coordinate {x} out of range for component of cardinality {c}")
-    return coords
-
-
-def ideal_label_of(spec: RingSpec, element) -> IdealLabel:
-    """Per-component ideal label of an element (an int for Z(n), else a tuple)."""
-    coords = _coerce_element(spec, element)
-    if spec.is_field_product:
-        return tuple(c if x == 0 else 1 for x, c in zip(coords, spec.components))
-    return tuple(gcd(x, c) for x, c in zip(coords, spec.components))
-
-
-def element_role(spec: RingSpec, element) -> str:
-    """Classify an element as "zero", "unit", or "vertex" (neither)."""
-    coords = _coerce_element(spec, element)
-    if all(x == 0 for x in coords):
-        return ROLE_ZERO
-    label = ideal_label_of(spec, coords)
-    if all(d == 1 for d in label):
-        return ROLE_UNIT
-    return ROLE_VERTEX
 
 
 def ideal_contains(outer: IdealLabel, inner: IdealLabel) -> bool:

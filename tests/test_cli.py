@@ -35,7 +35,7 @@ def test_wiener_json_roundtrips_beyond_float_precision(capsys):
     assert code == 0
     value = int(json.loads(out)[0]["wiener"])
     assert value > 2**53
-    from cozero import wiener_reduced
+    from cozero.closedform import wiener_reduced
 
     assert value == wiener_reduced((10007, 10009, 10037)).wiener
 
@@ -205,6 +205,25 @@ def test_classes_json(capsys):
     assert sizes == [2, 4, 6, 8, 12, 24]
 
 
+def test_classes_md_table(capsys):
+    code, out, _ = run(capsys, "classes", "Z(12)", "--format", "md")
+    assert code == 0
+    assert out.splitlines() == [
+        "| key | size | degree |",
+        "| --- | --- | --- |",
+        "| 2 | 2 | 1 |",
+        "| 3 | 2 | 2 |",
+        "| 4 | 2 | 2 |",
+        "| 6 | 1 | 1 |",
+    ]
+
+
+def test_classes_md_without_classes_prints_the_header(capsys):
+    code, out, _ = run(capsys, "classes", "Z(2)", "--format", "md")
+    assert code == 0
+    assert out == "| key | size | degree |\n| --- | --- | --- |\n"
+
+
 def test_export_graph_edgelist(capsys):
     code, out, _ = run(capsys, "export-graph", "Z(6)", "--graph-format", "edgelist")
     assert code == 0
@@ -223,6 +242,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())[0]["wiener"] == "2954"
+
+
+def test_out_to_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "wiener", "Z(100)", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.exists()
 
 
 def test_bench_zn_csv(capsys):

@@ -12,7 +12,6 @@ from cozero.numtheory import (
     euler_phi,
     factorize,
     is_prime,
-    is_prime_power,
     prime_power_radical,
     proper_divisors,
 )
@@ -234,5 +233,3 @@ def test_prime_predicates():
     primes_below_100 = [n for n in range(2, 100) if is_prime(n)]
     assert primes_below_100[:8] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert len(primes_below_100) == 25
-    assert is_prime_power(27)
-    assert not is_prime_power(6)

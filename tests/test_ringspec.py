@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cozero.elementgraph import build_graph
 from cozero.numtheory import divisors
 from cozero.ringspec import (
     FAMILY_FIELDS,
@@ -9,9 +10,7 @@ from cozero.ringspec import (
     FAMILY_Z,
     RingSpec,
     crt_normalize,
-    element_role,
     ideal_contains,
-    ideal_label_of,
     integers_mod,
     labels_comparable,
     parse_ring_spec,
@@ -88,36 +87,10 @@ def test_prime_power_components():
         prime_power_components(product_of_fields((4,)))
 
 
-def test_ideal_label_examples():
-    assert ideal_label_of(integers_mod(12), 8) == (4,)
-    assert ideal_label_of(product_of_integers_mod((2, 4, 9)), (1, 2, 0)) == (1, 2, 9)
-    assert ideal_label_of(product_of_fields((9, 25)), (0, 7)) == (9, 1)
-    assert ideal_label_of(integers_mod(12), 0) == (12,)
-
-
-def test_ideal_label_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        ideal_label_of(integers_mod(12), 12)
-    with pytest.raises(ValueError):
-        ideal_label_of(product_of_integers_mod((2, 3)), (1,))
-
-
-def test_element_roles():
-    assert element_role(integers_mod(6), 5) == "unit"
-    assert element_role(product_of_integers_mod((2, 3)), (1, 0)) == "vertex"
-    assert element_role(product_of_integers_mod((4, 9)), (0, 0)) == "zero"
-    assert element_role(product_of_fields((9, 25)), (3, 4)) == "unit"
-
-
 def test_vertex_label_count_is_tau_minus_2():
+    # Labels read off the actual elements: every divisor but n (zero) and 1 (units).
     for n in range(2, 80):
-        spec = integers_mod(n)
-        seen = {
-            ideal_label_of(spec, x)
-            for x in range(n)
-            if element_role(spec, x) == "vertex"
-        }
-        assert len(seen) == len(divisors(n)) - 2
+        assert len(build_graph(integers_mod(n)).group_keys) == len(divisors(n)) - 2
 
 
 def test_containment_is_a_partial_order():
