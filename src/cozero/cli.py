@@ -338,15 +338,19 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, default_format: str = "plain") -> None:
-    p.add_argument("--format", choices=("plain", "json", "csv", "md"), default=default_format)
-    p.add_argument(
-        "--brute-limit",
-        type=_non_negative_int,
-        default=None,
-        metavar="N",
-        help=f"element cap for brute force (overrides ${BRUTE_LIMIT_ENV}; default {DEFAULT_BRUTE_LIMIT})",
-    )
+def _add_flags(p: argparse.ArgumentParser, fmt: str | None, brute_limit: bool) -> None:
+    """Add the output flags a command reads: --format (default `fmt`, none when
+    None), --brute-limit when the command can run brute force, and --out."""
+    if fmt is not None:
+        p.add_argument("--format", choices=("plain", "json", "csv", "md"), default=fmt)
+    if brute_limit:
+        p.add_argument(
+            "--brute-limit",
+            type=_non_negative_int,
+            default=None,
+            metavar="N",
+            help=f"element cap for brute force (overrides ${BRUTE_LIMIT_ENV}; default {DEFAULT_BRUTE_LIMIT})",
+        )
     p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE instead of stdout")
 
 
@@ -357,29 +361,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wiener", help="compute the Wiener index of one ring")
     p.add_argument("spec", help="ring spec: Z(n), ZxZ(n1,...,nk), or F(q1,...,qk)")
     p.add_argument("--method", choices=("brute", "quotient", "closed", "auto"), default="auto")
-    _add_common(p)
+    _add_flags(p, "plain", brute_limit=True)
     p.set_defaults(func=_cmd_wiener)
 
     p = sub.add_parser("compare", help="run every applicable method and require agreement")
     p.add_argument("spec")
-    _add_common(p)
+    _add_flags(p, "plain", brute_limit=True)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("table", help="reproduce the reference tables (zn, fields2, fields3, ppprod)")
     p.add_argument("family", choices=("zn", "fields2", "fields3", "ppprod"))
     p.add_argument("params", nargs="*", help="zn: n values; fields2/fields3/ppprod: comma-separated tuples")
-    _add_common(p, default_format="md")
+    _add_flags(p, "md", brute_limit=False)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("classes", help="list equivalence classes and the class graph")
     p.add_argument("spec")
-    _add_common(p)
+    _add_flags(p, "plain", brute_limit=False)
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("export-graph", help="emit the element-level graph as DOT or an edge list")
     p.add_argument("spec")
     p.add_argument("--graph-format", choices=("dot", "edgelist"), default="dot")
-    _add_common(p)
+    _add_flags(p, None, brute_limit=True)
     p.set_defaults(func=_cmd_export_graph)
 
     p = sub.add_parser("bench", help="time every method on a family of rings")
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=None, help=f"largest n for the zn family (default {BENCH_ZN_MAX})")
     p.add_argument("--n", type=int, action="append", default=None, help="explicit n (repeatable, zn only)")
     p.add_argument("--only", choices=("brute", "quotient", "closed"), default=None)
-    _add_common(p, default_format="csv")
+    _add_flags(p, "csv", brute_limit=True)
     p.set_defaults(func=_cmd_bench)
 
     return parser

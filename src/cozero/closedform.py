@@ -1,11 +1,12 @@
 """Closed form for the Wiener index, one formula for every supported ring.
 
 Every supported ring is a product of local factors (q, a) whose principal
-ideals form a chain: Z(p**a) gives (p, a), a field of order q gives
-(q, 1), and Z(n) or ZxZ(n1,...,nk) split into the prime-power factors of
-their moduli.  An element is described by its vector of ideal exponents,
-x in 0..a per factor (0 for a unit, a for zero), and two vertices are
-adjacent exactly when their exponent vectors are incomparable.
+ideals form a chain, read from `RingSpec.local_factors`: Z(p**a) gives
+(p, a), a field of order q gives (q, 1), and Z(n) or ZxZ(n1,...,nk) split
+into the prime-power factors of their moduli.  An element is described by
+its vector of ideal exponents, x in 0..a per factor (0 for a unit, a for
+zero), and two vertices are adjacent exactly when their exponent vectors
+are incomparable.
 
 With at least two factors the graph is connected and every distance is 1,
 2 or 3, so the Wiener index is the diameter-2 identity W = 2*C(N, 2) - |E|
@@ -30,7 +31,7 @@ from math import prod
 
 from .numtheory import factorize, is_prime, prime_power_radical, proper_divisors
 from .report import STATUS_VALUE, WienerReport, graph_status
-from .ringspec import RingSpec, prime_power_components
+from .ringspec import RingSpec, chain_sizes, integers_mod, product_of_fields
 
 
 # --------------------------------------------------------------------------
@@ -191,13 +192,13 @@ def classify_prime_power_distance(a, b, prime_powers) -> int:
 def _wiener_local(factors, t0: float) -> WienerReport:
     """Wiener report for the product of local rings `factors`, each (q, a).
 
-    `s[x]` counts the elements of a factor with ideal exponent x:
-    q**(a-x) - q**(a-x-1) for x < a, and 1 for the zero element x = a.
-    Over all C elements, units and zero included, the ordered pairs with
-    comparable exponent vectors number L = 2*prod(#{x <= y}) - prod(#{x = y}),
-    and units and zero are comparable with everything, so 2|E| = C**2 - L.
+    `s[x]` counts the elements of a factor with ideal exponent x
+    (`chain_sizes`).  Over all C elements, units and zero included, the
+    ordered pairs with comparable exponent vectors number
+    L = 2*prod(#{x <= y}) - prod(#{x = y}), and units and zero are
+    comparable with everything, so 2|E| = C**2 - L.
     """
-    levels = [[q ** (a - x) - q ** (a - x - 1) for x in range(a)] + [1] for q, a in factors]
+    levels = [chain_sizes(q, a) for q, a in factors]
     cardinality = prod(q**a for q, a in factors)
     units = prod(s[0] for s in levels)
     vertices = cardinality - units - 1
@@ -239,10 +240,7 @@ def _wiener_local(factors, t0: float) -> WienerReport:
 
 def wiener_zn(n: int) -> WienerReport:
     """Closed form for Z(n), from the prime-power factors of n."""
-    t0 = time.perf_counter()
-    if n < 2:
-        raise ValueError(f"wiener_zn requires n >= 2, got {n}")
-    return _wiener_local(factorize(n), t0)
+    return wiener_closed(integers_mod(n))
 
 
 def wiener_reduced(orders) -> WienerReport:
@@ -252,14 +250,10 @@ def wiener_reduced(orders) -> WienerReport:
     (the support of an element), with size prod(q_i - 1) over the support.
     Incomparable supports are adjacent; nested supports sit at distance 2.
     """
-    t0 = time.perf_counter()
     orders = tuple(orders)
     if len(orders) < 2:
         raise ValueError("wiener_reduced needs at least two field components; use the quotient route for a single field")
-    for q in orders:
-        if prime_power_radical(q) is None:
-            raise ValueError(f"{q} is not a prime power")
-    return _wiener_local([(q, 1) for q in orders], t0)
+    return wiener_closed(product_of_fields(orders))
 
 
 def wiener_prime_power_product(prime_powers) -> WienerReport:
@@ -279,12 +273,6 @@ def wiener_prime_power_product(prime_powers) -> WienerReport:
 
 
 def wiener_closed(spec: RingSpec) -> WienerReport:
-    """Closed form for any supported spec, through its local factors.
-
-    A field of order q is the factor (q, 1); Z(n) and ZxZ(n1,...,nk) split
-    into the prime-power factors of their moduli (an isomorphic ring).
-    """
+    """Closed form for any supported spec, through `spec.local_factors()`."""
     t0 = time.perf_counter()
-    if spec.is_field_product:
-        return _wiener_local([(q, 1) for q in spec.components], t0)
-    return _wiener_local(prime_power_components(spec), t0)
+    return _wiener_local(spec.local_factors(), t0)

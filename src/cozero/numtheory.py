@@ -165,7 +165,11 @@ def is_prime(n: int) -> bool:
 
 
 def euler_phi(n: int) -> int:
-    """Euler's totient, the count of integers in [1, n] coprime to n."""
+    """Euler's totient, the count of integers in [1, n] coprime to n.
+
+    No route uses it (class sizes come from `ringspec.chain_sizes`); the
+    tests keep it as an independent reference for those sizes.
+    """
     if n < 1:
         raise ValueError(f"euler_phi requires an integer >= 1, got {n}")
     if n == 1:

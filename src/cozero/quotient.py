@@ -1,27 +1,27 @@
 """Quotient route: class enumeration, the class graph, and its Wiener aggregate.
 
 Elements generating the same principal ideal form an equivalence class, so
-the class is identified by its ideal label and its size follows from the
-totient alone; no element is ever enumerated here.  Distinct classes are
-adjacent exactly when their labelled ideals are mutually non-containing,
-and all element-level distance information lives in that class graph: two
-classmates sit at distance 2 through any neighboring class, while vertices
-of different classes inherit the class-graph distance.  The Wiener index
-is therefore
+the class is identified by its ideal label and its size is a product of
+chain sizes (`ringspec.chain_sizes`); no element is ever enumerated here.
+Distinct classes are adjacent exactly when their labelled ideals are
+mutually non-containing, and all element-level distance information lives
+in that class graph: two classmates sit at distance 2 through any
+neighboring class, while vertices of different classes inherit the
+class-graph distance.  The Wiener index is therefore
 
     2 * sum_i C(size_i, 2)  +  sum_{i<j} size_i * size_j * d(i, j)
 
 whenever the element graph is connected.  The class graph is held as one
-bitmask row per class.  The rows come from per-prime order masks: a label
-is an exponent vector over the primes of each component, and one ANDs,
-per coordinate, the masks of the classes at most and at least as large,
-so no class pair is visited.  The class graph is searched by
-`groupbfs.sweep`, the BFS the brute route runs on its label groups, here
-with one bit per class; each level from class s adds `size_s * d` times
-the frontier's total size, so no distance table is built.  The status
-follows from the vertex and component counts alone; a class without
-neighbours scatters into `size` isolated vertices, and any other class
-component is one element-level component.
+bitmask row per class.  The rows come from per-chain order masks: a class
+carries an exponent vector with one coordinate per chain of
+`RingSpec.local_factors`, and one ANDs, per coordinate, the masks of the
+classes at most and at least as large, so no class pair is visited.  The
+class graph is searched by `groupbfs.sweep`, the BFS the brute route runs
+on its label groups, here with one bit per class; each level from class s
+adds `size_s * d` times the frontier's total size, so no distance table is
+built.  The status follows from the vertex and component counts alone; a
+class without neighbours scatters into `size` isolated vertices, and any
+other class component is one element-level component.
 """
 
 from __future__ import annotations
@@ -33,17 +33,18 @@ from dataclasses import dataclass
 from math import comb
 
 from .groupbfs import component_roots, members, sweep
-from .numtheory import factorize
 from .report import STATUS_VALUE, WienerReport, graph_status
-from .ringspec import IdealLabel, RingSpec, labels_comparable
+from .ringspec import IdealLabel, RingSpec, chain_sizes, labels_comparable
 
 
 @dataclass(frozen=True)
 class ClassInfo:
-    """One equivalence class: its ideal label and exact element count."""
+    """One equivalence class: its ideal label, exact element count, and the
+    ideal exponent on each chain of `RingSpec.local_factors`."""
 
     key: IdealLabel
     size: int
+    exponents: tuple[int, ...]
 
 
 @dataclass
@@ -76,24 +77,31 @@ class QuotientGraph:
 def enumerate_classes(spec: RingSpec) -> list[ClassInfo]:
     """All vertex classes with arithmetic sizes, ordered lexicographically by key.
 
-    Keys run over the Cartesian product of per-component label sets minus
-    the all-zero and all-unit tuples, and sizes multiply componentwise
-    (phi(m/d) for an integers-mod component, q - 1 or 1 for the
-    nonzero/zero label of a field component).  For Z(n) that is one class
-    per proper divisor d, with size phi(n/d).
+    Keys run over the Cartesian product of the components' ideals (see
+    `_component_ideals`) minus the all-zero and all-unit tuples, and sizes
+    multiply componentwise.  For Z(n) that is one class per proper divisor
+    d, with size phi(n/d).
     """
-    label_sets = [spec.component_labels(i) for i in range(len(spec.components))]
+    classes = [((), 1, ())]
+    for i in range(len(spec.components)):
+        ideals = _component_ideals(spec.chains(i))
+        classes = [(key + (label,), size * s, xs + ys) for key, size, xs in classes for label, s, ys in ideals]
     zero_key = spec.components
-    unit_key = tuple(1 for _ in spec.components)
-    out = []
-    for key in itertools.product(*label_sets):
-        if key == zero_key or key == unit_key:
-            continue
-        size = 1
-        for i, d in enumerate(key):
-            size *= spec.label_class_size(i, d)
-        out.append(ClassInfo(key, size))
-    return out
+    unit_key = (1,) * len(zero_key)
+    return [ClassInfo(*c) for c in classes if c[0] != zero_key and c[0] != unit_key]
+
+
+def _component_ideals(chains) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(label, size, exponents) of each ideal of a component, ascending by label.
+
+    An ideal has one exponent x in 0..a per chain (q, a); its label is
+    prod(q**x) and its size prod(chain_sizes(q, a)[x]).
+    """
+    ideals = [(1, 1, ())]
+    for q, a in chains:
+        steps = [(q**x, s, (x,)) for x, s in enumerate(chain_sizes(q, a))]
+        ideals = [(label * qx, size * s, xs + x) for label, size, xs in ideals for qx, s, x in steps]
+    return sorted(ideals)
 
 
 def class_adjacent(a: IdealLabel, b: IdealLabel) -> bool:
@@ -103,47 +111,33 @@ def class_adjacent(a: IdealLabel, b: IdealLabel) -> bool:
     return not labels_comparable(a, b)
 
 
-def _comparability_rows(spec: RingSpec, keys: list[IdealLabel]) -> list[int]:
-    """Bitmask rows of the incomparable (adjacent) classes, one per key.
+def _comparability_rows(spec: RingSpec, exponents: list[tuple[int, ...]]) -> list[int]:
+    """Bitmask rows of the incomparable (adjacent) classes, one per exponent vector.
 
-    Each prime p of each component is one coordinate, and a label's value
-    there is its exponent of p; one label contains another exactly when it
-    is no larger in every coordinate.  Per coordinate, `le[x]` (`ge[x]`) is
-    the mask of classes with exponent at most (at least) x, so ANDing them
-    over all coordinates gives the classes below (above) a class.
+    Each chain of `spec.local_factors()` is one coordinate; one ideal
+    contains another exactly when its exponent is no larger in every
+    coordinate.  Per coordinate, `le[x]` (`ge[x]`) is the mask of classes
+    with exponent at most (at least) x, so ANDing them over all coordinates
+    gives the classes below (above) a class.
     """
-    full = (1 << len(keys)) - 1
-    below = [full] * len(keys)
-    above = [full] * len(keys)
-    for i, c in enumerate(spec.components):
-        with_label: dict[int, int] = {}
-        for j, key in enumerate(keys):
-            with_label[key[i]] = with_label.get(key[i], 0) | 1 << j
-        for p, e in factorize(c):
-            exponent = {d: _valuation(d, p) for d in with_label}
-            at = [0] * (e + 1)
-            for d, mask in with_label.items():
-                at[exponent[d]] |= mask
-            le = list(itertools.accumulate(at, operator.or_))
-            ge = list(itertools.accumulate(reversed(at), operator.or_))[::-1]
-            for j, key in enumerate(keys):
-                x = exponent[key[i]]
-                below[j] &= le[x]
-                above[j] &= ge[x]
+    full = (1 << len(exponents)) - 1
+    below = [full] * len(exponents)
+    above = [full] * len(exponents)
+    for i, (_, a) in enumerate(spec.local_factors()):
+        at = [0] * (a + 1)
+        for j, xs in enumerate(exponents):
+            at[xs[i]] |= 1 << j
+        le = list(itertools.accumulate(at, operator.or_))
+        ge = list(itertools.accumulate(reversed(at), operator.or_))[::-1]
+        for j, xs in enumerate(exponents):
+            below[j] &= le[xs[i]]
+            above[j] &= ge[xs[i]]
     return [full & ~(b | a) for b, a in zip(below, above)]
-
-
-def _valuation(d: int, p: int) -> int:
-    x = 0
-    while d % p == 0:
-        d //= p
-        x += 1
-    return x
 
 
 def build_quotient_graph(spec: RingSpec) -> QuotientGraph:
     classes = enumerate_classes(spec)
-    return QuotientGraph(spec, classes, _comparability_rows(spec, [c.key for c in classes]))
+    return QuotientGraph(spec, classes, _comparability_rows(spec, [c.exponents for c in classes]))
 
 
 def quotient_distances(qg: QuotientGraph) -> tuple[list[list[int | None]], bool]:

@@ -7,14 +7,17 @@ small spec grammar that the CLI and config files share:
     ZxZ(n1,...,nk)    direct product of integers-mod rings, each ni >= 2
     F(q1,...,qk)      direct product of finite fields, each qi a prime power
 
-Every element gets one ideal label per component: in an integers-mod-m
-component the label of x is gcd(x, m), which is m for the zero element and
-1 for a unit; in a field of order q the label is q for zero and 1 for any
-nonzero element (fields carry no further ideal structure, so their order
-is all we ever store).  Labels always divide the component cardinality,
-and the principal ideal of x contains the ideal of y exactly when every
-label of x divides the matching label of y.  That single divisibility test
-drives adjacency everywhere else in the library.
+Every component is a product of chains (q, a): local rings whose
+principal ideals form the chain (1) > (q) > ... > (q**a) = 0.  Z(m) splits
+into the prime-power factors (p, e) of m, and a field of order q is the
+single chain (q, 1).  `RingSpec.chains` is the one place that split is
+made.  A component ideal has one exponent x in 0..a per chain, and its
+label is prod(q**x): for Z(m) the divisor gcd(r, m) of each element r
+that generates it, and for a field 1 (nonzero) or q (zero).  Labels always
+divide the component cardinality, and the principal ideal of r contains
+the ideal of s exactly when every label of r divides the matching label
+of s.  That single divisibility test drives adjacency everywhere else in
+the library.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import re
 from dataclasses import dataclass
 from math import prod
 
-from .numtheory import divisors, euler_phi, factorize, prime_power_radical
+from .numtheory import factorize, prime_power_radical
 
 FAMILY_Z = "Z"
 FAMILY_PRODUCT = "ZxZ"
@@ -65,19 +68,16 @@ class RingSpec:
     def is_field_product(self) -> bool:
         return self.family == FAMILY_FIELDS
 
-    def component_labels(self, i: int) -> tuple[int, ...]:
-        """All ideal labels the i-th component admits, ascending."""
+    def chains(self, i: int) -> tuple[tuple[int, int], ...]:
+        """The chains (q, a) whose product is the i-th component."""
         c = self.components[i]
         if self.is_field_product:
-            return (1, c)
-        return tuple(divisors(c))
+            return ((c, 1),)
+        return tuple(factorize(c))
 
-    def label_class_size(self, i: int, label: int) -> int:
-        """Number of elements of component i carrying the given label."""
-        c = self.components[i]
-        if self.is_field_product:
-            return c - 1 if label == 1 else 1
-        return euler_phi(c // label)
+    def local_factors(self) -> list[tuple[int, int]]:
+        """Every component's chains, in component order."""
+        return [chain for i in range(len(self.components)) for chain in self.chains(i)]
 
     def __str__(self) -> str:
         return f"{self.family}({','.join(str(c) for c in self.components)})"
@@ -123,23 +123,16 @@ def crt_normalize(spec: RingSpec) -> RingSpec:
     """
     if spec.family != FAMILY_Z:
         raise ValueError(f"crt_normalize applies to Z(n) specs only, got {spec}")
-    pairs = factorize(spec.components[0])
-    return RingSpec(FAMILY_PRODUCT, tuple(p**e for p, e in pairs))
+    return RingSpec(FAMILY_PRODUCT, tuple(q**a for q, a in spec.local_factors()))
 
 
-def prime_power_components(spec: RingSpec) -> list[tuple[int, int]]:
-    """Prime-power building blocks (p, m) of a Z or ZxZ spec, sorted by value.
+def chain_sizes(q: int, a: int) -> list[int]:
+    """Element counts of the chain (q, a) by ideal exponent x = 0..a.
 
-    Each integers-mod component splits into its prime-power factors, which
-    multiplies out to a ring isomorphic to the original one.
+    q**(a-x) - q**(a-x-1) elements have exponent x < a (the units have
+    x = 0), and the zero element alone has x = a.
     """
-    if spec.is_field_product:
-        raise ValueError("prime_power_components applies to integers-mod specs only")
-    parts: list[tuple[int, int]] = []
-    for n in spec.components:
-        parts.extend(factorize(n))
-    parts.sort(key=lambda pm: (pm[0] ** pm[1], pm[0]))
-    return parts
+    return [q ** (a - x) - q ** (a - x - 1) for x in range(a)] + [1]
 
 
 def ideal_contains(outer: IdealLabel, inner: IdealLabel) -> bool:

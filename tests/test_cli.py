@@ -236,6 +236,21 @@ def test_export_graph_dot(capsys):
     assert out == 'graph {\n  "2";\n}\n'
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("export-graph", "Z(6)", "--format", "json"),
+        ("table", "zn", "12", "--brute-limit", "3"),
+        ("classes", "Z(6)", "--brute-limit", "3"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(capsys, "wiener", "Z(100)", "--format", "json", "--out", str(target))

@@ -1,4 +1,6 @@
+import itertools
 import time
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from cozero.closedform import wiener_closed
 from cozero.elementgraph import build_graph, wiener_brute
-from cozero.numtheory import euler_phi
+from cozero.numtheory import divisors, euler_phi
 from cozero.quotient import (
     build_quotient_graph,
     class_adjacent,
@@ -208,3 +210,51 @@ def test_wiener_quotient_two_thousand_classes():
     assert report.wiener == 2817402440312668111 == wiener_closed(spec).wiener
     assert (report.status, report.class_count, report.diameter) == ("value", 2046, 2)
     assert elapsed < 10.0
+
+
+def reference_classes(spec):
+    """(key, size) of every class by the label rule: divisors(c) with sizes
+    phi(c // d) per integers-mod component, (1, q) with sizes q - 1 and 1 per
+    field, minus the all-zero and all-unit keys."""
+    if spec.is_field_product:
+        per_component = [((1, q - 1), (q, 1)) for q in spec.components]
+    else:
+        per_component = [[(d, euler_phi(c // d)) for d in divisors(c)] for c in spec.components]
+    out = []
+    for combo in itertools.product(*per_component):
+        key = tuple(d for d, _ in combo)
+        if key != spec.components and key != (1,) * len(key):
+            out.append((key, prod(size for _, size in combo)))
+    return out
+
+
+def assert_classes_match_reference(spec):
+    classes = enumerate_classes(spec)
+    assert [(c.key, c.size) for c in classes] == reference_classes(spec), spec
+    # Each component's label is prod(q**x) over that component's chains.
+    for c in classes:
+        exponents = iter(c.exponents)
+        labels = tuple(prod(q ** next(exponents) for q, _ in spec.chains(i)) for i in range(len(spec.components)))
+        assert labels == c.key, (spec, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10**6))
+@example(720720)
+def test_classes_match_label_rule_zn(n):
+    assert_classes_match_reference(integers_mod(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 60), min_size=2, max_size=3))
+@example([12, 18])
+@example([4, 6, 9])
+def test_classes_match_label_rule_products(moduli):
+    assert_classes_match_reference(product_of_integers_mod(moduli))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27]), min_size=1, max_size=5))
+@example([4, 4, 9])
+def test_classes_match_label_rule_fields(orders):
+    assert_classes_match_reference(product_of_fields(orders))

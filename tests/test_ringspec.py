@@ -9,12 +9,12 @@ from cozero.ringspec import (
     FAMILY_PRODUCT,
     FAMILY_Z,
     RingSpec,
+    chain_sizes,
     crt_normalize,
     ideal_contains,
     integers_mod,
     labels_comparable,
     parse_ring_spec,
-    prime_power_components,
     product_of_fields,
     product_of_integers_mod,
 )
@@ -80,11 +80,24 @@ def test_crt_normalize_preserves_cardinality():
         assert crt_normalize(integers_mod(n)).cardinality == n
 
 
-def test_prime_power_components():
-    assert prime_power_components(integers_mod(72)) == [(2, 3), (3, 2)]
-    assert prime_power_components(product_of_integers_mod((6, 10))) == [(2, 1), (2, 1), (3, 1), (5, 1)]
-    with pytest.raises(ValueError):
-        prime_power_components(product_of_fields((4,)))
+def test_chains():
+    assert integers_mod(72).chains(0) == ((2, 3), (3, 2))
+    spec = product_of_integers_mod((6, 10))
+    assert (spec.chains(0), spec.chains(1)) == (((2, 1), (3, 1)), ((2, 1), (5, 1)))
+    assert product_of_fields((9,)).chains(0) == ((9, 1),)
+
+
+def test_local_factors():
+    assert integers_mod(72).local_factors() == [(2, 3), (3, 2)]
+    assert product_of_integers_mod((6, 10)).local_factors() == [(2, 1), (3, 1), (2, 1), (5, 1)]
+    assert product_of_fields((9, 4, 9)).local_factors() == [(9, 1), (4, 1), (9, 1)]
+
+
+def test_chain_sizes():
+    assert chain_sizes(2, 3) == [4, 2, 1, 1]
+    assert chain_sizes(9, 1) == [8, 1]
+    for q, a in ((2, 1), (3, 4), (5, 2), (8, 1)):
+        assert sum(chain_sizes(q, a)) == q**a
 
 
 def test_vertex_label_count_is_tau_minus_2():
@@ -96,7 +109,10 @@ def test_vertex_label_count_is_tau_minus_2():
 def test_containment_is_a_partial_order():
     # Exhaustive check over two moderately rich label lattices.
     for spec in (product_of_integers_mod((12, 8)), product_of_fields((4, 9, 5))):
-        sets = [spec.component_labels(i) for i in range(len(spec.components))]
+        if spec.is_field_product:
+            sets = [(1, q) for q in spec.components]
+        else:
+            sets = [divisors(c) for c in spec.components]
         labels = list(itertools.product(*sets))
         for x in labels:
             assert ideal_contains(x, x)
@@ -113,13 +129,3 @@ def test_labels_comparable_symmetry():
     a, b = (2, 1), (1, 3)
     assert not labels_comparable(a, b)
     assert labels_comparable((2, 3), (2, 1)) == labels_comparable((2, 1), (2, 3))
-
-
-def test_component_label_sets():
-    spec = product_of_integers_mod((12,))
-    assert spec.component_labels(0) == (1, 2, 3, 4, 6, 12)
-    fspec = product_of_fields((9,))
-    assert fspec.component_labels(0) == (1, 9)
-    assert fspec.label_class_size(0, 1) == 8
-    assert fspec.label_class_size(0, 9) == 1
-    assert spec.label_class_size(0, 2) == 2  # elements of Z12 with gcd 2: {2, 10}
