@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -354,6 +355,7 @@ def _add_flags(p: argparse.ArgumentParser, fmt: str | None, brute_limit: bool) -
     p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE instead of stdout")
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cozero", description="Wiener index of cozero-divisor graphs of finite commutative rings")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

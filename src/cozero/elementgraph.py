@@ -38,6 +38,8 @@ class BruteForceLimitError(ValueError):
 def resolve_brute_limit(limit: int | None = None) -> int:
     """Effective element cap: explicit argument, else env var, else default."""
     if limit is not None:
+        if limit < 0:
+            raise ValueError(f"brute-force limit must be a non-negative integer, got {limit!r}")
         return limit
     env = os.environ.get(BRUTE_LIMIT_ENV)
     if env is not None:
@@ -146,6 +148,12 @@ class ElementGraph:
 def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
     """Enumerate all elements of the ring and assemble its cozero-divisor graph.
 
+    Each component gets a label table indexed by residue: gcd(x, c) for
+    Z(c), and c at zero, 1 elsewhere for a field.  The product of the
+    tables is zipped with the product of the residue ranges, so every
+    element meets its label in the same lexicographic step; zero (label
+    `spec.components`) and the units (label all ones) are skipped.
+
     Refuses rings with more elements than the brute-force limit (argument,
     COZERO_BRUTE_LIMIT environment variable, or the built-in default).
     """
@@ -156,29 +164,25 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
             f"ring {spec} has {card} elements, above the brute-force limit of {cap}"
         )
 
-    # Per-component label lookup tables; fields label on zero vs nonzero only.
-    tables = []
-    for c in spec.components:
-        if spec.is_field_product:
-            tables.append([c] + [1] * (c - 1))
-        else:
-            tables.append([c] + [gcd(x, c) for x in range(1, c)])
+    comps = spec.components
+    if spec.is_field_product:
+        tables = [[c] + [1] * (c - 1) for c in comps]
+    else:
+        tables = [[c] + [gcd(x, c) for x in range(1, c)] for c in comps]
+    zero_key = comps
+    unit_key = (1,) * len(comps)
 
     vertices: list[tuple[int, ...]] = []
     labels: list[IdealLabel] = []
-    comps = spec.components
-    for element in itertools.product(*(range(c) for c in comps)):
-        label = tuple(tables[i][x] for i, x in enumerate(element))
-        if all(d == c for d, c in zip(label, comps)):
-            continue  # zero element
-        if all(d == 1 for d in label):
-            continue  # unit
+    members: dict[IdealLabel, list[int]] = {}
+    elements = itertools.product(*(range(c) for c in comps))
+    for element, label in zip(elements, itertools.product(*tables)):
+        if label == zero_key or label == unit_key:
+            continue
+        members.setdefault(label, []).append(len(vertices))
         vertices.append(element)
         labels.append(label)
 
-    members: dict[IdealLabel, list[int]] = {}
-    for i, lab in enumerate(labels):
-        members.setdefault(lab, []).append(i)
     group_keys = sorted(members)
     group_members = [members[k] for k in group_keys]
     group_adjacency: list[list[int]] = [[] for _ in group_keys]

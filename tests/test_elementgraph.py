@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 
@@ -11,7 +12,7 @@ from cozero.elementgraph import (
     resolve_brute_limit,
     wiener_brute,
 )
-from cozero.ringspec import integers_mod, product_of_fields, product_of_integers_mod
+from cozero.ringspec import RingSpec, integers_mod, product_of_fields, product_of_integers_mod
 
 SMALL_SPECS = (
     [integers_mod(n) for n in range(2, 61)]
@@ -139,6 +140,51 @@ def test_limit_enforced_with_named_numbers():
         build_graph(integers_mod(200), limit=100)
     message = str(exc_info.value)
     assert "200" in message and "100" in message
+
+
+def test_negative_explicit_limit_is_rejected():
+    with pytest.raises(ValueError, match="-1") as exc_info:
+        wiener_brute(integers_mod(6), limit=-1)
+    assert not isinstance(exc_info.value, BruteForceLimitError)
+
+
+def _elementwise_graph(spec: RingSpec):
+    """Vertices, labels and label groups from one element at a time."""
+    vertices, labels = [], []
+    for element in itertools.product(*(range(c) for c in spec.components)):
+        if spec.is_field_product:
+            label = tuple(1 if x else c for x, c in zip(element, spec.components))
+        else:
+            label = tuple(gcd(x, c) for x, c in zip(element, spec.components))
+        if not any(element) or set(label) == {1}:
+            continue  # zero or a unit
+        vertices.append(element)
+        labels.append(label)
+    keys = sorted(set(labels))
+    groups = [[i for i, label in enumerate(labels) if label == key] for key in keys]
+    return vertices, labels, keys, groups
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        integers_mod(5040),
+        product_of_integers_mod((8, 9, 25)),
+        product_of_integers_mod((2, 4, 4)),
+        product_of_fields((4, 8, 9)),
+        product_of_fields((2, 3)),
+    ],
+    ids=str,
+)
+def test_build_matches_elementwise_rule(spec):
+    # The acceptance sweep compares vertices and labels only on graphs of at
+    # most 100 vertices; these run the same comparison on larger rings.
+    g = build_graph(spec)
+    vertices, labels, keys, groups = _elementwise_graph(spec)
+    assert g.vertices == vertices
+    assert g.labels == labels
+    assert g.group_keys == keys
+    assert g.group_members == groups
 
 
 def test_limit_resolution_order(monkeypatch):
