@@ -1,0 +1,6 @@
+"""`python -m cozero`: the `cozero` command without an installed entry point."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -17,8 +17,11 @@ carries an exponent vector with one coordinate per chain of
 `RingSpec.local_factors`, and one ANDs, per coordinate, the masks of the
 classes at most and at least as large, so no class pair is visited.  The
 class graph is searched by `groupbfs.sweep`, the BFS the brute route runs
-on its label groups, here with one bit per class; each level from class s
-adds `size_s * d` times the frontier's total size, so no distance table is
+on its label groups, here with one bit per class.  Class graphs are dense,
+so after the first level few classes are unseen and the sweep steps
+bottom-up, testing each unseen class's row against the frontier instead of
+scanning all K classes.  Each level d from class s adds `size_s` times
+the total size of the classes at distance >= d, so no distance table is
 built.  The status follows from the vertex and component counts alone; a
 class without neighbours scatters into `size` isolated vertices, and any
 other class component is one element-level component.
@@ -161,10 +164,14 @@ def _class_groups(qg: QuotientGraph) -> list[tuple[int, int]]:
 def wiener_quotient(spec: RingSpec) -> WienerReport:
     """Wiener index from class sizes and one all-sources sweep of the class graph.
 
-    Each BFS level from class s adds `size_s * d * w(frontier)`, where
-    `w` is the total size of the frontier's classes, read from bit-sliced
-    size masks with one `bit_count` per size bit.  Every class pair is met
-    from both ends, hence the halving.
+    Class s contributes `size_s * sum_d d * w_d`, where `w_d` is the total
+    size of the classes at distance d.  That sum is `sum_d beyond_d`, with
+    `beyond_d` the total size at distance >= d: `beyond_1` is every vertex
+    outside class s (the graph is connected), and each later level
+    subtracts the weight of the one before, so the last level is never
+    weighed.  A level's weight is read from bit-sliced size masks with one
+    `bit_count` per size bit.  Every class pair is met from both ends,
+    hence the halving.
     """
     t0 = time.perf_counter()
     qg = build_quotient_graph(spec)
@@ -182,8 +189,12 @@ def wiener_quotient(spec: RingSpec) -> WienerReport:
     if status == STATUS_VALUE:
         slices = _size_slices(sizes)
         for s, d, frontier in sweep(groups, range(k), range(k)):
-            weight = sum((frontier & mask).bit_count() << b for b, mask in enumerate(slices))
-            total += sizes[s] * d * weight
+            if d == 1:
+                beyond = vertex_count - sizes[s]
+            else:
+                beyond -= sum((previous & mask).bit_count() << b for b, mask in enumerate(slices))
+            total += sizes[s] * beyond
+            previous = frontier
             if d > diameter:
                 diameter = d
         total = total // 2 + 2 * sum(comb(s, 2) for s in sizes)

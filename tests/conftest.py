@@ -126,3 +126,15 @@ def prime_power_multisets(k: int, bound: int) -> list[tuple[int, ...]]:
 
     rec(2, bound, [])
     return out
+
+
+def outcome(report) -> tuple:
+    """The fields two routes must agree on, bit for bit."""
+    return (
+        report.status,
+        report.wiener,
+        report.vertex_count,
+        report.class_count,
+        report.component_count,
+        report.diameter,
+    )

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cozero
 from cozero import report as report_mod
 from cozero.cli import main
 from cozero.report import WienerReport
@@ -310,6 +315,18 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "wiener" in out and "compare" in out and "bench" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    # The package's own parent directory goes first on the path, so this runs
+    # the checkout under test whether or not cozero is installed.
+    src = str(Path(cozero.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cozero", "wiener", "Z(100)"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "wiener=2954" in proc.stdout
 
 
 def test_missing_command_is_usage_error(capsys):

@@ -3,6 +3,7 @@ import time
 from math import comb
 
 import pytest
+from conftest import outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,17 +46,6 @@ def poly_three_fields(p: int, q: int, r: int) -> int:
         - 2 * (p * q + p * r + q * r)
         + 4 * (p + q + r)
         - 3
-    )
-
-
-def outcome(report) -> tuple:
-    return (
-        report.status,
-        report.wiener,
-        report.vertex_count,
-        report.class_count,
-        report.component_count,
-        report.diameter,
     )
 
 

@@ -3,7 +3,8 @@ import time
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from conftest import outcome
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cozero.closedform import wiener_closed
@@ -210,6 +211,49 @@ def test_wiener_quotient_two_thousand_classes():
     assert report.wiener == 2817402440312668111 == wiener_closed(spec).wiener
     assert (report.status, report.class_count, report.diameter) == ("value", 2046, 2)
     assert elapsed < 10.0
+
+
+def test_wiener_quotient_six_thousand_classes():
+    # Z(963761198400) = 2^6 3^4 5^2 7 11 13 17 19 23 has tau - 2 = 6718 classes;
+    # the all-sources class sweep is most of the cost of this call.
+    spec = integers_mod(963761198400)
+    start = time.perf_counter()
+    report = wiener_quotient(spec)
+    elapsed = time.perf_counter() - start
+    assert report.wiener == 413966247180657242451350 == wiener_closed(spec).wiener
+    assert (report.status, report.class_count, report.diameter) == ("value", 6718, 3)
+    assert elapsed < 20.0
+
+
+def class_count(spec) -> int:
+    return prod(a + 1 for _, a in spec.local_factors()) - 2
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=len(SMALL_PRIMES), max_size=len(SMALL_PRIMES)),
+    st.sampled_from([1, 101, 65537, 999983]),
+)
+@example([4, 2, 1, 1, 1, 1, 0], 1)  # Z(720720)
+def test_quotient_matches_closed_zn(exponents, cofactor):
+    n = prod(p**e for p, e in zip(SMALL_PRIMES, exponents)) * cofactor
+    assume(n >= 2)
+    spec = integers_mod(n)
+    assume(class_count(spec) <= 1000)
+    assert outcome(wiener_quotient(spec)) == outcome(wiener_closed(spec)), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(2, 360), min_size=2, max_size=4))
+@example([8, 9, 16])
+@example([2, 2, 2, 2])
+def test_quotient_matches_closed_products(moduli):
+    spec = product_of_integers_mod(moduli)
+    assume(class_count(spec) <= 1000)
+    assert outcome(wiener_quotient(spec)) == outcome(wiener_closed(spec)), moduli
 
 
 def reference_classes(spec):
