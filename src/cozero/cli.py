@@ -11,9 +11,9 @@ from .closedform import wiener_closed
 from .elementgraph import (
     BRUTE_LIMIT_ENV,
     DEFAULT_BRUTE_LIMIT,
+    BruteForceLimitError,
     build_graph,
     graph_export,
-    resolve_brute_limit,
     vertex_name,
     wiener_brute,
 )
@@ -29,8 +29,8 @@ from .ringspec import (
     product_of_integers_mod,
 )
 
+# The reference tables: the rings `table` and `bench` run when given no params.
 TABLE_ZN = (100, 500, 1000, 1500, 2000, 2500)
-BENCH_ZN_MAX = 2500
 TABLE_FIELD_PAIRS = ((9, 25), (49, 81), (101, 121), (125, 139), (163, 169), (289, 343))
 TABLE_FIELD_TRIPLES = (
     (7, 8, 13),
@@ -68,17 +68,17 @@ def _run_method(spec: RingSpec, method: str, limit: int | None) -> WienerReport:
 
 def _run_routes(
     routes: list[tuple[str, RingSpec, str]], limit: int | None
-) -> tuple[list[tuple[str, RingSpec, WienerReport]], list[str], int]:
-    """Run each (name, spec, method) route, brute only within the element cap.
+) -> tuple[list[tuple[str, RingSpec, WienerReport]], list[str], BruteForceLimitError | None]:
+    """Run each (name, spec, method) route, skipping a brute route over the element cap.
 
-    Returns the runs, their mismatches against the first run, and the cap.
+    Returns the runs, their mismatches against the first run, and the skipped route's error.
     """
-    cap = resolve_brute_limit(limit)
-    runs = [
-        (name, spec, _run_method(spec, method, limit))
-        for name, spec, method in routes
-        if method != "brute" or spec.cardinality <= cap
-    ]
+    runs, skipped = [], None
+    for name, spec, method in routes:
+        try:
+            runs.append((name, spec, _run_method(spec, method, limit)))
+        except BruteForceLimitError as exc:
+            skipped = exc
     diffs = []
     for name, _, rep in runs[1:]:
         name0, _, base = runs[0]
@@ -87,7 +87,7 @@ def _run_routes(
             # A diameter is compared only where both routes report one.
             if a != b and (field != "diameter" or None not in (a, b)):
                 diffs.append(f"{field}: {name0}={a} vs {name}={b}")
-    return runs, diffs, cap
+    return runs, diffs, skipped
 
 
 # --------------------------------------------------------------------------
@@ -167,10 +167,8 @@ def _cmd_compare(args) -> int:
     routes = [(method, spec, method) for method in ("brute", "quotient", "closed")]
     if spec.family == FAMILY_Z:
         routes.append(("quotient[crt]", crt_normalize(spec), "quotient"))
-    runs, diffs, cap = _run_routes(routes, args.brute_limit)
-    notes = []
-    if spec.cardinality > cap:
-        notes.append(f"brute skipped: {spec.cardinality} elements exceed the limit of {cap}")
+    runs, diffs, skipped = _run_routes(routes, args.brute_limit)
+    notes = [f"brute skipped: {skipped.elements} elements exceed the limit of {skipped.limit}"] if skipped else []
     records = [_record(*run) for run in runs]
     if args.format == "json":
         payload = {"ring": str(spec), "agree": not diffs, "notes": notes, "mismatches": diffs, "records": records}
@@ -209,33 +207,36 @@ def _parse_int(token: str, what: str) -> int:
         raise ValueError(f"{what}: {token!r} is not an integer") from None
 
 
+def _family_rings(family: str, params: list[str]) -> list[tuple[int | tuple[int, ...], RingSpec]]:
+    """(parameter, spec) for each ring `params` names in `family`; its reference table when there are none."""
+    if family == "zn":
+        return [(n, integers_mod(n)) for n in [_parse_int(p, "zn") for p in params] or TABLE_ZN]
+    arity, defaults, make = {
+        "fields2": (2, TABLE_FIELD_PAIRS, product_of_fields),
+        "fields3": (3, TABLE_FIELD_TRIPLES, product_of_fields),
+        "ppprod": (None, TABLE_PP_PRODUCTS, product_of_integers_mod),
+    }[family]
+    return [(t, make(t)) for t in [_parse_tuple(p, arity, family) for p in params] or defaults]
+
+
 def _cmd_table(args) -> int:
     family = args.family
+    rings = _family_rings(family, args.params)
     # Each row names its ring in the `head` cell, which json, plain and md
     # show; the csv shows `columns` instead, which split the field orders.
-    if family == "zn":
-        ns = [_parse_int(p, "zn") for p in args.params] if args.params else list(TABLE_ZN)
-        head, columns = "n", ("n",)
-        cases = [({head: str(n)}, integers_mod(n)) for n in ns]
-    elif family in ("fields2", "fields3"):
-        arity = 2 if family == "fields2" else 3
-        defaults = TABLE_FIELD_PAIRS if family == "fields2" else TABLE_FIELD_TRIPLES
-        tuples = [_parse_tuple(p, arity, family) for p in args.params] if args.params else list(defaults)
-        columns = tuple(f"q{i}" for i in range(1, arity + 1))
+    if family in ("fields2", "fields3"):
+        columns = tuple(f"q{i}" for i in range(1, len(rings[0][0]) + 1))
         head = "(" + ", ".join(columns) + ")"
-        cases = [
-            ({head: "(" + ", ".join(map(str, orders)) + ")", **dict(zip(columns, orders))}, product_of_fields(orders))
-            for orders in tuples
-        ]
-    else:  # ppprod
-        tuples = [_parse_tuple(p, None, "ppprod") for p in args.params] if args.params else list(TABLE_PP_PRODUCTS)
-        head, columns = "ring", ("ring",)
-        cases = [({head: str(spec)}, spec) for spec in map(product_of_integers_mod, tuples)]
+    else:
+        head = "n" if family == "zn" else "ring"
+        columns = (head,)
     rows = []
-    for cells, spec in cases:
+    for param, spec in rings:
         rep = wiener_closed(spec)
         wiener = str(rep.wiener) if rep.wiener is not None else rep.status
-        rows.append({**cells, "wiener": wiener, "status": rep.status})
+        name = str(spec) if family == "ppprod" else str(param)
+        orders = dict(zip(columns, param)) if len(columns) > 1 else {}
+        rows.append({head: name, **orders, "wiener": wiener, "status": rep.status})
 
     if args.format == "plain":
         width = max(len(row[head]) for row in rows)
@@ -286,28 +287,13 @@ def _cmd_export_graph(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    for flag, value in (("--n", args.n), ("--max", args.max)):
-        if value is not None and args.family != "zn":
-            raise ValueError(f"{flag} applies to the zn family only, not {args.family}")
-    specs: list[RingSpec]
-    if args.family == "zn":
-        top = BENCH_ZN_MAX if args.max is None else args.max
-        ns = args.n if args.n else [n for n in TABLE_ZN if n <= top]
-        specs = [integers_mod(n) for n in ns]
-    elif args.family == "ppprod":
-        specs = [product_of_integers_mod(m) for m in TABLE_PP_PRODUCTS]
-    elif args.family == "fields2":
-        specs = [product_of_fields(t) for t in TABLE_FIELD_PAIRS]
-    else:
-        specs = [product_of_fields(t) for t in TABLE_FIELD_TRIPLES]
-
     methods = [args.only] if args.only else ["brute", "quotient", "closed"]
     records: list[dict] = []
     mismatched = False
-    for spec in specs:
-        runs, diffs, cap = _run_routes([(method, spec, method) for method in methods], args.brute_limit)
-        if "brute" in methods and spec.cardinality > cap:
-            print(f"note: brute skipped for {spec} ({spec.cardinality} elements)", file=sys.stderr)
+    for _, spec in _family_rings(args.family, args.params):
+        runs, diffs, skipped = _run_routes([(method, spec, method) for method in methods], args.brute_limit)
+        if skipped:
+            print(f"note: brute skipped for {spec} ({skipped.elements} elements)", file=sys.stderr)
         if diffs:
             mismatched = True
             print(f"MISMATCH on {spec}: " + "; ".join(diffs), file=sys.stderr)
@@ -337,6 +323,15 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
+
+
+def _add_ring_list(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", choices=("zn", "fields2", "fields3", "ppprod"))
+    p.add_argument(
+        "params",
+        nargs="*",
+        help="zn: n values; fields2/fields3/ppprod: comma-separated tuples (default: the reference table)",
+    )
 
 
 def _add_flags(p: argparse.ArgumentParser, fmt: str | None, brute_limit: bool) -> None:
@@ -372,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("table", help="reproduce the reference tables (zn, fields2, fields3, ppprod)")
-    p.add_argument("family", choices=("zn", "fields2", "fields3", "ppprod"))
-    p.add_argument("params", nargs="*", help="zn: n values; fields2/fields3/ppprod: comma-separated tuples")
+    _add_ring_list(p)
     _add_flags(p, "md", brute_limit=False)
     p.set_defaults(func=_cmd_table)
 
@@ -388,10 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, None, brute_limit=True)
     p.set_defaults(func=_cmd_export_graph)
 
-    p = sub.add_parser("bench", help="time every method on a family of rings")
-    p.add_argument("family", choices=("zn", "ppprod", "fields2", "fields3"))
-    p.add_argument("--max", type=int, default=None, help=f"largest n for the zn family (default {BENCH_ZN_MAX})")
-    p.add_argument("--n", type=int, action="append", default=None, help="explicit n (repeatable, zn only)")
+    p = sub.add_parser("bench", help="time every method on the rings of a family, as `table` names them")
+    _add_ring_list(p)
     p.add_argument("--only", choices=("brute", "quotient", "closed"), default=None)
     _add_flags(p, "csv", brute_limit=True)
     p.set_defaults(func=_cmd_bench)

@@ -102,19 +102,6 @@ def classify_divisor_pairs(n: int) -> DivisorPairSets:
 # Prime-power products: level tuples and the pairwise classifier
 
 
-def level_to_divisor_label(levels, prime_powers) -> tuple[int, ...]:
-    """Translate a per-component level tuple into the ideal-label tuple."""
-    out = []
-    for j, (p, m) in zip(levels, prime_powers):
-        if j == 0:
-            out.append(p**m)
-        elif j == 1:
-            out.append(1)
-        else:
-            out.append(p ** (j - 1))
-    return tuple(out)
-
-
 def _ideal_exponents(levels, prime_powers) -> tuple[int, ...]:
     # Exponent e with (p**e) the component ideal: zero -> m, unit -> 0, else j-1.
     return tuple(
@@ -142,6 +129,17 @@ def _chain_pattern(x, y, ex, ey) -> bool:
     return ex[r] >= ey[r]
 
 
+def _prime_power_pairs(prime_powers, too_few: str) -> tuple[tuple[int, int], ...]:
+    # The (p, m) pairs as ints; `too_few` is the error for fewer than two.
+    pps = tuple((int(p), int(m)) for p, m in prime_powers)
+    if len(pps) < 2:
+        raise ValueError(too_few)
+    for p, m in pps:
+        if m < 1 or not is_prime(p):
+            raise ValueError(f"({p}, {m}) is not a prime power")
+    return pps
+
+
 def _validate_levels(levels, prime_powers, what: str) -> None:
     if len(levels) != len(prime_powers):
         raise ValueError(f"{what} {levels} does not match {len(prime_powers)} components")
@@ -164,12 +162,7 @@ def classify_prime_power_distance(a, b, prime_powers) -> int:
     orientation; every other non-adjacent pair is bridged in two steps.
     """
     a, b = tuple(a), tuple(b)
-    prime_powers = tuple((int(p), int(m)) for p, m in prime_powers)
-    if len(prime_powers) < 2:
-        raise ValueError("classify_prime_power_distance needs k >= 2 components")
-    for p, m in prime_powers:
-        if m < 1 or not is_prime(p):
-            raise ValueError(f"({p}, {m}) is not a prime power")
+    prime_powers = _prime_power_pairs(prime_powers, "classify_prime_power_distance needs k >= 2 components")
     _validate_levels(a, prime_powers, "class")
     _validate_levels(b, prime_powers, "class")
     if a == b:
@@ -263,12 +256,7 @@ def wiener_prime_power_product(prime_powers) -> WienerReport:
     `classify_prime_power_distance`, counted and sized arithmetically.
     """
     t0 = time.perf_counter()
-    pps = tuple((int(p), int(m)) for p, m in prime_powers)
-    if len(pps) < 2:
-        raise ValueError("wiener_prime_power_product needs k >= 2 components; use the quotient route")
-    for p, m in pps:
-        if m < 1 or not is_prime(p):
-            raise ValueError(f"({p}, {m}) is not a prime power")
+    pps = _prime_power_pairs(prime_powers, "wiener_prime_power_product needs k >= 2 components; use the quotient route")
     return _wiener_local(pps, t0)
 
 

@@ -32,7 +32,12 @@ DEFAULT_BRUTE_LIMIT = 100_000
 
 
 class BruteForceLimitError(ValueError):
-    """Raised when a ring is too large for element-level enumeration."""
+    """Raised when a ring has more `elements` than the brute-force `limit` allows."""
+
+    def __init__(self, spec: RingSpec, elements: int, limit: int) -> None:
+        super().__init__(f"ring {spec} has {elements} elements, above the brute-force limit of {limit}")
+        self.elements = elements
+        self.limit = limit
 
 
 def resolve_brute_limit(limit: int | None = None) -> int:
@@ -158,11 +163,8 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
     COZERO_BRUTE_LIMIT environment variable, or the built-in default).
     """
     cap = resolve_brute_limit(limit)
-    card = spec.cardinality
-    if card > cap:
-        raise BruteForceLimitError(
-            f"ring {spec} has {card} elements, above the brute-force limit of {cap}"
-        )
+    if spec.cardinality > cap:
+        raise BruteForceLimitError(spec, spec.cardinality, cap)
 
     comps = spec.components
     if spec.is_field_product:

@@ -1,12 +1,62 @@
-"""Shared test helpers: an independent brute-force reference and ring sweeps."""
+"""Shared test helpers: an independent brute-force reference, ring sweeps,
+and a per-test time limit."""
 
 from __future__ import annotations
 
+import signal
+import traceback
 from collections import deque
 from itertools import product as iter_product
 from math import gcd
 
+import pytest
+
 from cozero.ringspec import RingSpec
+
+# Above twice the largest time bound any test asserts (120 s), so a test
+# stopped here hangs rather than runs slow.
+TEST_TIME_LIMIT_S = 300
+
+
+class _TestTimedOut(BaseException):
+    # A BaseException, so neither the test nor hypothesis catches it as a failure to retry.
+    def __init__(self, frames: traceback.StackSummary) -> None:
+        super().__init__()
+        self.frames = frames
+
+
+def _on_alarm(signum, frame):
+    raise _TestTimedOut(traceback.extract_stack(frame))
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Stop a test that runs past TEST_TIME_LIMIT_S (where SIGALRM exists)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    # Report the stop as a plain failure showing the stack from the test
+    # function down; letting the exception through makes pytest format a
+    # traceback whose loop frames can lack a line number, which ends the run
+    # with INTERNALERROR.
+    try:
+        return (yield)
+    except _TestTimedOut as exc:
+        frames = exc.frames
+    start = next((i for i, f in enumerate(frames) if f.filename == str(item.path)), 0)
+    stack = "".join(traceback.format_list(frames[start:]))
+    pytest.fail(f"test ran past {TEST_TIME_LIMIT_S} s; stopped at:\n{stack}", pytrace=False)
 
 
 def naive_reference(spec: RingSpec) -> dict:

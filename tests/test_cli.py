@@ -247,6 +247,8 @@ def test_export_graph_dot(capsys):
         ("export-graph", "Z(6)", "--format", "json"),
         ("table", "zn", "12", "--brute-limit", "3"),
         ("classes", "Z(6)", "--brute-limit", "3"),
+        ("bench", "zn", "--max", "5"),
+        ("bench", "fields2", "--n", "5"),
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
@@ -274,7 +276,7 @@ def test_out_to_missing_directory_is_an_error(tmp_path, capsys):
 
 
 def test_bench_zn_csv(capsys):
-    code, out, _ = run(capsys, "bench", "zn", "--max", "500", "--format", "csv")
+    code, out, _ = run(capsys, "bench", "zn", "100", "500", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("ring,method,")
@@ -285,30 +287,77 @@ def test_bench_zn_csv(capsys):
 
 
 def test_bench_only_method(capsys):
-    code, out, _ = run(capsys, "bench", "zn", "--n", "2500", "--only", "quotient", "--format", "csv")
+    code, out, _ = run(capsys, "bench", "zn", "2500", "--only", "quotient", "--format", "csv")
     assert code == 0
     assert "Z(2500),quotient,value,1946274" in out
 
 
-def test_bench_rejects_n_outside_zn(capsys):
-    code, out, err = run(capsys, "bench", "fields2", "--n", "5")
+def test_bench_takes_the_table_params(capsys):
+    for argv, ring, wiener in ((("fields2", "9,25"), "F(9,25)", "800"), (("ppprod", "4,9"), "ZxZ(4,9)", "420")):
+        code, out, _ = run(capsys, "bench", *argv, "--only", "closed", "--format", "json")
+        assert code == 0
+        assert [(r["ring"], r["method"], r["wiener"]) for r in json.loads(out)] == [(ring, "closed", wiener)]
+    code, out, err = run(capsys, "bench", "fields2", "9", "--only", "closed")
     assert code == 1
     assert out == ""
-    assert "--n" in err and "fields2" in err
+    assert "expects 2" in err
 
 
-def test_bench_rejects_max_outside_zn(capsys):
-    code, out, err = run(capsys, "bench", "fields2", "--max", "5", "--only", "closed")
+def test_bench_defaults_are_the_reference_tables(capsys):
+    tables = {
+        "zn": {
+            "Z(100)": 2954,
+            "Z(500)": 77174,
+            "Z(1000)": 306202,
+            "Z(1500)": 930248,
+            "Z(2000)": 1222530,
+            "Z(2500)": 1946274,
+        },
+        "fields2": {
+            "F(9,25)": 800,
+            "F(49,81)": 12416,
+            "F(101,121)": 36180,
+            "F(125,139)": 51270,
+            "F(163,169)": 81354,
+            "F(289,343)": 297774,
+        },
+        "fields3": {
+            "F(7,8,13)": 35196,
+            "F(9,25,49)": 2500400,
+            "F(53,64,81)": 108637254,
+            "F(83,101,121)": 620456582,
+            "F(125,131,169)": 2355211790,
+            "F(289,343,361)": 71251552134,
+        },
+        "ppprod": {
+            "ZxZ(4,9)": 420,
+            "ZxZ(9,25)": 8808,
+            "ZxZ(16,25)": 48870,
+            "ZxZ(27,49)": 268022,
+            "ZxZ(2,4,4)": 521,
+            "ZxZ(5,7,11)": 14948,
+            "ZxZ(8,9,16)": 666221,
+            "ZxZ(4,9,25)": 327394,
+            "ZxZ(2,4,9,9)": 232937,
+            "ZxZ(3,4,8,8)": 333963,
+        },
+    }
+    for family, table in tables.items():
+        code, out, _ = run(capsys, "bench", family, "--only", "closed", "--format", "json")
+        assert code == 0, family
+        assert [(r["ring"], int(r["wiener"])) for r in json.loads(out)] == list(table.items())
+
+
+def test_bad_brute_limit_env_fails_only_where_brute_runs(capsys, monkeypatch):
+    monkeypatch.setenv("COZERO_BRUTE_LIMIT", "abc")
+    for only in ("closed", "quotient"):
+        code, out, err = run(capsys, "bench", "fields2", "--only", only)
+        assert (code, err) == (0, ""), only
+        assert "F(289,343)" in out
+    code, out, err = run(capsys, "compare", "Z(12)")
     assert code == 1
     assert out == ""
-    assert "error: --max applies to the zn family only, not fields2" in err
-
-
-def test_bench_zn_default_max_covers_the_table(capsys):
-    code, out, _ = run(capsys, "bench", "zn", "--only", "closed", "--format", "csv")
-    assert code == 0
-    rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert [r[0] for r in rows] == [f"Z({n})" for n in (100, 500, 1000, 1500, 2000, 2500)]
+    assert err == "error: COZERO_BRUTE_LIMIT must be an integer, got 'abc'\n"
 
 
 def test_help_exits_zero(capsys):

@@ -32,13 +32,13 @@ _HEADER = "$ cozero "
 def _cases() -> list[list[str]]:
     cases = [[cmd, ring, "--format", fmt] for cmd in ("wiener", "compare", "classes") for ring in RINGS for fmt in FORMATS]
     cases += [["table", family, "--format", fmt] for family in ("zn", "fields2", "fields3", "ppprod") for fmt in FORMATS]
-    cases += [["bench", "zn", "--max", "50", "--format", fmt] for fmt in FORMATS]
+    cases += [["bench", "zn", "12", "36", "--format", fmt] for fmt in FORMATS]
     cases += [["bench", "fields2", "--only", "closed", "--format", fmt] for fmt in FORMATS]
     cases += [["export-graph", "Z(12)", "--graph-format", gf] for gf in ("dot", "edgelist")]
     # Notes on a skipped brute route (stdout for compare, stderr for bench) and an error exit.
     cases += [
         ["compare", "Z(150)", "--brute-limit", "100"],
-        ["bench", "zn", "--n", "100", "--brute-limit", "50", "--format", "csv"],
+        ["bench", "zn", "100", "--brute-limit", "50", "--format", "csv"],
         ["wiener", "F(6,25)"],
     ]
     return cases

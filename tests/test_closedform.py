@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cozero.closedform import (
     classify_divisor_pairs,
     classify_prime_power_distance,
-    level_to_divisor_label,
     wiener_closed,
     wiener_prime_power_product,
     wiener_reduced,
@@ -240,14 +239,21 @@ def test_classify_matches_quotient_bfs():
         qg = build_quotient_graph(spec)
         table, connected = quotient_distances(qg)
         assert connected
-        key_of = {c.key: i for i, c in enumerate(qg.classes)}
+        # The moduli are prime powers, so each one is a single chain of
+        # `local_factors`: a level j is ideal exponent m at 0, 0 at 1, else j - 1.
+        index_of = {c.exponents: i for i, c in enumerate(qg.classes)}
+
+        def index(lv):
+            return index_of[tuple(m if j == 0 else 0 if j == 1 else j - 1 for j, (_, m) in zip(lv, pps))]
+
         levels = [
             lv
             for lv in itertools.product(*(range(m + 1) for _, m in pps))
             if set(lv) != {0} and set(lv) != {1}
         ]
+        assert sorted(map(index, levels)) == list(range(qg.class_count))  # one level tuple per class
         for a, b in itertools.combinations(levels, 2):
-            expected = table[key_of[level_to_divisor_label(a, pps)]][key_of[level_to_divisor_label(b, pps)]]
+            expected = table[index(a)][index(b)]
             assert classify_prime_power_distance(a, b, pps) == expected, (moduli, a, b)
 
 

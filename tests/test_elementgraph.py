@@ -140,6 +140,7 @@ def test_limit_enforced_with_named_numbers():
         build_graph(integers_mod(200), limit=100)
     message = str(exc_info.value)
     assert "200" in message and "100" in message
+    assert (exc_info.value.elements, exc_info.value.limit) == (200, 100)
 
 
 def test_negative_explicit_limit_is_rejected():
