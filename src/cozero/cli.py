@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 
@@ -119,9 +121,11 @@ def _render(fields, rows: list[dict], fmt: str) -> str:
         return json.dumps([{f: row[f] for f in fields} for row in rows], indent=2) + "\n"
     cells = [["" if row[f] is None else str(row[f]) for f in fields] for row in rows]
     if fmt == "csv":
-        lines = [",".join(fields)] + [",".join(c) for c in cells]
-    else:
-        lines = [_md_row(fields), _md_row("---" for _ in fields)] + [_md_row(c) for c in cells]
+        # csv.writer quotes the cells that hold a comma, such as `F(9,25)`.
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([fields, *cells])
+        return out.getvalue()
+    lines = [_md_row(fields), _md_row("---" for _ in fields)] + [_md_row(c) for c in cells]
     return "\n".join(lines) + "\n"
 
 

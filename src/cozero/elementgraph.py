@@ -9,11 +9,13 @@ routes are checked against.
 
 Because adjacency between two elements depends only on their ideal labels,
 vertices sharing a label have identical neighbor sets.  The searches here
-therefore run on the label groups through `groupbfs.sweep`, the BFS the
-quotient route's class graph shares, with one bit per vertex instead of
-walking explicit adjacency lists.  Brute still performs a genuine
-breadth-first search from every vertex and assumes nothing about
-distances, diameter, or connectivity.
+therefore run on the label groups rather than on explicit adjacency lists.
+`compute_wiener` searches from every vertex in one multi-source pass,
+`groupbfs.all_sources`, where each vertex keeps a bitmask of the sources
+that have not reached it; `bfs_distances` runs `groupbfs.sweep`, the
+one-source-at-a-time search of the quotient route's class graph.  Brute
+still performs a genuine breadth-first search from every vertex and
+assumes nothing about distances, diameter, or connectivity.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import os
 import time
 from math import gcd
 
-from .groupbfs import component_roots, members, sweep
+from .groupbfs import all_sources, members, sweep
 from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec, ideal_contains
 
@@ -198,29 +200,26 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
 
 
 def compute_wiener(graph: ElementGraph) -> WienerReport:
-    """Run BFS from every vertex of a built graph and aggregate the results."""
+    """Run BFS from every vertex of a built graph and aggregate the results.
+
+    One `groupbfs.all_sources` pass over the label groups gives the distance
+    total, the diameter and the component count together; its source blocks
+    keep the per-vertex masks within `groupbfs.MASK_BUDGET`.
+    """
     t0 = time.perf_counter()
     n = graph.vertex_count
-    groups = graph._sweep_groups()
-    group_of = graph._group_of_vertex
-
-    components = len(component_roots(groups, group_of, n))
+    total, diameter, components = all_sources(graph.group_members, graph.group_adjacency)
     status = graph_status(n, components)
-    total = diameter = 0
-    if status == STATUS_VALUE:
-        for _, d, frontier in sweep(groups, group_of, range(n)):
-            total += d * frontier.bit_count()
-            if d > diameter:
-                diameter = d
+    connected = status == STATUS_VALUE
     return WienerReport(
         status=status,
         method="brute",
         vertex_count=n,
         class_count=len(graph.group_keys),
         component_count=components,
-        wiener=total // 2 if status == STATUS_VALUE else None,
+        wiener=total // 2 if connected else None,
         edge_count=graph.edge_count(),
-        diameter=diameter or None,
+        diameter=diameter if connected and diameter else None,
         elapsed=time.perf_counter() - t0,
     )
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import cozero
 from cozero import report as report_mod
 from cozero.cli import main
 from cozero.report import WienerReport
+from cozero.ringspec import parse_ring_spec
 
 
 def run(capsys, *argv):
@@ -301,6 +303,35 @@ def test_bench_takes_the_table_params(capsys):
     assert code == 1
     assert out == ""
     assert "expects 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wiener", "F(9,25)"),
+        ("wiener", "ZxZ(2,4,9)", "--method", "brute"),
+        ("compare", "Z(36)"),
+        ("compare", "ZxZ(2,4,9)"),
+        ("bench", "fields2", "9,25", "--only", "closed"),
+        ("bench", "ppprod", "4,9", "2,4,9"),
+        ("table", "fields3"),
+        ("table", "ppprod"),
+    ],
+    ids=" ".join,
+)
+def test_csv_rows_have_the_header_width(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    if argv[0] == "compare":
+        # The csv table sits between a title line and the agreement line.
+        lines = lines[1:-1]
+    rows = list(csv.reader(lines))
+    assert len(rows) > 1
+    assert all(len(row) == len(rows[0]) for row in rows)
+    if rows[0][0] == "ring":
+        # Each ring cell holds one whole ring name.
+        assert all(str(parse_ring_spec(row[0])) == row[0] for row in rows[1:])
 
 
 def test_bench_defaults_are_the_reference_tables(capsys):

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from conftest import naive_reference
+from cozero.closedform import wiener_closed
 from cozero.elementgraph import (
     BruteForceLimitError,
     build_graph,
@@ -65,6 +66,15 @@ def test_wiener_brute_product_example():
     assert report.wiener == 2611
     assert report.class_count == 16
     assert report.diameter == 3
+
+
+def test_wiener_brute_matches_closed_on_z10080():
+    # 7775 vertices: one block of the all-sources search, far above the
+    # acceptance sweep's rings.
+    brute = wiener_brute(integers_mod(10080))
+    closed = wiener_closed(integers_mod(10080))
+    assert (brute.status, brute.wiener, brute.diameter) == (closed.status, closed.wiener, closed.diameter)
+    assert brute.wiener == 42875276
 
 
 def test_wiener_brute_single_vertex_is_zero():

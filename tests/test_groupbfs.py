@@ -1,11 +1,21 @@
 import itertools
 import random
+import sys
 from collections import deque
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cozero.groupbfs import component_roots, members, sweep
+from cozero.elementgraph import DEFAULT_BRUTE_LIMIT
+from cozero.groupbfs import (
+    MASK_BUDGET,
+    UPDATE_CHUNK,
+    all_sources,
+    block_size,
+    component_roots,
+    members,
+    sweep,
+)
 
 # Six vertices in three label groups: {0, 1} ~ {2} form one component, and
 # the group {3, 4, 5} has no neighbours, so its vertices are isolated.
@@ -147,3 +157,83 @@ def test_sweep_matches_reference_bfs_on_single_bit_graphs(graph):
     groups, group_of = graph
     n = len(group_of)
     assert sweep_levels(groups, group_of, range(n)) == reference_levels(groups, group_of, range(n))
+
+
+def as_adjacency(groups):
+    """`(group_members, group_adjacency)` of a graph given as `(member_bits, neighbour_row)` groups."""
+    group_members = [list(members(bits)) for bits, _ in groups]
+    group_adjacency = [[h for h, (bits, _) in enumerate(groups) if row & bits] for _, row in groups]
+    return group_members, group_adjacency
+
+
+def reference_summary(groups, group_of):
+    """`(total, eccentricity_max, components)` from the per-vertex queue BFS."""
+    n = len(group_of)
+    levels = reference_levels(groups, group_of, range(n))
+    reached = [1 << v for v in range(n)]
+    for s, _, bits in levels:
+        reached[s] |= bits
+    total = sum(d * bits.bit_count() for _, d, bits in levels)
+    eccentricity = max((d for _, d, _ in levels), default=0)
+    # A root is a vertex that no lower vertex reaches.
+    components = sum(1 for v in range(n) if reached[v] & ((1 << v) - 1) == 0)
+    return total, eccentricity, components
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_graphs())
+@example(([], []))  # no vertices
+@example(([(0b1, 0)], [0]))  # one vertex
+@example((GROUPS, GROUP_OF))  # one edge-bearing component and three isolated vertices
+def test_all_sources_matches_reference_bfs(graph):
+    groups, group_of = graph
+    n = len(group_of)
+    expected = reference_summary(groups, group_of)
+    group_members, group_adjacency = as_adjacency(groups)
+    for block in (1, 3, max(n, 1), None):
+        assert all_sources(group_members, group_adjacency, block) == expected, block
+
+
+def test_all_sources_across_update_chunks():
+    # More vertices than one chunk of the in-place update: 26 groups of 11,
+    # interleaved so that chunks cut through every group, along a path of
+    # groups, with the last group isolated.
+    k = 26
+    group_of = [v % k for v in range(11 * k)]
+    bits = [sum(1 << v for v, g in enumerate(group_of) if g == h) for h in range(k)]
+    rows = [(bits[g - 1] if g else 0) | (bits[g + 1] if g < k - 2 else 0) for g in range(k - 1)] + [0]
+    groups = list(zip(bits, rows))
+    assert len(group_of) > UPDATE_CHUNK
+    expected = reference_summary(groups, group_of)
+    assert expected[1:] == (k - 2, 12)  # diameter, and one component plus 11 isolated vertices
+    group_members, group_adjacency = as_adjacency(groups)
+    for block in (None, 100):
+        assert all_sources(group_members, group_adjacency, block) == expected
+
+
+def mask_bytes(bits):
+    """Bytes a `bits`-bit mask takes in a list: the 8-byte slot plus the int object.
+
+    A CPython int is a 24-byte header and 4 bytes per 30-bit digit, rounded
+    up to 16 bytes by the allocator.
+    """
+    return 8 + -(-(24 + 4 * -(-bits // 30)) // 16) * 16
+
+
+def test_block_rule_fits_the_mask_budget_at_the_brute_cap():
+    # Arithmetic only: nothing of the size it bounds is allocated.  The
+    # masks alive at once are one per vertex plus one chunk of the update.
+    n = DEFAULT_BRUTE_LIMIT
+    block = block_size(n)
+    assert (n + UPDATE_CHUNK) * mask_bytes(block) <= MASK_BUDGET
+    # The block is the largest that fits, to one 30-bit digit.
+    assert (n + UPDATE_CHUNK) * mask_bytes(block + 30) > MASK_BUDGET
+    assert block == 3420
+    # Graphs the size of the acceptance sweep are searched in one block.
+    assert block_size(2000) == 2000
+    assert block_size(0) == 1
+
+
+def test_mask_bytes_covers_the_int_and_its_list_slot():
+    for bits in (1, 29, 30, 31, 2000, 3420):
+        assert mask_bytes(bits) >= sys.getsizeof((1 << bits) - 1) + 8
