@@ -8,11 +8,13 @@ every single vertex, making it the ground-truth oracle the arithmetic
 routes are checked against.
 
 Because adjacency between two elements depends only on their ideal labels,
-vertices sharing a label have identical neighbor sets.  The searches here
-therefore run on the label groups rather than on explicit adjacency lists.
-`compute_wiener` searches from every vertex in one multi-source pass,
-`groupbfs.all_sources`, where each vertex keeps a bitmask of the sources
-that have not reached it; `bfs_distances` runs `groupbfs.sweep`, the
+vertices sharing a label have identical neighbor sets, so the graph is
+kept as label groups rather than as explicit adjacency lists.
+`compute_wiener` searches from every vertex in one multi-source pass over
+those groups, `groupbfs.all_sources`, where each vertex keeps a bitmask of
+the sources that have not reached it.  `bfs_distances` and `adjacent` read
+one neighbour row per vertex, built on first use with one row per group
+shared by its members; `bfs_distances` runs `groupbfs.sweep` on them, the
 one-source-at-a-time search of the quotient route's class graph.  Brute
 still performs a genuine breadth-first search from every vertex and
 assumes nothing about distances, diameter, or connectivity.
@@ -86,10 +88,7 @@ class ElementGraph:
         self.group_keys = group_keys
         self.group_members = group_members
         self.group_adjacency = group_adjacency
-        group_index = {key: g for g, key in enumerate(group_keys)}
-        self._group_of_vertex = [group_index[lab] for lab in labels]
-        self._adjacency_sets = [set(neigh) for neigh in group_adjacency]
-        self._groups: list[tuple[int, int]] | None = None
+        self._rows: list[int] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -102,10 +101,8 @@ class ElementGraph:
         return len(self.vertices)
 
     def adjacent(self, i: int, j: int) -> bool:
-        """True when distinct vertices i and j share an edge."""
-        if i == j:
-            return False
-        return self._group_of_vertex[j] in self._adjacency_sets[self._group_of_vertex[i]]
+        """True when vertices i and j share an edge (never when i == j)."""
+        return self._vertex_rows()[i] >> j & 1 == 1
 
     def edge_count(self) -> int:
         total = 0
@@ -127,9 +124,9 @@ class ElementGraph:
         out.sort()
         return out
 
-    def _sweep_groups(self) -> list[tuple[int, int]]:
-        """`(member_bits, neighbour_row)` per label group, the input of `groupbfs.sweep`."""
-        if self._groups is None:
+    def _vertex_rows(self) -> list[int]:
+        """Each vertex's neighbour bitmask, built on first use; a group's members share one row."""
+        if self._rows is None:
             nbytes = (len(self.vertices) + 7) // 8
             bits = []
             for group in self.group_members:
@@ -137,16 +134,20 @@ class ElementGraph:
                 for i in group:
                     buf[i >> 3] |= 1 << (i & 7)
                 bits.append(int.from_bytes(buf, "little"))
-            # Member masks are disjoint, so their sum is their union.
-            rows = [sum(bits[h] for h in neigh) for neigh in self.group_adjacency]
-            self._groups = list(zip(bits, rows))
-        return self._groups
+            rows = [0] * len(self.vertices)
+            for group, neigh in zip(self.group_members, self.group_adjacency):
+                # Member masks are disjoint, so their sum is their union.
+                row = sum(bits[h] for h in neigh)
+                for i in group:
+                    rows[i] = row
+            self._rows = rows
+        return self._rows
 
     def bfs_distances(self, source: int) -> list[int | None]:
         """Shortest-path distances from one vertex; None where unreachable."""
         dist: list[int | None] = [None] * len(self.vertices)
         dist[source] = 0
-        for _, d, frontier in sweep(self._sweep_groups(), self._group_of_vertex, (source,)):
+        for _, d, frontier in sweep(self._vertex_rows(), (source,)):
             for v in members(frontier):
                 dist[v] = d
         return dist

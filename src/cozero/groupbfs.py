@@ -1,35 +1,32 @@
-"""Breadth-first search over label groups, shared by the brute and quotient routes.
+"""Breadth-first search for the brute and quotient routes, one search per graph shape.
 
-Vertices that carry the same ideal label have the same neighbours, so a
-graph is given as label groups: the vertices of each group and the groups
-it neighbours.  Two searches run on them.
+`all_sources` searches an element graph from every vertex at once, for
+brute's Wiener index, diameter and component count.  Vertices that carry
+the same ideal label have the same neighbours, so the graph is given as
+label groups: the vertices of each group and the groups it neighbours.
+It takes the sources in blocks and gives each vertex a bitmask over the
+block's sources (multi-source BFS, Then et al., PVLDB 8(4), 2014); one
+level costs O(V + E_g) big-int steps for V vertices and E_g group pairs,
+whatever the number of sources in the block.
 
-`all_sources` searches from every vertex at once, for brute's Wiener
-index, diameter and component count.  It takes the sources in blocks and
-gives each vertex a bitmask over the block's sources (multi-source BFS,
-Then et al., PVLDB 8(4), 2014); one level costs O(V + E_g) big-int steps
-for V vertices and E_g group pairs, whatever the number of sources in the
-block.
-
-`sweep` searches from one source after another, for the quotient route
-and for single-source distances.  There the graph is `groups[g] =
-(member_bits, neighbour_row)`: the group's vertices as a bitmask over
-vertex indices and the neighbour bitmask they share.  A frontier is one
+`sweep` searches from one source after another, for the quotient route's
+class graph and for single-source distances.  The graph is given as plain
+rows, `rows[v]` being vertex v's neighbour bitmask, and a frontier is one
 Python int.  Each level is found by whichever of three steps costs least
 (direction-optimizing BFS, Beamer, Asanovic and Patterson, SC 2012):
 
-* group scan: AND the frontier with every group's members and OR the rows
-  of the groups it meets, `len(groups)` steps;
+* scan: test the frontier against every vertex's single bit and OR the
+  rows of those it holds, `len(rows)` steps;
 * top-down: OR the rows of the frontier's vertices, one step per frontier
   vertex;
 * bottom-up: test each unseen vertex's row against the frontier, one step
   per unseen vertex.
 
-A per-vertex step counts as `VERTEX_STEP` group-scan steps.  A search
-stops as soon as no vertex is unseen.  The class graph has one
-single-bit group per class, so E_g there is the number of class pairs and
-a multi-source level would cost O(K^2); since class graphs are dense,
-`sweep` steps bottom-up once the first level has reached most classes.
+A top-down or bottom-up step counts as `VERTEX_STEP` scan steps.  A search
+stops as soon as no vertex is unseen.  On the class graph a multi-source
+level would cost O(K^2) over the class pairs; since class graphs are
+dense, `sweep` steps bottom-up once the first level has reached most
+classes.
 """
 
 from __future__ import annotations
@@ -39,9 +36,9 @@ from functools import reduce
 from itertools import islice
 from operator import and_, or_
 
-# One per-vertex step (a set-bit lookup, a row fetch and one big-int AND or
-# OR) costs about this many steps of the group scan, as measured on element
-# graphs of up to 2000 elements and on class graphs of 100-2046 classes.
+# One top-down or bottom-up step (a set-bit lookup, a row fetch and one
+# big-int AND or OR) costs about this many scan steps (one single-bit AND
+# each), as measured on class graphs of 100-2046 classes.
 VERTEX_STEP = 3
 
 # `all_sources` rewrites its per-vertex masks UPDATE_CHUNK vertices at a
@@ -51,23 +48,22 @@ MASK_BUDGET = 48 * 2**20
 UPDATE_CHUNK = 256
 
 
-def sweep(
-    groups: Sequence[tuple[int, int]], group_of: Sequence[int], sources: Iterable[int]
-) -> Iterator[tuple[int, int, int]]:
+def sweep(rows: Sequence[int], sources: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     """Run a BFS from each source in turn, yielding `(source, distance, frontier_bits)`.
 
-    `group_of[v]` is the group of vertex v.  For each source, every level at
-    distance d >= 1 is yielded in order, as the bitmask of the vertices first
-    reached at d; a source with no neighbours yields nothing.  `sources` is
-    read lazily: the next source is taken only after the consumer has
-    resumed past the last level of the one before.
+    `rows[v]` is the neighbour bitmask of vertex v.  For each source, every
+    level at distance d >= 1 is yielded in order, as the bitmask of the
+    vertices first reached at d; a source with no neighbours yields nothing.
+    `sources` is read lazily: the next source is taken only after the
+    consumer has resumed past the last level of the one before.
     """
-    everyone = (1 << len(group_of)) - 1
-    scan = len(groups)
-    row_of = [groups[g][1] for g in group_of]
+    n = len(rows)
+    everyone = (1 << n) - 1
+    # The scan's (single bit, row) pairs, built on its first use.
+    scan: list[tuple[int, int]] = []
     for s in sources:
         unseen = everyone & ~(1 << s)
-        frontier = row_of[s] & unseen
+        frontier = rows[s] & unseen
         d = 0
         while frontier:
             d += 1
@@ -77,33 +73,34 @@ def sweep(
                 break
             up = unseen.bit_count() * VERTEX_STEP
             down = frontier.bit_count() * VERTEX_STEP
-            if up < down and up < scan:
+            if up < down and up < n:
                 # Bottom-up: every unseen vertex with a neighbour in the
                 # frontier is reached; collect the few that are not.
                 missed = 0
                 for v in members(unseen):
-                    if not row_of[v] & frontier:
+                    if not rows[v] & frontier:
                         missed |= 1 << v
                 frontier = unseen & ~missed
             else:
                 reached = 0
-                if down < scan:
+                if down < n:
                     for v in members(frontier):
-                        reached |= row_of[v]
+                        reached |= rows[v]
                 else:
-                    for bits, row in groups:
-                        if frontier & bits:
+                    scan = scan or [(1 << v, row) for v, row in enumerate(rows)]
+                    for bit, row in scan:
+                        if frontier & bit:
                             reached |= row
                 frontier = reached & unseen
 
 
-def component_roots(groups: Sequence[tuple[int, int]], group_of: Sequence[int], n: int) -> list[int]:
-    """The lowest vertex of each connected component of an n-vertex graph, ascending.
+def component_roots(rows: Sequence[int]) -> list[int]:
+    """The lowest vertex of each connected component, ascending.
 
     One `sweep` runs over lazily drawn roots: the next root is the lowest
     vertex that no earlier root's search reached.
     """
-    unreached = (1 << n) - 1
+    unreached = (1 << len(rows)) - 1
     roots: list[int] = []
 
     def lowest_unreached() -> Iterator[int]:
@@ -114,7 +111,7 @@ def component_roots(groups: Sequence[tuple[int, int]], group_of: Sequence[int], 
             roots.append(low.bit_length() - 1)
             yield roots[-1]
 
-    for _, _, frontier in sweep(groups, group_of, lowest_unreached()):
+    for _, _, frontier in sweep(rows, lowest_unreached()):
         unreached &= ~frontier
     return roots
 
@@ -132,15 +129,19 @@ def all_sources(
 
     The sources are taken in blocks of `block`.  Every vertex v keeps a
     mask over the block's sources, `unseen[v]`: the sources whose search
-    has not reached v yet.  Level d ORs each group's level-(d-1) frontier
-    over its neighbour groups into `reach`, takes `reach[g] & unseen[v]` as
-    vertex v's level-d frontier and clears it from `unseen[v]`, counting the
-    cleared bits.  Distance is symmetric, so that frontier is also the
-    level-d frontier of the search from v, restricted to the block: every
-    vertex gets a genuine BFS, with nothing assumed about twins or
-    distances.  A group's frontier, the OR of its members' frontiers, is
-    `reach[g]` ANDed with the OR of their `unseen`, so no per-vertex
-    frontier list is kept.  Components are counted by their roots, the
+    has not reached v yet.  `reach[g]` starts as the block's sources in
+    group g, and each level ORs it over g's neighbour groups, so at level d
+    a source is in `reach[g]` iff it has a walk of length d to the group
+    (for d >= 1 to each of its vertices, which share their neighbours).
+    The first such d is the distance, and `unseen[v]` strips the sources
+    with a shorter walk, so `reach[g] & unseen[v]` is vertex v's level-d
+    frontier; it is cleared from `unseen[v]` and its bits are counted.
+    Distance is symmetric, so that frontier is also the level-d frontier of
+    the search from v, restricted to the block: every vertex gets its exact
+    BFS levels, with nothing assumed about twins or distances.  The search
+    stops at the first level that clears nothing: a vertex at distance d + 1
+    has a neighbour at distance d on a shortest path, which that level
+    would have cleared.  Components are counted by their roots, the
     vertices that no lower source reached.
 
     The default `block` is `block_size(n)`: the most sources for which the
@@ -160,15 +161,12 @@ def all_sources(
         everyone = (1 << width) - 1
         unseen = [everyone] * n
         unseen[start : start + width] = [everyone ^ 1 << j for j in range(width)]
-        # Level 0: each group's frontier is the block's sources among its members.
-        frontier = [everyone ^ reduce(and_, map(unseen.__getitem__, vertices), everyone) for vertices in group_members]
+        # Level 0: a group's walk mask is the block's sources among its members.
+        reach = [everyone ^ reduce(and_, map(unseen.__getitem__, vertices), everyone) for vertices in group_members]
         left = (n - 1) * width
         d = 0
         while left:
-            reach = [reduce(or_, map(frontier.__getitem__, neighbours), 0) for neighbours in group_adjacency]
-            frontier = [
-                r & reduce(or_, map(unseen.__getitem__, vertices), 0) for r, vertices in zip(reach, group_members)
-            ]
+            reach = [reduce(or_, map(reach.__getitem__, neighbours), 0) for neighbours in group_adjacency]
             keep = [everyone ^ r for r in reach]
             for a in range(0, n, UPDATE_CHUNK):
                 b = a + UPDATE_CHUNK

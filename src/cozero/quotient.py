@@ -15,16 +15,16 @@ whenever the element graph is connected.  The class graph is held as one
 bitmask row per class.  The rows come from per-chain order masks: a class
 carries an exponent vector with one coordinate per chain of
 `RingSpec.local_factors`, and one ANDs, per coordinate, the masks of the
-classes at most and at least as large, so no class pair is visited.  The
-class graph is searched by `groupbfs.sweep`, the BFS the brute route runs
-on its label groups, here with one bit per class.  Class graphs are dense,
-so after the first level few classes are unseen and the sweep steps
-bottom-up, testing each unseen class's row against the frontier instead of
-scanning all K classes.  Each level d from class s adds `size_s` times
-the total size of the classes at distance >= d, so no distance table is
-built.  The status follows from the vertex and component counts alone; a
-class without neighbours scatters into `size` isolated vertices, and any
-other class component is one element-level component.
+classes at most and at least as large, so no class pair is visited.
+`groupbfs.sweep` searches these rows as they are, one neighbour bitmask
+per class.  Class graphs are dense, so after the first level few classes
+are unseen and the sweep steps bottom-up, testing each unseen class's row
+against the frontier instead of scanning all K classes.  Each level d
+from class s adds `size_s` times the total size of the classes at
+distance >= d, so no distance table is built.  The status follows from
+the vertex and component counts alone; a class without neighbours
+scatters into `size` isolated vertices, and any other class component is
+one element-level component.
 """
 
 from __future__ import annotations
@@ -149,16 +149,11 @@ def quotient_distances(qg: QuotientGraph) -> tuple[list[list[int | None]], bool]
     table: list[list[int | None]] = [[None] * k for _ in range(k)]
     for s in range(k):
         table[s][s] = 0
-    for s, d, frontier in sweep(_class_groups(qg), range(k), range(k)):
+    for s, d, frontier in sweep(qg.rows, range(k)):
         row = table[s]
         for j in members(frontier):
             row[j] = d
     return table, k == 0 or None not in table[0]
-
-
-def _class_groups(qg: QuotientGraph) -> list[tuple[int, int]]:
-    """The class graph as `groupbfs` groups: one single-bit group per class."""
-    return [(1 << i, row) for i, row in enumerate(qg.rows)]
 
 
 def wiener_quotient(spec: RingSpec) -> WienerReport:
@@ -178,17 +173,14 @@ def wiener_quotient(spec: RingSpec) -> WienerReport:
     sizes = [c.size for c in qg.classes]
     k = len(sizes)
     vertex_count = sum(sizes)
-    groups = _class_groups(qg)
     # A class without neighbours scatters into `size` isolated vertices; any
     # other class component is one element-level component.
-    components = sum(
-        1 if qg.rows[r] else sizes[r] for r in component_roots(groups, range(k), k)
-    )
+    components = sum(1 if qg.rows[r] else sizes[r] for r in component_roots(qg.rows))
     status = graph_status(vertex_count, components)
     total = diameter = 0
     if status == STATUS_VALUE:
         slices = _size_slices(sizes)
-        for s, d, frontier in sweep(groups, range(k), range(k)):
+        for s, d, frontier in sweep(qg.rows, range(k)):
             if d == 1:
                 beyond = vertex_count - sizes[s]
             else:

@@ -306,32 +306,47 @@ def test_bench_takes_the_table_params(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "exit_code"),
     [
-        ("wiener", "F(9,25)"),
-        ("wiener", "ZxZ(2,4,9)", "--method", "brute"),
-        ("compare", "Z(36)"),
-        ("compare", "ZxZ(2,4,9)"),
-        ("bench", "fields2", "9,25", "--only", "closed"),
-        ("bench", "ppprod", "4,9", "2,4,9"),
-        ("table", "fields3"),
-        ("table", "ppprod"),
+        pytest.param(argv, exit_code, id=" ".join(argv))
+        for argv, exit_code in (
+            (("wiener", "F(9,25)"), 0),
+            (("wiener", "ZxZ(2,4,9)", "--method", "brute"), 0),
+            (("wiener", "Z(8)"), 2),  # disconnected
+            (("wiener", "Z(7)"), 0),  # empty graph
+            (("compare", "Z(36)"), 0),
+            (("compare", "ZxZ(2,4,9)"), 0),
+            (("bench", "fields2", "9,25", "--only", "closed"), 0),
+            (("bench", "ppprod", "4,9", "2,4,9"), 0),
+            (("table", "fields3"), 0),
+            (("table", "ppprod"), 0),
+            (("classes", "ZxZ(2,4,9)"), 0),  # tuple keys hold commas
+        )
     ],
-    ids=" ".join,
 )
-def test_csv_rows_have_the_header_width(capsys, argv):
-    code, out, _ = run(capsys, *argv, "--format", "csv")
-    assert code == 0
-    lines = out.splitlines()
-    if argv[0] == "compare":
-        # The csv table sits between a title line and the agreement line.
-        lines = lines[1:-1]
-    rows = list(csv.reader(lines))
-    assert len(rows) > 1
-    assert all(len(row) == len(rows[0]) for row in rows)
-    if rows[0][0] == "ring":
-        # Each ring cell holds one whole ring name.
-        assert all(str(parse_ring_spec(row[0])) == row[0] for row in rows[1:])
+def test_csv_rows_have_the_header_width(capsys, argv, exit_code):
+    # The output contract of every format: json parses, and every csv or md
+    # row has as many cells as its header.
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == exit_code
+    json.loads(out)
+    for fmt in ("csv", "md"):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == exit_code
+        lines = out.splitlines()
+        if argv[0] == "compare":
+            # The table sits between a title line and the agreement line.
+            lines = lines[1:-1]
+        if fmt == "md":
+            assert lines[1].startswith("| --- |")
+            rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in lines if line != lines[1]]
+        else:
+            rows = list(csv.reader(lines))
+        assert len(rows) > 1
+        assert all(len(row) == len(rows[0]) for row in rows), fmt
+        if rows[0][0] == "ring":
+            # Each ring cell holds one whole ring name.
+            assert all(str(parse_ring_spec(row[0])) == row[0] for row in rows[1:]), fmt
 
 
 def test_bench_defaults_are_the_reference_tables(capsys):

@@ -15,6 +15,9 @@ from cozero.elementgraph import (
 )
 from cozero.ringspec import RingSpec, integers_mod, product_of_fields, product_of_integers_mod
 
+# Every vertex of F(2)^k is its own label group, the class graph's shape.
+BOOLEAN_SPECS = [product_of_fields((2,) * k) for k in (4, 5, 6)]
+
 SMALL_SPECS = (
     [integers_mod(n) for n in range(2, 61)]
     + [
@@ -22,6 +25,7 @@ SMALL_SPECS = (
         for t in ((2, 2), (2, 3), (2, 4), (3, 3), (4, 4), (2, 4, 9), (2, 2, 2), (4, 9), (6, 10), (2, 8))
     ]
     + [product_of_fields(t) for t in ((2, 2), (3, 5), (4, 4), (2, 3, 5), (9, 25), (3, 5, 7))]
+    + BOOLEAN_SPECS
 )
 
 
@@ -69,12 +73,14 @@ def test_wiener_brute_product_example():
 
 
 def test_wiener_brute_matches_closed_on_z10080():
-    # 7775 vertices: one block of the all-sources search, far above the
-    # acceptance sweep's rings.
-    brute = wiener_brute(integers_mod(10080))
-    closed = wiener_closed(integers_mod(10080))
-    assert (brute.status, brute.wiener, brute.diameter) == (closed.status, closed.wiener, closed.diameter)
-    assert brute.wiener == 42875276
+    # Z(10080) has 7775 vertices in 70 label groups: one block of the
+    # all-sources search, far above the acceptance sweep's rings.  F(2)^8
+    # has 254 vertices, each its own label group.
+    for spec, wiener in ((integers_mod(10080), 42875276), (product_of_fields((2,) * 8), 37927)):
+        brute = wiener_brute(spec)
+        closed = wiener_closed(spec)
+        assert (brute.status, brute.wiener, brute.diameter) == (closed.status, closed.wiener, closed.diameter), spec
+        assert brute.wiener == wiener
 
 
 def test_wiener_brute_single_vertex_is_zero():
@@ -100,7 +106,7 @@ def test_brute_matches_naive_reference():
 
 
 def test_adjacency_symmetric_irreflexive():
-    for spec in SMALL_SPECS[:30]:
+    for spec in SMALL_SPECS[:30] + BOOLEAN_SPECS:
         g = build_graph(spec)
         n = g.vertex_count
         for i in range(n):

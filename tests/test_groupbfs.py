@@ -23,14 +23,22 @@ GROUPS = [(0b000011, 0b000100), (0b000100, 0b000011), (0b111000, 0)]
 GROUP_OF = [0, 0, 1, 2, 2, 2]
 
 
-def sweep_levels(groups, group_of, sources):
+def vertex_rows(groups, group_of):
+    """Each vertex's neighbour bitmask: the row of its group."""
+    return [groups[g][1] for g in group_of]
+
+
+ROWS = vertex_rows(GROUPS, GROUP_OF)
+
+
+def sweep_levels(rows, sources):
     """`sweep`'s output as a list, cut off past the n levels per source a BFS can have."""
     sources = list(sources)
-    return list(itertools.islice(sweep(groups, group_of, sources), len(group_of) * len(sources) + 1))
+    return list(itertools.islice(sweep(rows, sources), len(rows) * len(sources) + 1))
 
 
 def test_sweep_yields_each_level_in_order():
-    assert sweep_levels(GROUPS, GROUP_OF, range(6)) == [
+    assert sweep_levels(ROWS, range(6)) == [
         (0, 1, 0b100),
         (0, 2, 0b010),
         (1, 1, 0b100),
@@ -53,15 +61,15 @@ def test_sweep_counts_element_components():
             roots.append(low.bit_length() - 1)
             yield roots[-1]
 
-    for _, _, frontier in sweep(GROUPS, GROUP_OF, lowest_unreached()):
+    for _, _, frontier in sweep(ROWS, lowest_unreached()):
         unreached &= ~frontier
     assert roots == [0, 3, 4, 5]  # four components
 
 
 def test_component_roots_are_lowest_vertices():
-    assert component_roots(GROUPS, GROUP_OF, 6) == [0, 3, 4, 5]
-    assert component_roots([(0b1, 0b10), (0b10, 0b1)], [0, 1], 2) == [0]
-    assert component_roots([], [], 0) == []
+    assert component_roots(ROWS) == [0, 3, 4, 5]
+    assert component_roots([0b10, 0b1]) == [0]
+    assert component_roots([]) == []
 
 
 def test_members_lists_set_bits_ascending():
@@ -70,10 +78,10 @@ def test_members_lists_set_bits_ascending():
     assert list(members(1 << 200 | 2)) == [1, 200]
 
 
-def reference_levels(groups, group_of, sources):
+def reference_levels(rows, sources):
     """Plain per-vertex queue BFS from each source: `(source, d, bits)` per level d >= 1."""
-    n = len(group_of)
-    adjacency = [[u for u in range(n) if groups[group_of[v]][1] >> u & 1] for v in range(n)]
+    n = len(rows)
+    adjacency = [[u for u in range(n) if rows[v] >> u & 1] for v in range(n)]
     out = []
     for s in sources:
         dist = {s: 0}
@@ -116,14 +124,9 @@ def group_graphs(draw):
     return groups, list(group_of)
 
 
-def single_bit(rows):
-    """The graph with these neighbour rows as one single-bit group per vertex."""
-    return [(1 << v, row) for v, row in enumerate(rows)], list(range(len(rows)))
-
-
 @st.composite
 def single_bit_graphs(draw):
-    """Random graphs with one single-bit group per vertex, as class graphs are.
+    """Random graphs as neighbour rows with one vertex per label group, as class graphs are.
 
     Dense draws leave few vertices unseen after the first level, so the
     sweep steps bottom-up; sparse ones keep it on the other two steps.
@@ -136,27 +139,26 @@ def single_bit_graphs(draw):
         if rng.random() < density:
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-    return single_bit(rows)
+    return rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(group_graphs(), st.data())
 def test_sweep_matches_reference_bfs_on_group_graphs(graph, data):
-    groups, group_of = graph
-    n = len(group_of)
-    assert sweep_levels(groups, group_of, range(n)) == reference_levels(groups, group_of, range(n))
+    rows = vertex_rows(*graph)
+    n = len(rows)
+    assert sweep_levels(rows, range(n)) == reference_levels(rows, range(n))
     sources = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
-    assert sweep_levels(groups, group_of, sources) == reference_levels(groups, group_of, sources)
+    assert sweep_levels(rows, sources) == reference_levels(rows, sources)
 
 
 @settings(max_examples=200, deadline=None)
 @given(single_bit_graphs())
-@example(single_bit([(1 << 12) - 1 & ~(1 << v) for v in range(12)]))  # complete graph
-@example(single_bit([(1 << v >> 1 | 1 << v << 1) & (1 << 12) - 1 for v in range(12)]))  # path
-def test_sweep_matches_reference_bfs_on_single_bit_graphs(graph):
-    groups, group_of = graph
-    n = len(group_of)
-    assert sweep_levels(groups, group_of, range(n)) == reference_levels(groups, group_of, range(n))
+@example([(1 << 12) - 1 & ~(1 << v) for v in range(12)])  # complete graph
+@example([(1 << v >> 1 | 1 << v << 1) & (1 << 12) - 1 for v in range(12)])  # path
+def test_sweep_matches_reference_bfs_on_single_bit_graphs(rows):
+    n = len(rows)
+    assert sweep_levels(rows, range(n)) == reference_levels(rows, range(n))
 
 
 def as_adjacency(groups):
@@ -169,7 +171,7 @@ def as_adjacency(groups):
 def reference_summary(groups, group_of):
     """`(total, eccentricity_max, components)` from the per-vertex queue BFS."""
     n = len(group_of)
-    levels = reference_levels(groups, group_of, range(n))
+    levels = reference_levels(vertex_rows(groups, group_of), range(n))
     reached = [1 << v for v in range(n)]
     for s, _, bits in levels:
         reached[s] |= bits
