@@ -10,6 +10,12 @@ routes are checked against.
 Because adjacency between two elements depends only on their ideal labels,
 vertices sharing a label have identical neighbor sets, so the graph is
 kept as label groups rather than as explicit adjacency lists.
+`build_graph` makes the groups from per-component label tables: a group
+takes one label per component, its members' lexicographic ranks are sums
+over the product of the per-component residue lists, and its neighbours
+come from per-component divisibility masks, with no Python loop per
+element or per pair of groups.  The element tuples and their labels are
+built only on first read of `ElementGraph.vertices` and `labels`.
 `compute_wiener` searches from every vertex in one multi-source pass over
 those groups, `groupbfs.all_sources`, where each vertex keeps a bitmask of
 the sources that have not reached it.  `bfs_distances` and `adjacent` read
@@ -22,17 +28,23 @@ assumes nothing about distances, diameter, or connectivity.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
-from math import gcd
+from functools import cached_property, reduce
+from itertools import accumulate, compress, groupby, islice, product, repeat
+from math import gcd, prod
+from operator import and_, mod, not_
 
 from .groupbfs import all_sources, members, sweep
 from .report import STATUS_VALUE, WienerReport, graph_status
-from .ringspec import FAMILY_Z, IdealLabel, RingSpec, ideal_contains
+from .ringspec import FAMILY_Z, IdealLabel, RingSpec
 
 BRUTE_LIMIT_ENV = "COZERO_BRUTE_LIMIT"
 DEFAULT_BRUTE_LIMIT = 100_000
+
+# bytes.translate tables: swap the bytes 0 and 1, and map the digits "0" and "1" to them.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BruteForceLimitError(ValueError):
@@ -70,21 +82,23 @@ class ElementGraph:
     `group_members[g]` the vertex indices carrying each label, and
     `group_adjacency[g]` the groups whose labels are mutually
     non-containing with it.  Two vertices are adjacent exactly when their
-    groups are, and never within one group.
+    groups are, and never within one group.  `vertices` and `labels` are
+    built on first read from `keep`, whose byte r is 1 when the element of
+    lexicographic rank r is a vertex; the searches never read them.
     """
 
     def __init__(
         self,
         spec: RingSpec,
-        vertices: list[tuple[int, ...]],
-        labels: list[IdealLabel],
+        keep: bytes,
+        vertex_count: int,
         group_keys: list[IdealLabel],
         group_members: list[list[int]],
         group_adjacency: list[list[int]],
     ) -> None:
         self.spec = spec
-        self.vertices = vertices
-        self.labels = labels
+        self.keep = keep
+        self.vertex_count = vertex_count
         self.group_keys = group_keys
         self.group_members = group_members
         self.group_adjacency = group_adjacency
@@ -92,25 +106,26 @@ class ElementGraph:
 
     def __repr__(self) -> str:
         return (
-            f"ElementGraph({self.spec}, vertices={len(self.vertices)}, "
+            f"ElementGraph({self.spec}, vertices={self.vertex_count}, "
             f"groups={len(self.group_keys)}, edges={self.edge_count()})"
         )
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
+    @cached_property
+    def vertices(self) -> list[tuple[int, ...]]:
+        return list(compress(product(*map(range, self.spec.components)), self.keep))
+
+    @cached_property
+    def labels(self) -> list[IdealLabel]:
+        return list(compress(product(*_label_tables(self.spec)), self.keep))
 
     def adjacent(self, i: int, j: int) -> bool:
         """True when vertices i and j share an edge (never when i == j)."""
         return self._vertex_rows()[i] >> j & 1 == 1
 
     def edge_count(self) -> int:
-        total = 0
-        for g, neigh in enumerate(self.group_adjacency):
-            for h in neigh:
-                if h > g:
-                    total += len(self.group_members[g]) * len(self.group_members[h])
-        return total
+        sizes = list(map(len, self.group_members))
+        pairs = sum(size * sum(map(sizes.__getitem__, neigh)) for size, neigh in zip(sizes, self.group_adjacency))
+        return pairs // 2  # each edge from both ends
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) index pairs with i < j, lexicographic."""
@@ -127,14 +142,14 @@ class ElementGraph:
     def _vertex_rows(self) -> list[int]:
         """Each vertex's neighbour bitmask, built on first use; a group's members share one row."""
         if self._rows is None:
-            nbytes = (len(self.vertices) + 7) // 8
+            nbytes = (self.vertex_count + 7) // 8
             bits = []
             for group in self.group_members:
                 buf = bytearray(nbytes)
                 for i in group:
                     buf[i >> 3] |= 1 << (i & 7)
                 bits.append(int.from_bytes(buf, "little"))
-            rows = [0] * len(self.vertices)
+            rows = [0] * self.vertex_count
             for group, neigh in zip(self.group_members, self.group_adjacency):
                 # Member masks are disjoint, so their sum is their union.
                 row = sum(bits[h] for h in neigh)
@@ -145,7 +160,7 @@ class ElementGraph:
 
     def bfs_distances(self, source: int) -> list[int | None]:
         """Shortest-path distances from one vertex; None where unreachable."""
-        dist: list[int | None] = [None] * len(self.vertices)
+        dist: list[int | None] = [None] * self.vertex_count
         dist[source] = 0
         for _, d, frontier in sweep(self._vertex_rows(), (source,)):
             for v in members(frontier):
@@ -153,14 +168,28 @@ class ElementGraph:
         return dist
 
 
+def _label_tables(spec: RingSpec) -> list[list[int]]:
+    """Each component's ideal label by residue: gcd(x, c) for Z(c); c at zero and 1 elsewhere for a field."""
+    if spec.is_field_product:
+        return [[c] + [1] * (c - 1) for c in spec.components]
+    return [list(map(gcd, range(c), repeat(c))) for c in spec.components]
+
+
 def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
     """Enumerate all elements of the ring and assemble its cozero-divisor graph.
 
-    Each component gets a label table indexed by residue: gcd(x, c) for
-    Z(c), and c at zero, 1 elsewhere for a field.  The product of the
-    tables is zipped with the product of the residue ranges, so every
-    element meets its label in the same lexicographic step; zero (label
-    `spec.components`) and the units (label all ones) are skipped.
+    Each component's label table (`_label_tables`) is split by label: its
+    distinct labels ascending, each with its residues already multiplied by
+    the component's lexicographic stride.  A label group takes one label
+    per component, so the product of those splits lists `group_keys` in
+    sorted order, with the unit key first and the zero key last (both
+    skipped), and the sums over each group's product of residue lists are
+    its members' lexicographic ranks.  One prefix count of `keep` turns a
+    rank into a vertex index: the zero element is rank 0, and the units are
+    the Kronecker product of each component's "label is 1" flags.  Python
+    steps run per component, per label or per group; the elements pass only
+    through C-level iterators, and `vertices` and `labels` are left to be
+    built on first read.
 
     Refuses rings with more elements than the brute-force limit (argument,
     COZERO_BRUTE_LIMIT environment variable, or the built-in default).
@@ -169,35 +198,63 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
     if spec.cardinality > cap:
         raise BruteForceLimitError(spec, spec.cardinality, cap)
 
-    comps = spec.components
-    if spec.is_field_product:
-        tables = [[c] + [1] * (c - 1) for c in comps]
-    else:
-        tables = [[c] + [gcd(x, c) for x in range(1, c)] for c in comps]
-    zero_key = comps
-    unit_key = (1,) * len(comps)
+    stride = spec.cardinality
+    units = b"\x01"
+    labels_by_component, ranks_by_component = [], []
+    for c, table in zip(spec.components, _label_tables(spec)):
+        stride //= c
+        runs = groupby(sorted(range(c), key=table.__getitem__), table.__getitem__)
+        labels, ranks = zip(*((label, list(map(stride.__mul__, run))) for label, run in runs))
+        labels_by_component.append(labels)
+        ranks_by_component.append(ranks)
+        units = b"".join(map((bytes(c), bytes(map((1).__eq__, table))).__getitem__, units))
+    keep = b"\x00" + units[1:].translate(_FLIP)
+    index = list(accumulate(keep, initial=0))
 
-    vertices: list[tuple[int, ...]] = []
-    labels: list[IdealLabel] = []
-    members: dict[IdealLabel, list[int]] = {}
-    elements = itertools.product(*(range(c) for c in comps))
-    for element, label in zip(elements, itertools.product(*tables)):
-        if label == zero_key or label == unit_key:
-            continue
-        members.setdefault(label, []).append(len(vertices))
-        vertices.append(element)
-        labels.append(label)
+    group_keys = list(product(*labels_by_component))[1:-1]
+    group_members = [
+        list(map(index.__getitem__, map(sum, product(*ranks))))
+        for ranks in islice(product(*ranks_by_component), 1, len(group_keys) + 1)
+    ]
+    group_adjacency = _group_adjacency(labels_by_component)
+    return ElementGraph(spec, keep, index[-1], group_keys, group_members, group_adjacency)
 
-    group_keys = sorted(members)
-    group_members = [members[k] for k in group_keys]
-    group_adjacency: list[list[int]] = [[] for _ in group_keys]
-    for g, a in enumerate(group_keys):
-        for h in range(g + 1, len(group_keys)):
-            b = group_keys[h]
-            if not ideal_contains(a, b) and not ideal_contains(b, a):
-                group_adjacency[g].append(h)
-                group_adjacency[h].append(g)
-    return ElementGraph(spec, vertices, labels, group_keys, group_members, group_adjacency)
+
+def _group_adjacency(labels_by_component: list[tuple[int, ...]]) -> list[list[int]]:
+    """Each label group's neighbour groups, ascending, from per-component divisibility masks.
+
+    Label combinations are numbered in product order, and position p is
+    group p - 1.  The positions whose label index at component i is j form
+    runs of `block` ones every `width` bits, which one multiplication by
+    `copies` lays down.  For each component and label, one mask holds the
+    groups whose label there is a multiple of it and one those whose label
+    divides it; ANDed over the components they give the groups a group's
+    ideal contains (`inside`) and those containing it (`outside`), itself
+    among both, and its row is every group in neither.
+    """
+    positions = prod(map(len, labels_by_component))
+    n = positions - 2
+    full = (1 << n) - 1
+    multiples_by_component, divisors_by_component = [], []
+    width = positions
+    for labels in labels_by_component:
+        block = width // len(labels)
+        copies = ((1 << positions) - 1) // ((1 << width) - 1)
+        cells = [((1 << block) - 1) << (j * block) for j in range(len(labels))]
+
+        def groups(selected) -> int:
+            return (sum(compress(cells, selected)) * copies >> 1) & full
+
+        multiples_by_component.append([groups(map(not_, map(mod, labels, repeat(a)))) for a in labels])
+        divisors_by_component.append([groups(map(not_, map(a.__mod__, labels))) for a in labels])
+        width = block
+    # Every neighbour list holds the ints of this one list, not fresh copies.
+    shared = list(range(n))
+    adjacency = []
+    for inside, outside in islice(zip(product(*multiples_by_component), product(*divisors_by_component)), 1, n + 1):
+        row = full ^ (reduce(and_, inside) | reduce(and_, outside))
+        adjacency.append(list(compress(shared, f"{row:0{n}b}"[::-1].encode().translate(_DIGITS))))
+    return adjacency
 
 
 def compute_wiener(graph: ElementGraph) -> WienerReport:

@@ -1,7 +1,9 @@
 import itertools
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_reference
 from cozero.closedform import wiener_closed
@@ -13,7 +15,13 @@ from cozero.elementgraph import (
     resolve_brute_limit,
     wiener_brute,
 )
-from cozero.ringspec import RingSpec, integers_mod, product_of_fields, product_of_integers_mod
+from cozero.ringspec import (
+    RingSpec,
+    ideal_contains,
+    integers_mod,
+    product_of_fields,
+    product_of_integers_mod,
+)
 
 # Every vertex of F(2)^k is its own label group, the class graph's shape.
 BOOLEAN_SPECS = [product_of_fields((2,) * k) for k in (4, 5, 6)]
@@ -166,7 +174,7 @@ def test_negative_explicit_limit_is_rejected():
 
 
 def _elementwise_graph(spec: RingSpec):
-    """Vertices, labels and label groups from one element at a time."""
+    """Vertices, labels, label groups and group adjacency from one element and one pair at a time."""
     vertices, labels = [], []
     for element in itertools.product(*(range(c) for c in spec.components)):
         if spec.is_field_product:
@@ -179,7 +187,21 @@ def _elementwise_graph(spec: RingSpec):
         labels.append(label)
     keys = sorted(set(labels))
     groups = [[i for i, label in enumerate(labels) if label == key] for key in keys]
-    return vertices, labels, keys, groups
+    adjacency = [
+        [h for h, b in enumerate(keys) if not ideal_contains(a, b) and not ideal_contains(b, a)] for a in keys
+    ]
+    return vertices, labels, keys, groups, adjacency
+
+
+def assert_matches_elementwise(spec: RingSpec):
+    vertices, labels, keys, groups, adjacency = _elementwise_graph(spec)
+    g = build_graph(spec)
+    assert g.vertex_count == len(vertices), spec
+    assert g.group_keys == keys, spec
+    assert g.group_members == groups, spec
+    assert g.group_adjacency == adjacency, spec
+    assert g.vertices == vertices, spec
+    assert g.labels == labels, spec
 
 
 @pytest.mark.parametrize(
@@ -188,20 +210,61 @@ def _elementwise_graph(spec: RingSpec):
         integers_mod(5040),
         product_of_integers_mod((8, 9, 25)),
         product_of_integers_mod((2, 4, 4)),
+        product_of_integers_mod((4, 2, 9, 5)),
         product_of_fields((4, 8, 9)),
         product_of_fields((2, 3)),
+        product_of_fields((2,) * 8),
     ],
     ids=str,
 )
 def test_build_matches_elementwise_rule(spec):
     # The acceptance sweep compares vertices and labels only on graphs of at
-    # most 100 vertices; these run the same comparison on larger rings.
-    g = build_graph(spec)
-    vertices, labels, keys, groups = _elementwise_graph(spec)
-    assert g.vertices == vertices
-    assert g.labels == labels
-    assert g.group_keys == keys
-    assert g.group_members == groups
+    # most 100 vertices; these run the same comparison, and the pairwise
+    # containment rule for the group adjacency, on larger rings: F(2)^8 has
+    # 254 groups and ZxZ(4,2,9,5) four components.
+    assert_matches_elementwise(spec)
+
+
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49)
+
+
+@st.composite
+def small_specs(draw) -> RingSpec:
+    """Z, ZxZ and F specs of at most 2000 elements, with one to six components."""
+    family = draw(st.sampled_from(["Z", "ZxZ", "F", "F2"]))
+    if family == "Z":
+        return integers_mod(draw(st.integers(2, 2000)))
+    if family == "F2":
+        return product_of_fields((2,) * draw(st.integers(1, 8)))
+    values = st.integers(2, 60) if family == "ZxZ" else st.sampled_from(FIELD_ORDERS)
+    components = draw(st.lists(values, min_size=1, max_size=6).filter(lambda cs: prod(cs) <= 2000))
+    if family == "ZxZ":
+        return product_of_integers_mod(components)
+    return product_of_fields(components)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_specs())
+@example(integers_mod(2))  # no vertices
+@example(integers_mod(4))  # one vertex
+@example(product_of_fields((2,)))  # a field: no vertices
+@example(product_of_integers_mod((2, 2, 2, 2, 2, 2)))
+@example(product_of_integers_mod((6, 4, 9, 2)))
+def test_build_matches_elementwise_rule_on_drawn_specs(spec):
+    assert_matches_elementwise(spec)
+
+
+def test_wiener_builds_no_vertices_or_labels():
+    # The searches read the label groups only; the element tuples and their
+    # labels wait for their first reader, and then match the elementwise rule.
+    for spec in (integers_mod(100), product_of_integers_mod((2, 4, 9)), product_of_fields((4, 8, 9))):
+        g = build_graph(spec)
+        report = compute_wiener(g)
+        assert "vertices" not in vars(g) and "labels" not in vars(g), spec
+        vertices, labels, *_ = _elementwise_graph(spec)
+        assert report.vertex_count == g.vertex_count == len(vertices), spec
+        assert g.vertices == vertices, spec
+        assert g.labels == labels, spec
 
 
 def test_limit_resolution_order(monkeypatch):
