@@ -23,10 +23,11 @@ Python int.  Each level is found by whichever of three steps costs least
   per unseen vertex.
 
 A top-down or bottom-up step counts as `VERTEX_STEP` scan steps.  A search
-stops as soon as no vertex is unseen.  On the class graph a multi-source
-level would cost O(K^2) over the class pairs; since class graphs are
-dense, `sweep` steps bottom-up once the first level has reached most
-classes.
+stops as soon as no vertex is unseen.  The quotient route sweeps its
+class graph only from the classes with a partner at distance 3 or more
+(see `cozero.quotient`), where a multi-source level would cost O(K^2)
+over the class pairs; class graphs are dense, so `sweep` steps bottom-up
+once the first level has reached most classes.
 """
 
 from __future__ import annotations

@@ -15,16 +15,16 @@ whenever the element graph is connected.  The class graph is held as one
 bitmask row per class.  The rows come from per-chain order masks: a class
 carries an exponent vector with one coordinate per chain of
 `RingSpec.local_factors`, and one ANDs, per coordinate, the masks of the
-classes at most and at least as large, so no class pair is visited.
-`groupbfs.sweep` searches these rows as they are, one neighbour bitmask
-per class.  Class graphs are dense, so after the first level few classes
-are unseen and the sweep steps bottom-up, testing each unseen class's row
-against the frontier instead of scanning all K classes.  Each level d
-from class s adds `size_s` times the total size of the classes at
-distance >= d, so no distance table is built.  The status follows from
-the vertex and component counts alone; a class without neighbours
-scatters into `size` isolated vertices, and any other class component is
-one element-level component.
+classes at most and at least as large, so no class pair is visited to
+build them.  The sum over class pairs builds no distance table: every
+pair counts once, from the sizes alone; each non-adjacent pair is visited
+once, counts once more, and is at distance 2 when the two rows meet.  A
+class with a later non-neighbour whose row it does not meet is *deep*,
+and `groupbfs.sweep` searches the rows from the deep classes only, for
+the pairs at distance 3 or more.  The status follows from the vertex and
+component counts alone; a class without neighbours scatters into `size`
+isolated vertices, and any other class component is one element-level
+component.
 """
 
 from __future__ import annotations
@@ -157,21 +157,15 @@ def quotient_distances(qg: QuotientGraph) -> tuple[list[list[int | None]], bool]
 
 
 def wiener_quotient(spec: RingSpec) -> WienerReport:
-    """Wiener index from class sizes and one all-sources sweep of the class graph.
+    """Wiener index from class sizes and the class graph's pair distances.
 
-    Class s contributes `size_s * sum_d d * w_d`, where `w_d` is the total
-    size of the classes at distance d.  That sum is `sum_d beyond_d`, with
-    `beyond_d` the total size at distance >= d: `beyond_1` is every vertex
-    outside class s (the graph is connected), and each later level
-    subtracts the weight of the one before, so the last level is never
-    weighed.  A level's weight is read from bit-sliced size masks with one
-    `bit_count` per size bit.  Every class pair is met from both ends,
-    hence the halving.
+    Classmates sit at distance 2, which gives `2 * sum_i C(size_i, 2)`; the
+    pairs of distinct classes come from `_pair_distance_sum`, and a class
+    of two or more elements makes the diameter at least 2.
     """
     t0 = time.perf_counter()
     qg = build_quotient_graph(spec)
     sizes = [c.size for c in qg.classes]
-    k = len(sizes)
     vertex_count = sum(sizes)
     # A class without neighbours scatters into `size` isolated vertices; any
     # other class component is one element-level component.
@@ -179,24 +173,15 @@ def wiener_quotient(spec: RingSpec) -> WienerReport:
     status = graph_status(vertex_count, components)
     total = diameter = 0
     if status == STATUS_VALUE:
-        slices = _size_slices(sizes)
-        for s, d, frontier in sweep(qg.rows, range(k)):
-            if d == 1:
-                beyond = vertex_count - sizes[s]
-            else:
-                beyond -= sum((previous & mask).bit_count() << b for b, mask in enumerate(slices))
-            total += sizes[s] * beyond
-            previous = frontier
-            if d > diameter:
-                diameter = d
-        total = total // 2 + 2 * sum(comb(s, 2) for s in sizes)
+        total, diameter = _pair_distance_sum(qg.rows, sizes)
+        total += 2 * sum(comb(s, 2) for s in sizes)
         if any(s >= 2 for s in sizes):
             diameter = max(diameter, 2)
     return WienerReport(
         status=status,
         method="quotient",
         vertex_count=vertex_count,
-        class_count=k,
+        class_count=len(sizes),
         component_count=components,
         wiener=total if status == STATUS_VALUE else None,
         diameter=diameter or None,
@@ -204,14 +189,35 @@ def wiener_quotient(spec: RingSpec) -> WienerReport:
     )
 
 
-def _size_slices(sizes: list[int]) -> list[int]:
-    """`slices[b]` is the mask of the classes whose size has bit b set."""
-    by_size: dict[int, int] = {}
-    for j, s in enumerate(sizes):
-        by_size[s] = by_size.get(s, 0) | 1 << j
-    slices = [0] * max(sizes).bit_length()
-    for s, mask in by_size.items():
-        for b in range(s.bit_length()):
-            if s >> b & 1:
-                slices[b] |= mask
-    return slices
+def _pair_distance_sum(rows: list[int], sizes: list[int]) -> tuple[int, int]:
+    """`(sum_{i<j} sizes[i] * sizes[j] * d(i, j), max_{i<j} d(i, j))` over a connected graph.
+
+    `rows[i]` is vertex i's neighbour bitmask.  The sum splits along
+    d = 1 + [d >= 2] + sum_{t >= 3} [d >= t]:
+
+    * every pair counts once, `(V^2 - sum s^2) / 2` for V = sum s;
+    * every non-adjacent pair i < j counts once more; it is at distance 2
+      when the rows of i and j meet, and at 3 or more otherwise, which
+      makes i *deep*;
+    * each pair at distance d >= 3 counts d - 2 more.  Its lower vertex is
+      deep, so `sweep` runs from the deep vertices only, and level d of
+      the search from s weighs the frontier above s.
+    """
+    k = len(rows)
+    vertex_count = sum(sizes)
+    total = (vertex_count * vertex_count - sum(s * s for s in sizes)) // 2
+    diameter = 1 if k > 1 else 0
+    everyone = (1 << k) - 1
+    deep = []
+    for i, row in enumerate(rows):
+        apart = list(members(everyone >> i + 1 << i + 1 & ~row))
+        if apart:
+            total += sizes[i] * sum(map(sizes.__getitem__, apart))
+            diameter = 2
+            if 0 in map(operator.and_, itertools.repeat(row), map(rows.__getitem__, apart)):
+                deep.append(i)
+    for s, d, frontier in sweep(rows, deep):
+        if d >= 3:
+            total += (d - 2) * sizes[s] * sum(map(sizes.__getitem__, members(frontier >> s + 1 << s + 1)))
+            diameter = max(diameter, d)
+    return total, diameter

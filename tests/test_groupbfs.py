@@ -1,8 +1,7 @@
 import itertools
-import random
 import sys
-from collections import deque
 
+from conftest import reference_levels, single_bit_graphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -78,28 +77,6 @@ def test_members_lists_set_bits_ascending():
     assert list(members(1 << 200 | 2)) == [1, 200]
 
 
-def reference_levels(rows, sources):
-    """Plain per-vertex queue BFS from each source: `(source, d, bits)` per level d >= 1."""
-    n = len(rows)
-    adjacency = [[u for u in range(n) if rows[v] >> u & 1] for v in range(n)]
-    out = []
-    for s in sources:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in adjacency[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        by_level = {}
-        for v, d in dist.items():
-            if d:
-                by_level[d] = by_level.get(d, 0) | 1 << v
-        out.extend((s, d, by_level[d]) for d in sorted(by_level))
-    return out
-
-
 @st.composite
 def group_graphs(draw):
     """Random undirected graphs on label groups of 1-4 members each.
@@ -122,24 +99,6 @@ def group_graphs(draw):
         bits[g] |= 1 << v
     groups = [(bits[g], sum(bits[h] for h in neighbours[g])) for g in range(k)]
     return groups, list(group_of)
-
-
-@st.composite
-def single_bit_graphs(draw):
-    """Random graphs as neighbour rows with one vertex per label group, as class graphs are.
-
-    Dense draws leave few vertices unseen after the first level, so the
-    sweep steps bottom-up; sparse ones keep it on the other two steps.
-    """
-    n = draw(st.integers(1, 40))
-    density = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.95, 1.0]))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    rows = [0] * n
-    for a, b in itertools.combinations(range(n), 2):
-        if rng.random() < density:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    return rows
 
 
 @settings(max_examples=200, deadline=None)

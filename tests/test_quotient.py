@@ -3,7 +3,7 @@ import time
 from math import prod
 
 import pytest
-from conftest import outcome
+from conftest import outcome, reference_levels, single_bit_graphs
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +11,7 @@ from cozero.closedform import wiener_closed
 from cozero.elementgraph import build_graph, wiener_brute
 from cozero.numtheory import divisors, euler_phi
 from cozero.quotient import (
+    _pair_distance_sum,
     build_quotient_graph,
     class_adjacent,
     enumerate_classes,
@@ -215,7 +216,8 @@ def test_wiener_quotient_two_thousand_classes():
 
 def test_wiener_quotient_six_thousand_classes():
     # Z(963761198400) = 2^6 3^4 5^2 7 11 13 17 19 23 has tau - 2 = 6718 classes;
-    # the all-sources class sweep is most of the cost of this call.
+    # the visit of its ~1.8 M non-adjacent class pairs is most of the cost
+    # of this call.
     spec = integers_mod(963761198400)
     start = time.perf_counter()
     report = wiener_quotient(spec)
@@ -302,3 +304,75 @@ def test_classes_match_label_rule_products(moduli):
 @example([4, 4, 9])
 def test_classes_match_label_rule_fields(orders):
     assert_classes_match_reference(product_of_fields(orders))
+
+
+def reference_pair_distance_sum(rows, sizes):
+    """`_pair_distance_sum` by a queue BFS from every vertex, each pair weighed from its lower end."""
+    total = diameter = 0
+    for s, d, bits in reference_levels(rows, range(len(rows))):
+        total += d * sizes[s] * sum(sizes[j] for j in range(s + 1, len(rows)) if bits >> j & 1)
+        diameter = max(diameter, d)
+    return total, diameter
+
+
+def is_connected(rows):
+    return sum(bits.bit_count() for _, _, bits in reference_levels(rows, [0])) == len(rows) - 1
+
+
+def positive_sizes(n):
+    return st.lists(st.integers(1, 10**6), min_size=n, max_size=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_bit_graphs(), st.data())
+def test_pair_distance_sum_matches_reference_bfs(rows, data):
+    assume(is_connected(rows))
+    sizes = data.draw(positive_sizes(len(rows)))
+    assert _pair_distance_sum(rows, sizes) == reference_pair_distance_sum(rows, sizes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(5, 12), st.booleans(), st.data())
+def test_pair_distance_sum_on_paths_and_cycles(n, cycle, data):
+    # Diameters up to 11, past the 3 that no ring's class graph exceeds.
+    rows = [(1 << v >> 1 | 1 << v << 1) & (1 << n) - 1 for v in range(n)]
+    if cycle:
+        rows[0] |= 1 << n - 1
+        rows[n - 1] |= 1
+    sizes = data.draw(positive_sizes(n))
+    total, diameter = _pair_distance_sum(rows, sizes)
+    assert (total, diameter) == reference_pair_distance_sum(rows, sizes)
+    assert diameter == (n // 2 if cycle else n - 1)
+
+
+def assert_pair_distance_sum_matches_table(spec):
+    """On a connected class graph, `_pair_distance_sum` is the size-weighted sum over `quotient_distances`' table."""
+    qg = build_quotient_graph(spec)
+    table, connected = quotient_distances(qg)
+    if connected:
+        sizes = [c.size for c in qg.classes]
+        pairs = list(itertools.combinations(range(len(sizes)), 2))
+        total = sum(sizes[i] * sizes[j] * table[i][j] for i, j in pairs)
+        diameter = max((table[i][j] for i, j in pairs), default=0)
+        assert _pair_distance_sum(qg.rows, sizes) == (total, diameter), spec
+
+
+def test_pair_distance_sum_matches_distance_table_zn():
+    for n in range(2, 600):
+        assert_pair_distance_sum_matches_table(integers_mod(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 120), min_size=2, max_size=3))
+def test_pair_distance_sum_matches_distance_table_products(moduli):
+    spec = product_of_integers_mod(moduli)
+    assume(class_count(spec) <= 300)
+    assert_pair_distance_sum_matches_table(spec)
+
+
+@pytest.mark.parametrize("spec", [integers_mod(3603600), product_of_integers_mod((8, 9, 16))], ids=str)
+def test_rings_of_diameter_three_have_deep_classes(spec):
+    # The lower class of a pair at distance 3 is deep.
+    table, connected = quotient_distances(build_quotient_graph(spec))
+    assert connected and max(map(max, table)) == 3
+    assert_pair_distance_sum_matches_table(spec)
