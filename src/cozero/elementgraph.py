@@ -17,13 +17,14 @@ come from per-component divisibility masks, with no Python loop per
 element or per pair of groups.  The element tuples and their labels are
 built only on first read of `ElementGraph.vertices` and `labels`.
 `compute_wiener` searches from every vertex in one multi-source pass over
-those groups, `groupbfs.all_sources`, where each vertex keeps a bitmask of
-the sources that have not reached it.  `bfs_distances` and `adjacent` read
-one neighbour row per vertex, built on first use with one row per group
-shared by its members; `bfs_distances` runs `groupbfs.sweep` on them, the
-one-source-at-a-time search of the quotient route's class graph.  Brute
-still performs a genuine breadth-first search from every vertex and
-assumes nothing about distances, diameter, or connectivity.
+those groups, `groupbfs.all_sources`, where each group keeps a bitmask of
+the sources that have not reached its members.  `bfs_distances`,
+`adjacent` and `edges` read one neighbour row per vertex, built on first
+use with one row per group shared by its members; `bfs_distances` runs
+`groupbfs.sweep` on them, the one-source-at-a-time search of the quotient
+route's class graph.  Brute still performs a genuine breadth-first search
+from every vertex and assumes nothing about distances, diameter, or
+connectivity.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from itertools import accumulate, compress, groupby, islice, product, repeat
 from math import gcd, prod
 from operator import and_, mod, not_
 
-from .groupbfs import all_sources, members, sweep
+from .groupbfs import all_sources, members, sweep, upper_edges
 from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec
 
@@ -129,15 +130,7 @@ class ElementGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) index pairs with i < j, lexicographic."""
-        out: list[tuple[int, int]] = []
-        for g, neigh in enumerate(self.group_adjacency):
-            for h in neigh:
-                if h > g:
-                    for i in self.group_members[g]:
-                        for j in self.group_members[h]:
-                            out.append((i, j) if i < j else (j, i))
-        out.sort()
-        return out
+        return upper_edges(self._vertex_rows())
 
     def _vertex_rows(self) -> list[int]:
         """Each vertex's neighbour bitmask, built on first use; a group's members share one row."""
@@ -262,7 +255,7 @@ def compute_wiener(graph: ElementGraph) -> WienerReport:
 
     One `groupbfs.all_sources` pass over the label groups gives the distance
     total, the diameter and the component count together; its source blocks
-    keep the per-vertex masks within `groupbfs.MASK_BUDGET`.
+    keep the per-group masks within `groupbfs.MASK_BUDGET`.
     """
     t0 = time.perf_counter()
     n = graph.vertex_count

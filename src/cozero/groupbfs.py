@@ -1,52 +1,24 @@
 """Breadth-first search for the brute and quotient routes, one search per graph shape.
 
-`all_sources` searches an element graph from every vertex at once, for
-brute's Wiener index, diameter and component count.  Vertices that carry
-the same ideal label have the same neighbours, so the graph is given as
-label groups: the vertices of each group and the groups it neighbours.
-It takes the sources in blocks and gives each vertex a bitmask over the
-block's sources (multi-source BFS, Then et al., PVLDB 8(4), 2014); one
-level costs O(V + E_g) big-int steps for V vertices and E_g group pairs,
-whatever the number of sources in the block.
-
-`sweep` searches from one source after another, for the quotient route's
-class graph and for single-source distances.  The graph is given as plain
-rows, `rows[v]` being vertex v's neighbour bitmask, and a frontier is one
-Python int.  Each level is found by whichever of three steps costs least
-(direction-optimizing BFS, Beamer, Asanovic and Patterson, SC 2012):
-
-* scan: test the frontier against every vertex's single bit and OR the
-  rows of those it holds, `len(rows)` steps;
-* top-down: OR the rows of the frontier's vertices, one step per frontier
-  vertex;
-* bottom-up: test each unseen vertex's row against the frontier, one step
-  per unseen vertex.
-
-A top-down or bottom-up step counts as `VERTEX_STEP` scan steps.  A search
-stops as soon as no vertex is unseen.  The quotient route sweeps its
-class graph only from the classes with a partner at distance 3 or more
-(see `cozero.quotient`), where a multi-source level would cost O(K^2)
-over the class pairs; class graphs are dense, so `sweep` steps bottom-up
-once the first level has reached most classes.
+`all_sources` searches an element graph, given as label groups whose
+vertices share their neighbours, from every vertex at once: each group
+keeps one bitmask over a block of sources (multi-source BFS, Then et al.,
+PVLDB 8(4), 2014).  `sweep` searches plain neighbour rows from one source
+after another, for the quotient route's class graph and single-source
+distances; a level steps bottom-up when fewer vertices are unseen than
+are in the frontier, and top-down otherwise (direction-optimizing BFS,
+Beamer, Asanovic and Patterson, SC 2012).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import islice
-from operator import and_, or_
+from itertools import accumulate, pairwise
+from operator import and_, invert, mul, or_, xor
 
-# One top-down or bottom-up step (a set-bit lookup, a row fetch and one
-# big-int AND or OR) costs about this many scan steps (one single-bit AND
-# each), as measured on class graphs of 100-2046 classes.
-VERTEX_STEP = 3
-
-# `all_sources` rewrites its per-vertex masks UPDATE_CHUNK vertices at a
-# time, so at most n + UPDATE_CHUNK of them are alive at once, and sizes its
-# source blocks so that those fit MASK_BUDGET bytes.
+# Bytes that `all_sources` lets its masks take at once (see `block_size`).
 MASK_BUDGET = 48 * 2**20
-UPDATE_CHUNK = 256
 
 
 def sweep(rows: Sequence[int], sources: Iterable[int]) -> Iterator[tuple[int, int, int]]:
@@ -58,10 +30,7 @@ def sweep(rows: Sequence[int], sources: Iterable[int]) -> Iterator[tuple[int, in
     `sources` is read lazily: the next source is taken only after the
     consumer has resumed past the last level of the one before.
     """
-    n = len(rows)
-    everyone = (1 << n) - 1
-    # The scan's (single bit, row) pairs, built on its first use.
-    scan: list[tuple[int, int]] = []
+    everyone = (1 << len(rows)) - 1
     for s in sources:
         unseen = everyone & ~(1 << s)
         frontier = rows[s] & unseen
@@ -72,9 +41,7 @@ def sweep(rows: Sequence[int], sources: Iterable[int]) -> Iterator[tuple[int, in
             unseen &= ~frontier
             if not unseen:
                 break
-            up = unseen.bit_count() * VERTEX_STEP
-            down = frontier.bit_count() * VERTEX_STEP
-            if up < down and up < n:
+            if unseen.bit_count() < frontier.bit_count():
                 # Bottom-up: every unseen vertex with a neighbour in the
                 # frontier is reached; collect the few that are not.
                 missed = 0
@@ -84,36 +51,21 @@ def sweep(rows: Sequence[int], sources: Iterable[int]) -> Iterator[tuple[int, in
                 frontier = unseen & ~missed
             else:
                 reached = 0
-                if down < n:
-                    for v in members(frontier):
-                        reached |= rows[v]
-                else:
-                    scan = scan or [(1 << v, row) for v, row in enumerate(rows)]
-                    for bit, row in scan:
-                        if frontier & bit:
-                            reached |= row
+                for v in members(frontier):
+                    reached |= rows[v]
                 frontier = reached & unseen
 
 
 def component_roots(rows: Sequence[int]) -> list[int]:
-    """The lowest vertex of each connected component, ascending.
-
-    One `sweep` runs over lazily drawn roots: the next root is the lowest
-    vertex that no earlier root's search reached.
-    """
+    """The lowest vertex of each connected component, ascending."""
     unreached = (1 << len(rows)) - 1
     roots: list[int] = []
-
-    def lowest_unreached() -> Iterator[int]:
-        nonlocal unreached
-        while unreached:
-            low = unreached & -unreached
-            unreached ^= low
-            roots.append(low.bit_length() - 1)
-            yield roots[-1]
-
-    for _, _, frontier in sweep(rows, lowest_unreached()):
-        unreached &= ~frontier
+    while unreached:
+        root = (unreached & -unreached).bit_length() - 1
+        roots.append(root)
+        unreached ^= 1 << root
+        for _, _, frontier in sweep(rows, (root,)):
+            unreached &= ~frontier
     return roots
 
 
@@ -122,79 +74,82 @@ def all_sources(
 ) -> tuple[int, int, int]:
     """Search from every vertex at once: `(total, eccentricity_max, components)`.
 
-    `group_members[g]` lists the vertices of group g and `group_adjacency[g]`
-    its neighbour groups.  `total` sums the distance over every ordered pair
-    of vertices that reach each other, `eccentricity_max` is the largest such
-    distance (0 when no two vertices do) and `components` counts connected
-    components.
+    `group_members[g]` lists group g's vertices, `group_adjacency[g]` its
+    neighbour groups.  `total` sums the distance over the ordered pairs of
+    vertices that reach each other; `eccentricity_max` is the largest (0
+    when no two vertices do).
 
-    The sources are taken in blocks of `block`.  Every vertex v keeps a
-    mask over the block's sources, `unseen[v]`: the sources whose search
-    has not reached v yet.  `reach[g]` starts as the block's sources in
-    group g, and each level ORs it over g's neighbour groups, so at level d
-    a source is in `reach[g]` iff it has a walk of length d to the group
-    (for d >= 1 to each of its vertices, which share their neighbours).
-    The first such d is the distance, and `unseen[v]` strips the sources
-    with a shorter walk, so `reach[g] & unseen[v]` is vertex v's level-d
-    frontier; it is cleared from `unseen[v]` and its bits are counted.
-    Distance is symmetric, so that frontier is also the level-d frontier of
-    the search from v, restricted to the block: every vertex gets its exact
-    BFS levels, with nothing assumed about twins or distances.  The search
-    stops at the first level that clears nothing: a vertex at distance d + 1
-    has a neighbour at distance d on a shortest path, which that level
-    would have cleared.  Components are counted by their roots, the
-    vertices that no lower source reached.
+    Sources are numbered group by group and go in blocks of `block`, and
+    each group keeps masks over a block's sources: `own[g]`, those in g (one
+    run of bits, so no member's vertex number is read), and `reach[g]`,
+    which starts as `own[g]` and is ORed over g's neighbour groups at each
+    level, so that at level d it holds the sources with a walk of length d
+    to g.  For d >= 1 a walk reaches all of g's members, which share their
+    neighbours, or none, so the first level d >= 1 at which s enters
+    `reach[g]` is its distance to every vertex of g but s.  `unseen[g]`
+    holds the sources not in it yet, so `cleared = reach[g] & unseen[g]`
+    are those at distance d, and the level counts |g|·|cleared| -
+    |cleared & own[g]| pairs, in O(G + E_g) big-int steps for G groups and
+    E_g adjacent group pairs.  The search stops once every pair is counted,
+    or at a level that counts none: a vertex at distance d + 1 has a
+    neighbour at distance d.
 
-    The default `block` is `block_size(n)`: the most sources for which the
-    masks alive at once, `unseen` and one chunk of its update, fit
-    MASK_BUDGET (48 MiB).  That is every source on up to 19 140 vertices, and
-    blocks of 3420 at the 100 000-element brute cap.
+    A vertex's final mask, its group's without its own bit, is the block's
+    sources outside its component: for a group with neighbours, its mask
+    without its own sources (a group of one may stop before its source
+    walks back to it).  A component is counted in the first block that
+    holds one of its sources, as no group with a source before the block
+    holds its mask; each vertex of a group without neighbours is a
+    component of its own.
     """
-    n = sum(map(len, group_members))
-    block = block or block_size(n)
-    group_of = [0] * n
-    for g, vertices in enumerate(group_members):
-        for v in vertices:
-            group_of[v] = g
+    sizes = list(map(len, group_members))
+    n = sum(sizes)
+    block = block or block_size(n, len(sizes))
+    offsets = list(accumulate(sizes, initial=0))
     total = eccentricity = components = 0
     for start in range(0, n, block):
-        width = min(block, n - start)
-        everyone = (1 << width) - 1
-        unseen = [everyone] * n
-        unseen[start : start + width] = [everyone ^ 1 << j for j in range(width)]
-        # Level 0: a group's walk mask is the block's sources among its members.
-        reach = [everyone ^ reduce(and_, map(unseen.__getitem__, vertices), everyone) for vertices in group_members]
-        left = (n - 1) * width
+        stop = min(start + block, n)
+        everyone = (1 << stop - start) - 1
+        # Group g's sources are offsets[g] to offsets[g + 1] - 1, cut to the block.
+        own = [(1 << max(0, min(b, stop) - max(a, start))) - 1 << max(0, a - start) for a, b in pairwise(offsets)]
+        unseen = [everyone] * len(own)
+        reach = own
+        left = (n - 1) * (stop - start)
         d = 0
         while left:
             reach = [reduce(or_, map(reach.__getitem__, neighbours), 0) for neighbours in group_adjacency]
-            keep = [everyone ^ r for r in reach]
-            for a in range(0, n, UPDATE_CHUNK):
-                b = a + UPDATE_CHUNK
-                unseen[a:b] = map(and_, map(keep.__getitem__, group_of[a:b]), unseen[a:b])
-            now = sum(map(int.bit_count, unseen))
-            if now == left:
+            cleared = list(map(and_, reach, unseen))
+            pairs = sum(map(mul, sizes, map(int.bit_count, cleared))) - sum(map(int.bit_count, map(and_, cleared, own)))
+            if not pairs:
                 break
+            unseen = list(map(xor, unseen, cleared))
             d += 1
-            total += d * (left - now)
-            left = now
+            total += d * pairs
+            left -= pairs
         eccentricity = max(eccentricity, d)
-        # Every vertex of a component now holds the same mask, the block's
-        # sources outside it, and no source of the block holds all of them:
-        # the roots among the block's sources are its masks no lower vertex holds.
-        components += len(set(unseen[start : start + width]).difference(islice(unseen, start)))
+        outside = list(map(and_, unseen, map(invert, own)))
+        lower = {mask for mask, a in zip(outside, offsets) if a < start}
+        rooted = {mask for mask, sources, nb in zip(outside, own, group_adjacency) if sources and nb}
+        components += len(rooted - lower) + sum(o.bit_count() for o, nb in zip(own, group_adjacency) if not nb)
     return total, eccentricity, components
 
 
-def block_size(n: int) -> int:
-    """Sources per block of `all_sources` on n vertices: all n, or as many as fit MASK_BUDGET.
+def block_size(n: int, groups: int) -> int:
+    """Sources per block of `all_sources` on n vertices in `groups` label groups.
 
-    A vertex's mask takes an 8-byte list slot plus a CPython int: a 24-byte
-    header and 4 bytes per 30-bit digit, which the allocator rounds up to 16.
+    All n, or as many as fit MASK_BUDGET bytes in five lists of a mask per
+    group (`own`, `unseen`, `reach`, `cleared` and one being built) and
+    three more (`everyone`, two in one OR or AND).  A mask is an 8-byte list
+    slot and an int of 24 bytes plus 4 per 30-bit digit, rounded up to 16.
     """
-    room = MASK_BUDGET // (n + UPDATE_CHUNK) - 8
+    room = MASK_BUDGET // (5 * groups + 3) - 8
     fits = (room // 16 * 16 - 24) // 4 * 30
     return max(1, min(n, fits))
+
+
+def upper_edges(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """Every edge `(i, j)` with i < j of the graph with neighbour rows `rows`, lexicographic."""
+    return [(i, j) for i, row in enumerate(rows) for j in members(row >> i + 1 << i + 1)]
 
 
 def members(mask: int) -> Iterator[int]:

@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .groupbfs import component_roots, members, sweep
+from .groupbfs import component_roots, members, sweep, upper_edges
 from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import IdealLabel, RingSpec, chain_sizes, labels_comparable
 
@@ -74,7 +74,7 @@ class QuotientGraph:
         return self.rows[i].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, row in enumerate(self.rows) for j in members(row >> (i + 1) << (i + 1))]
+        return upper_edges(self.rows)
 
 
 def enumerate_classes(spec: RingSpec) -> list[ClassInfo]:

@@ -220,7 +220,7 @@ def single_bit_graphs(draw):
     """Random graphs as neighbour rows with one vertex per label group, as class graphs are.
 
     Dense draws leave few vertices unseen after the first level, so the
-    sweep steps bottom-up; sparse ones keep it on the other two steps.
+    sweep steps bottom-up; sparse ones keep it on top-down steps.
     """
     n = draw(st.integers(1, 40))
     density = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.95, 1.0]))

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cozero
 from cozero import report as report_mod
@@ -427,3 +431,67 @@ def test_python_dash_m_runs_the_cli():
 def test_missing_command_is_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 1
+
+
+# Each number of components with the largest value it may take, so that no
+# drawn ring has more than 625 elements: every route stays fast, and the
+# numbers stay far below the range where factoring needs rho.
+_FUZZ_VALUE_MAX = {1: 300, 2: 24, 3: 8, 4: 5}
+_FORMATS = ("plain", "json", "csv", "md")
+# Arabic-Indic and fullwidth digits, which the spec grammar's `\d` and `int` accept.
+_ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+@st.composite
+def fuzz_tokens(draw, count):
+    """`count` parameter tokens: small integers, zero, negatives, Unicode digits or junk."""
+    tokens = []
+    for _ in range(count):
+        value = str(draw(st.integers(0, _FUZZ_VALUE_MAX[count])))
+        junk = draw(st.text(st.characters(blacklist_categories=("Nd",)), max_size=3))  # no digits: no large values
+        odd = ["0", "-" + value, value.translate(_ARABIC), value.translate(_FULLWIDTH), value + ".5", junk]
+        tokens.append(draw(st.sampled_from([value] * 12 + odd)))
+    return tokens
+
+
+@st.composite
+def fuzz_argv(draw):
+    """One in-process command line: every command, every format, drawn spec or param strings."""
+    command = draw(st.sampled_from(["wiener", "compare", "classes", "export-graph", "table", "bench"]))
+    tokens = draw(st.integers(1, 4).flatmap(fuzz_tokens))
+    if command in ("table", "bench"):
+        family = draw(st.sampled_from(["zn", "fields2", "fields3", "ppprod", "zz"]))
+        params = tokens if family == "zn" else [",".join(tokens)]
+        argv = [command, family, *params]
+    else:
+        prefix = draw(st.sampled_from(["Z", "ZxZ", "ZxZ", "F", "zxz", "f", "Q", ""]))
+        spec = f"{prefix}({','.join(tokens)})"
+        argv = [command, draw(st.sampled_from([spec] * 6 + [spec[:-1], spec.replace("(", "( "), ""]))]
+    if command == "export-graph":
+        argv += ["--graph-format", draw(st.sampled_from(["dot", "edgelist"]))]
+    else:
+        argv += ["--format", draw(st.sampled_from(_FORMATS))]
+    if command == "wiener":
+        argv += ["--method", draw(st.sampled_from(["auto", "brute", "quotient", "closed"]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_argv())
+@example(["wiener", "Z(٣٦)", "--format", "json", "--method", "brute"])
+@example(["compare", "ZxZ(0,4)", "--format", "md"])
+@example(["table", "fields2", "4,-9", "--format", "csv"])
+@example(["bench", "ppprod", "2,3,4,5", "--format", "plain"])
+@example(["export-graph", "F(4,5,5,3)", "--graph-format", "edgelist"])
+def test_cli_fuzz_fails_cleanly(argv):
+    # Whatever the input, main returns a documented exit code, prints no
+    # traceback, and a failure (exit 1) prints exactly one `error:` line.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue() + err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, text)
+    assert "Traceback" not in text, argv
+    if code == 1:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, (argv, err.getvalue())

@@ -15,6 +15,7 @@ from cozero.elementgraph import (
     resolve_brute_limit,
     wiener_brute,
 )
+from cozero.groupbfs import all_sources
 from cozero.ringspec import (
     RingSpec,
     ideal_contains,
@@ -111,6 +112,20 @@ def test_brute_matches_naive_reference():
         assert report.component_count == expected["components"], spec
         assert report.vertex_count == expected["vertices"], spec
         assert report.edge_count == expected["edges"], spec
+
+
+def test_all_sources_in_blocks_matches_naive_reference():
+    # Ring graphs have label groups of many members, which blocks smaller
+    # than the vertex count cut through; SMALL_SPECS includes BOOLEAN_SPECS.
+    for spec in SMALL_SPECS:
+        expected = naive_reference(spec)
+        g = build_graph(spec)
+        for block in (1, 7, None):
+            total, eccentricity, components = all_sources(g.group_members, g.group_adjacency, block)
+            assert components == expected["components"], (spec, block)
+            if expected["status"] == "value":
+                assert total == 2 * expected["wiener"], (spec, block)
+                assert (eccentricity or None) == expected["diameter"], (spec, block)
 
 
 def test_adjacency_symmetric_irreflexive():

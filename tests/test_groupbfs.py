@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cozero.elementgraph import DEFAULT_BRUTE_LIMIT
 from cozero.groupbfs import (
     MASK_BUDGET,
-    UPDATE_CHUNK,
     all_sources,
     block_size,
     component_roots,
@@ -155,16 +154,14 @@ def test_all_sources_matches_reference_bfs(graph):
         assert all_sources(group_members, group_adjacency, block) == expected, block
 
 
-def test_all_sources_across_update_chunks():
-    # More vertices than one chunk of the in-place update: 26 groups of 11,
-    # interleaved so that chunks cut through every group, along a path of
-    # groups, with the last group isolated.
+def test_all_sources_on_interleaved_groups():
+    # 26 groups of 11 interleaved vertices along a path of groups, with the
+    # last group isolated; blocks of 100 sources split groups.
     k = 26
     group_of = [v % k for v in range(11 * k)]
     bits = [sum(1 << v for v, g in enumerate(group_of) if g == h) for h in range(k)]
     rows = [(bits[g - 1] if g else 0) | (bits[g + 1] if g < k - 2 else 0) for g in range(k - 1)] + [0]
     groups = list(zip(bits, rows))
-    assert len(group_of) > UPDATE_CHUNK
     expected = reference_summary(groups, group_of)
     assert expected[1:] == (k - 2, 12)  # diameter, and one component plus 11 isolated vertices
     group_members, group_adjacency = as_adjacency(groups)
@@ -183,18 +180,21 @@ def mask_bytes(bits):
 
 def test_block_rule_fits_the_mask_budget_at_the_brute_cap():
     # Arithmetic only: nothing of the size it bounds is allocated.  The
-    # masks alive at once are one per vertex plus one chunk of the update.
-    n = DEFAULT_BRUTE_LIMIT
-    block = block_size(n)
-    assert (n + UPDATE_CHUNK) * mask_bytes(block) <= MASK_BUDGET
+    # masks alive at once are five lists of one per group plus three, and
+    # the worst case at the brute cap is every vertex in a group of its own.
+    n = groups = DEFAULT_BRUTE_LIMIT
+    block = block_size(n, groups)
+    assert (5 * groups + 3) * mask_bytes(block) <= MASK_BUDGET
     # The block is the largest that fits, to one 30-bit digit.
-    assert (n + UPDATE_CHUNK) * mask_bytes(block + 30) > MASK_BUDGET
-    assert block == 3420
-    # Graphs the size of the acceptance sweep are searched in one block.
-    assert block_size(2000) == 2000
-    assert block_size(0) == 1
+    assert (5 * groups + 3) * mask_bytes(block + 30) > MASK_BUDGET
+    assert block == 420
+    # Graphs the size of the acceptance sweep are searched in one block,
+    # and so are rings at the cap with few label groups.
+    assert block_size(2000, 2000) == 2000
+    assert block_size(n, 100) == n
+    assert block_size(0, 0) == 1
 
 
 def test_mask_bytes_covers_the_int_and_its_list_slot():
-    for bits in (1, 29, 30, 31, 2000, 3420):
+    for bits in (1, 29, 30, 31, 420, 2000, 3420):
         assert mask_bytes(bits) >= sys.getsizeof((1 << bits) - 1) + 8
