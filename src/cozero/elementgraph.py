@@ -11,26 +11,30 @@ Because adjacency between two elements depends only on their ideal labels,
 vertices sharing a label have identical neighbor sets, so the graph is
 kept as label groups rather than as explicit adjacency lists.
 `build_graph` makes the groups from per-component label tables: a group
-takes one label per component, its members' lexicographic ranks are sums
-over the product of the per-component residue lists, and its neighbours
-come from per-component divisibility masks, with no Python loop per
-element or per pair of groups.  The element tuples and their labels are
-built only on first read of `ElementGraph.vertices` and `labels`.
-`compute_wiener` searches from every vertex in one multi-source pass over
-those groups, `groupbfs.all_sources`, where each group keeps a bitmask of
-the sources that have not reached its members.  `bfs_distances`,
-`adjacent` and `edges` read one neighbour row per vertex, built on first
-use with one row per group shared by its members; `bfs_distances` runs
-`groupbfs.sweep` on them, the one-source-at-a-time search of the quotient
-route's class graph.  Brute still performs a genuine breadth-first search
-from every vertex and assumes nothing about distances, diameter, or
-connectivity.
+takes one label per component, its size is the product of those labels'
+residue counts, and its neighbours come from per-component divisibility
+masks.  Only the label tables take a step per residue of a component;
+nothing is built per element of the ring or per pair of groups.
+Everything per element is built on first read: `keep`, which flags the
+vertices among the elements, `group_members`, the vertex numbers of each
+group, and the element tuples and labels of `vertices` and `labels`.
+`compute_wiener` reads only the group sizes and neighbours: it searches
+from every vertex in one multi-source pass over the groups,
+`groupbfs.all_sources`, where each group keeps a bitmask of the sources
+that have not reached its members, and takes the edge count from the
+search's first level.  `bfs_distances`, `adjacent` and `edges` read one
+neighbour row per vertex, built on first use with one row per group
+shared by its members; `bfs_distances` runs `groupbfs.sweep` on them, the
+one-source-at-a-time search of the quotient route's class graph.  Brute
+still performs a genuine breadth-first search from every vertex and
+assumes nothing about distances, diameter, or connectivity.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from functools import cached_property, reduce
 from itertools import accumulate, compress, groupby, islice, product, repeat
 from math import gcd, prod
@@ -80,28 +84,27 @@ class ElementGraph:
 
     Vertices are element tuples in lexicographic order.  Adjacency is kept
     per label group: `group_keys[g]` lists the distinct ideal labels,
-    `group_members[g]` the vertex indices carrying each label, and
+    `group_sizes[g]` the number of vertices carrying each label, and
     `group_adjacency[g]` the groups whose labels are mutually
     non-containing with it.  Two vertices are adjacent exactly when their
-    groups are, and never within one group.  `vertices` and `labels` are
-    built on first read from `keep`, whose byte r is 1 when the element of
-    lexicographic rank r is a vertex; the searches never read them.
+    groups are, and never within one group.  The searches read only these
+    and `vertex_count`.  What is per element is built on first read from
+    the per-component label tables: `keep`, whose byte r is 1 when the
+    element of lexicographic rank r is a vertex, `group_members[g]`, the
+    vertex indices carrying group g's label, and `vertices` and `labels`.
     """
 
     def __init__(
         self,
         spec: RingSpec,
-        keep: bytes,
-        vertex_count: int,
         group_keys: list[IdealLabel],
-        group_members: list[list[int]],
+        group_sizes: list[int],
         group_adjacency: list[list[int]],
     ) -> None:
         self.spec = spec
-        self.keep = keep
-        self.vertex_count = vertex_count
+        self.vertex_count = sum(group_sizes)
         self.group_keys = group_keys
-        self.group_members = group_members
+        self.group_sizes = group_sizes
         self.group_adjacency = group_adjacency
         self._rows: list[int] | None = None
 
@@ -110,6 +113,36 @@ class ElementGraph:
             f"ElementGraph({self.spec}, vertices={self.vertex_count}, "
             f"groups={len(self.group_keys)}, edges={self.edge_count()})"
         )
+
+    @cached_property
+    def keep(self) -> bytes:
+        """Byte r is 1 when the element of lexicographic rank r is a vertex, neither zero nor a unit."""
+        # Zero is rank 0; the units are the Kronecker product of each
+        # component's "label is 1" flags.
+        units = b"\x01"
+        for c, table in zip(self.spec.components, _label_tables(self.spec)):
+            units = b"".join(map((bytes(c), bytes(map((1).__eq__, table))).__getitem__, units))
+        return b"\x00" + units[1:].translate(_FLIP)
+
+    @cached_property
+    def group_members(self) -> list[list[int]]:
+        """Each label group's vertex indices, ascending."""
+        # Each component's residues are split by label, ascending, and
+        # multiplied by the component's lexicographic stride; a group's
+        # members' ranks are the sums over the product of its labels'
+        # residue lists, and a prefix count of `keep` turns a rank into a
+        # vertex index.
+        stride = self.spec.cardinality
+        ranks_by_component = []
+        for c, table in zip(self.spec.components, _label_tables(self.spec)):
+            stride //= c
+            runs = groupby(sorted(range(c), key=table.__getitem__), table.__getitem__)
+            ranks_by_component.append([list(map(stride.__mul__, run)) for _, run in runs])
+        index = list(accumulate(self.keep, initial=0))
+        return [
+            list(map(index.__getitem__, map(sum, product(*ranks))))
+            for ranks in islice(product(*ranks_by_component), 1, len(self.group_keys) + 1)
+        ]
 
     @cached_property
     def vertices(self) -> list[tuple[int, ...]]:
@@ -124,7 +157,7 @@ class ElementGraph:
         return self._vertex_rows()[i] >> j & 1 == 1
 
     def edge_count(self) -> int:
-        sizes = list(map(len, self.group_members))
+        sizes = self.group_sizes
         pairs = sum(size * sum(map(sizes.__getitem__, neigh)) for size, neigh in zip(sizes, self.group_adjacency))
         return pairs // 2  # each edge from both ends
 
@@ -169,20 +202,17 @@ def _label_tables(spec: RingSpec) -> list[list[int]]:
 
 
 def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
-    """Enumerate all elements of the ring and assemble its cozero-divisor graph.
+    """Split the ring's elements into label groups and assemble its cozero-divisor graph.
 
-    Each component's label table (`_label_tables`) is split by label: its
-    distinct labels ascending, each with its residues already multiplied by
-    the component's lexicographic stride.  A label group takes one label
-    per component, so the product of those splits lists `group_keys` in
-    sorted order, with the unit key first and the zero key last (both
-    skipped), and the sums over each group's product of residue lists are
-    its members' lexicographic ranks.  One prefix count of `keep` turns a
-    rank into a vertex index: the zero element is rank 0, and the units are
-    the Kronecker product of each component's "label is 1" flags.  Python
-    steps run per component, per label or per group; the elements pass only
-    through C-level iterators, and `vertices` and `labels` are left to be
-    built on first read.
+    Each component's label table (`_label_tables`) is counted by label: its
+    distinct labels ascending, each with the number of residues carrying
+    it.  A label group takes one label per component, so the product of
+    the label lists gives `group_keys` in sorted order, with the unit key
+    first and the zero key last (both skipped), and the product of the
+    count lists gives each group's size.  Python steps run per component,
+    per label or per group, and only the tables and their C-level counts
+    take a step per residue; `keep`, `group_members`, `vertices` and
+    `labels` are left to be built on first read.
 
     Refuses rings with more elements than the brute-force limit (argument,
     COZERO_BRUTE_LIMIT environment variable, or the built-in default).
@@ -191,26 +221,16 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
     if spec.cardinality > cap:
         raise BruteForceLimitError(spec, spec.cardinality, cap)
 
-    stride = spec.cardinality
-    units = b"\x01"
-    labels_by_component, ranks_by_component = [], []
-    for c, table in zip(spec.components, _label_tables(spec)):
-        stride //= c
-        runs = groupby(sorted(range(c), key=table.__getitem__), table.__getitem__)
-        labels, ranks = zip(*((label, list(map(stride.__mul__, run))) for label, run in runs))
+    labels_by_component, counts_by_component = [], []
+    for table in _label_tables(spec):
+        labels, counts = zip(*sorted(Counter(table).items()))
         labels_by_component.append(labels)
-        ranks_by_component.append(ranks)
-        units = b"".join(map((bytes(c), bytes(map((1).__eq__, table))).__getitem__, units))
-    keep = b"\x00" + units[1:].translate(_FLIP)
-    index = list(accumulate(keep, initial=0))
+        counts_by_component.append(counts)
 
     group_keys = list(product(*labels_by_component))[1:-1]
-    group_members = [
-        list(map(index.__getitem__, map(sum, product(*ranks))))
-        for ranks in islice(product(*ranks_by_component), 1, len(group_keys) + 1)
-    ]
+    group_sizes = list(map(prod, product(*counts_by_component)))[1:-1]
     group_adjacency = _group_adjacency(labels_by_component)
-    return ElementGraph(spec, keep, index[-1], group_keys, group_members, group_adjacency)
+    return ElementGraph(spec, group_keys, group_sizes, group_adjacency)
 
 
 def _group_adjacency(labels_by_component: list[tuple[int, ...]]) -> list[list[int]]:
@@ -253,13 +273,15 @@ def _group_adjacency(labels_by_component: list[tuple[int, ...]]) -> list[list[in
 def compute_wiener(graph: ElementGraph) -> WienerReport:
     """Run BFS from every vertex of a built graph and aggregate the results.
 
-    One `groupbfs.all_sources` pass over the label groups gives the distance
-    total, the diameter and the component count together; its source blocks
-    keep the per-group masks within `groupbfs.MASK_BUDGET`.
+    One `groupbfs.all_sources` pass over the label groups' sizes and
+    neighbours gives the distance total, the diameter, the component count
+    and the edge count together; its source blocks keep the per-group masks
+    within `groupbfs.MASK_BUDGET`.  No member list or other per-element
+    structure is built.
     """
     t0 = time.perf_counter()
     n = graph.vertex_count
-    total, diameter, components = all_sources(graph.group_members, graph.group_adjacency)
+    total, diameter, components, edges = all_sources(graph.group_sizes, graph.group_adjacency)
     status = graph_status(n, components)
     connected = status == STATUS_VALUE
     return WienerReport(
@@ -269,7 +291,7 @@ def compute_wiener(graph: ElementGraph) -> WienerReport:
         class_count=len(graph.group_keys),
         component_count=components,
         wiener=total // 2 if connected else None,
-        edge_count=graph.edge_count(),
+        edge_count=edges,
         diameter=diameter if connected and diameter else None,
         elapsed=time.perf_counter() - t0,
     )

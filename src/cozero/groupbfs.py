@@ -70,29 +70,30 @@ def component_roots(rows: Sequence[int]) -> list[int]:
 
 
 def all_sources(
-    group_members: Sequence[Sequence[int]], group_adjacency: Sequence[Sequence[int]], block: int | None = None
-) -> tuple[int, int, int]:
-    """Search from every vertex at once: `(total, eccentricity_max, components)`.
+    group_sizes: Sequence[int], group_adjacency: Sequence[Sequence[int]], block: int | None = None
+) -> tuple[int, int, int, int]:
+    """Search from every vertex at once: `(total, eccentricity_max, components, edges)`.
 
-    `group_members[g]` lists group g's vertices, `group_adjacency[g]` its
-    neighbour groups.  `total` sums the distance over the ordered pairs of
-    vertices that reach each other; `eccentricity_max` is the largest (0
-    when no two vertices do).
+    Group g has `group_sizes[g]` vertices and neighbour groups
+    `group_adjacency[g]`; no vertex number is read.  `total` sums the
+    distance over the ordered pairs of vertices that reach each other;
+    `eccentricity_max` is the largest (0 when no two vertices do).
 
     Sources are numbered group by group and go in blocks of `block`, and
     each group keeps masks over a block's sources: `own[g]`, those in g (one
-    run of bits, so no member's vertex number is read), and `reach[g]`,
-    which starts as `own[g]` and is ORed over g's neighbour groups at each
-    level, so that at level d it holds the sources with a walk of length d
-    to g.  For d >= 1 a walk reaches all of g's members, which share their
-    neighbours, or none, so the first level d >= 1 at which s enters
-    `reach[g]` is its distance to every vertex of g but s.  `unseen[g]`
-    holds the sources not in it yet, so `cleared = reach[g] & unseen[g]`
-    are those at distance d, and the level counts |g|·|cleared| -
-    |cleared & own[g]| pairs, in O(G + E_g) big-int steps for G groups and
-    E_g adjacent group pairs.  The search stops once every pair is counted,
-    or at a level that counts none: a vertex at distance d + 1 has a
-    neighbour at distance d.
+    run of bits), and `reach[g]`, which starts as `own[g]` and is ORed over
+    g's neighbour groups at each level, so that at level d it holds the
+    sources with a walk of length d to g.  For d >= 1 a walk reaches all of
+    g's members, which share their neighbours, or none, so the first level
+    d >= 1 at which s enters `reach[g]` is its distance to every vertex of
+    g but s.  `unseen[g]` holds the sources not in it yet, so
+    `cleared = reach[g] & unseen[g]` are those at distance d, and the level
+    counts |g|·|cleared| - |cleared & own[g]| pairs, in O(G + E_g) big-int
+    steps for G groups and E_g adjacent group pairs.  The search stops once
+    every pair is counted, or at a level that counts none: a vertex at
+    distance d + 1 has a neighbour at distance d.  Level 1 counts exactly
+    the ordered adjacent pairs whose first vertex is in the block, so over
+    all blocks it counts every edge twice, and `edges` is half of it.
 
     A vertex's final mask, its group's without its own bit, is the block's
     sources outside its component: for a group with neighbours, its mask
@@ -102,11 +103,10 @@ def all_sources(
     holds its mask; each vertex of a group without neighbours is a
     component of its own.
     """
-    sizes = list(map(len, group_members))
-    n = sum(sizes)
-    block = block or block_size(n, len(sizes))
-    offsets = list(accumulate(sizes, initial=0))
-    total = eccentricity = components = 0
+    n = sum(group_sizes)
+    block = block or block_size(n, len(group_sizes))
+    offsets = list(accumulate(group_sizes, initial=0))
+    total = eccentricity = components = adjacent_pairs = 0
     for start in range(0, n, block):
         stop = min(start + block, n)
         everyone = (1 << stop - start) - 1
@@ -119,19 +119,22 @@ def all_sources(
         while left:
             reach = [reduce(or_, map(reach.__getitem__, neighbours), 0) for neighbours in group_adjacency]
             cleared = list(map(and_, reach, unseen))
-            pairs = sum(map(mul, sizes, map(int.bit_count, cleared))) - sum(map(int.bit_count, map(and_, cleared, own)))
+            pairs = sum(map(mul, group_sizes, map(int.bit_count, cleared)))
+            pairs -= sum(map(int.bit_count, map(and_, cleared, own)))
             if not pairs:
                 break
             unseen = list(map(xor, unseen, cleared))
             d += 1
             total += d * pairs
             left -= pairs
+            if d == 1:
+                adjacent_pairs += pairs
         eccentricity = max(eccentricity, d)
         outside = list(map(and_, unseen, map(invert, own)))
         lower = {mask for mask, a in zip(outside, offsets) if a < start}
         rooted = {mask for mask, sources, nb in zip(outside, own, group_adjacency) if sources and nb}
         components += len(rooted - lower) + sum(o.bit_count() for o, nb in zip(own, group_adjacency) if not nb)
-    return total, eccentricity, components
+    return total, eccentricity, components, adjacent_pairs // 2
 
 
 def block_size(n: int, groups: int) -> int:

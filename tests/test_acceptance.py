@@ -13,6 +13,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 import pytest
@@ -115,8 +116,10 @@ def _check_structure(spec: RingSpec, graph: ElementGraph) -> tuple[bool, bool, b
     qg = build_quotient_graph(spec)
     class_keys = [c.key for c in qg.classes]
     group_sizes = {k: len(m) for k, m in zip(graph.group_keys, graph.group_members)}
-    partition_ok = sorted(group_sizes) == sorted(class_keys) and all(
-        group_sizes.get(c.key) == c.size for c in qg.classes
+    partition_ok = (
+        sorted(group_sizes) == sorted(class_keys)
+        and all(group_sizes.get(c.key) == c.size for c in qg.classes)
+        and graph.group_sizes == [len(m) for m in graph.group_members]
     )
     element_edges = {
         frozenset((graph.group_keys[g], graph.group_keys[h]))
@@ -137,12 +140,22 @@ def _check_structure(spec: RingSpec, graph: ElementGraph) -> tuple[bool, bool, b
             def contains(a, b):
                 return all(y % x == 0 for x, y in zip(a, b))
 
+            # Labels repeat within a ring, so both expectations are worked
+            # out once per label pair; every vertex pair is still checked.
+            @cache
+            def independent(a, b):
+                return not contains(a, b) and not contains(b, a)
+
+            @cache
+            def joined_in_quotient(a, b):
+                return a != b and frozenset((a, b)) in quotient_edges
+
             n = len(verts)
             for i in range(n):
                 for j in range(i + 1, n):
                     a, b = labels[i], labels[j]
-                    raw = not contains(a, b) and not contains(b, a)
-                    joined = a != b and frozenset((a, b)) in quotient_edges
+                    raw = independent(a, b)
+                    joined = joined_in_quotient(a, b)
                     if graph.adjacent(i, j) != raw or joined != raw:
                         pairwise_ok = False
                     if a == b and raw:

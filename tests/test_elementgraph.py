@@ -121,8 +121,9 @@ def test_all_sources_in_blocks_matches_naive_reference():
         expected = naive_reference(spec)
         g = build_graph(spec)
         for block in (1, 7, None):
-            total, eccentricity, components = all_sources(g.group_members, g.group_adjacency, block)
+            total, eccentricity, components, edges = all_sources(g.group_sizes, g.group_adjacency, block)
             assert components == expected["components"], (spec, block)
+            assert edges == expected["edges"], (spec, block)
             if expected["status"] == "value":
                 assert total == 2 * expected["wiener"], (spec, block)
                 assert (eccentricity or None) == expected["diameter"], (spec, block)
@@ -280,6 +281,18 @@ def test_wiener_builds_no_vertices_or_labels():
         assert report.vertex_count == g.vertex_count == len(vertices), spec
         assert g.vertices == vertices, spec
         assert g.labels == labels, spec
+
+
+def test_wiener_reads_group_sizes_only():
+    # compute_wiener builds no member list and no keep flags; the sizes it
+    # reads match the member lists built on first read, and the edge count
+    # from the search's first level matches the per-group sum.
+    for spec in SMALL_SPECS:
+        g = build_graph(spec)
+        report = compute_wiener(g)
+        assert not {"group_members", "keep"} & vars(g).keys(), spec
+        assert report.edge_count == g.edge_count(), spec
+        assert g.group_sizes == [len(m) for m in g.group_members], spec
 
 
 def test_limit_resolution_order(monkeypatch):

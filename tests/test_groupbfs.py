@@ -120,14 +120,14 @@ def test_sweep_matches_reference_bfs_on_single_bit_graphs(rows):
 
 
 def as_adjacency(groups):
-    """`(group_members, group_adjacency)` of a graph given as `(member_bits, neighbour_row)` groups."""
-    group_members = [list(members(bits)) for bits, _ in groups]
+    """`(group_sizes, group_adjacency)` of a graph given as `(member_bits, neighbour_row)` groups."""
+    group_sizes = [bits.bit_count() for bits, _ in groups]
     group_adjacency = [[h for h, (bits, _) in enumerate(groups) if row & bits] for _, row in groups]
-    return group_members, group_adjacency
+    return group_sizes, group_adjacency
 
 
 def reference_summary(groups, group_of):
-    """`(total, eccentricity_max, components)` from the per-vertex queue BFS."""
+    """`(total, eccentricity_max, components, edges)` from the per-vertex queue BFS."""
     n = len(group_of)
     levels = reference_levels(vertex_rows(groups, group_of), range(n))
     reached = [1 << v for v in range(n)]
@@ -137,7 +137,9 @@ def reference_summary(groups, group_of):
     eccentricity = max((d for _, d, _ in levels), default=0)
     # A root is a vertex that no lower vertex reaches.
     components = sum(1 for v in range(n) if reached[v] & ((1 << v) - 1) == 0)
-    return total, eccentricity, components
+    # Level 1 from every source holds each edge once from either end.
+    edges = sum(bits.bit_count() for _, d, bits in levels if d == 1) // 2
+    return total, eccentricity, components, edges
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,9 +151,9 @@ def test_all_sources_matches_reference_bfs(graph):
     groups, group_of = graph
     n = len(group_of)
     expected = reference_summary(groups, group_of)
-    group_members, group_adjacency = as_adjacency(groups)
+    group_sizes, group_adjacency = as_adjacency(groups)
     for block in (1, 3, max(n, 1), None):
-        assert all_sources(group_members, group_adjacency, block) == expected, block
+        assert all_sources(group_sizes, group_adjacency, block) == expected, block
 
 
 def test_all_sources_on_interleaved_groups():
@@ -163,10 +165,12 @@ def test_all_sources_on_interleaved_groups():
     rows = [(bits[g - 1] if g else 0) | (bits[g + 1] if g < k - 2 else 0) for g in range(k - 1)] + [0]
     groups = list(zip(bits, rows))
     expected = reference_summary(groups, group_of)
-    assert expected[1:] == (k - 2, 12)  # diameter, and one component plus 11 isolated vertices
-    group_members, group_adjacency = as_adjacency(groups)
+    # The diameter, one component plus 11 isolated vertices, and 11 x 11
+    # edges between each of the path's k - 2 pairs of consecutive groups.
+    assert expected[1:] == (k - 2, 12, (k - 2) * 11 * 11)
+    group_sizes, group_adjacency = as_adjacency(groups)
     for block in (None, 100):
-        assert all_sources(group_members, group_adjacency, block) == expected
+        assert all_sources(group_sizes, group_adjacency, block) == expected
 
 
 def mask_bytes(bits):
