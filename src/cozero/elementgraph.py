@@ -12,22 +12,24 @@ vertices sharing a label have identical neighbor sets, so the graph is
 kept as label groups rather than as explicit adjacency lists.
 `build_graph` makes the groups from per-component label tables: a group
 takes one label per component, its size is the product of those labels'
-residue counts, and its neighbours come from per-component divisibility
-masks.  Only the label tables take a step per residue of a component;
-nothing is built per element of the ring or per pair of groups.
-Everything per element is built on first read: `keep`, which flags the
-vertices among the elements, `group_members`, the vertex numbers of each
-group, and the element tuples and labels of `vertices` and `labels`.
-`compute_wiener` reads only the group sizes and neighbours: it searches
-from every vertex in one multi-source pass over the groups,
+residue counts, and its neighbours are one bitmask row over the groups,
+the shape of the quotient route's `QuotientGraph.rows`, ANDed from
+per-component divisibility masks.  Only the label tables take a step per
+residue of a component; nothing is built per element of the ring or per
+pair of groups.  Everything per element is built on first read: `keep`,
+which flags the vertices among the elements, `group_members`, the vertex
+numbers of each group, and the element tuples and labels of `vertices`
+and `labels`.  `compute_wiener` reads only the group sizes and rows: it
+searches from every vertex in one multi-source pass over the groups,
 `groupbfs.all_sources`, where each group keeps a bitmask of the sources
 that have not reached its members, and takes the edge count from the
 search's first level.  `bfs_distances`, `adjacent` and `edges` read one
-neighbour row per vertex, built on first use with one row per group
-shared by its members; `bfs_distances` runs `groupbfs.sweep` on them, the
-one-source-at-a-time search of the quotient route's class graph.  Brute
-still performs a genuine breadth-first search from every vertex and
-assumes nothing about distances, diameter, or connectivity.
+neighbour row per vertex, built on first use from the group rows with one
+row per group shared by its members; `bfs_distances` runs
+`groupbfs.sweep` on them, the one-source-at-a-time search of the quotient
+route's class graph.  Brute still performs a genuine breadth-first search
+from every vertex and assumes nothing about distances, diameter, or
+connectivity.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ from .ringspec import FAMILY_Z, IdealLabel, RingSpec
 BRUTE_LIMIT_ENV = "COZERO_BRUTE_LIMIT"
 DEFAULT_BRUTE_LIMIT = 100_000
 
-# bytes.translate tables: swap the bytes 0 and 1, and map the digits "0" and "1" to them.
+# bytes.translate table: swap the bytes 0 and 1.
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BruteForceLimitError(ValueError):
@@ -84,14 +85,16 @@ class ElementGraph:
 
     Vertices are element tuples in lexicographic order.  Adjacency is kept
     per label group: `group_keys[g]` lists the distinct ideal labels,
-    `group_sizes[g]` the number of vertices carrying each label, and
-    `group_adjacency[g]` the groups whose labels are mutually
-    non-containing with it.  Two vertices are adjacent exactly when their
-    groups are, and never within one group.  The searches read only these
-    and `vertex_count`.  What is per element is built on first read from
-    the per-component label tables: `keep`, whose byte r is 1 when the
-    element of lexicographic rank r is a vertex, `group_members[g]`, the
-    vertex indices carrying group g's label, and `vertices` and `labels`.
+    `group_sizes[g]` the number of vertices carrying each label, and bit h
+    of `group_rows[g]` is set when groups g and h have mutually
+    non-containing labels.  The groups are the quotient route's classes, in
+    the same order, and `group_rows` has the shape of `QuotientGraph.rows`.
+    Two vertices are adjacent exactly when their groups are, and never
+    within one group.  The searches read only these and `vertex_count`.
+    What is per element is built on first read from the per-component
+    label tables: `keep`, whose byte r is 1 when the element of
+    lexicographic rank r is a vertex, `group_members[g]`, the vertex
+    indices carrying group g's label, and `vertices` and `labels`.
     """
 
     def __init__(
@@ -99,13 +102,13 @@ class ElementGraph:
         spec: RingSpec,
         group_keys: list[IdealLabel],
         group_sizes: list[int],
-        group_adjacency: list[list[int]],
+        group_rows: list[int],
     ) -> None:
         self.spec = spec
         self.vertex_count = sum(group_sizes)
         self.group_keys = group_keys
         self.group_sizes = group_sizes
-        self.group_adjacency = group_adjacency
+        self.group_rows = group_rows
         self._rows: list[int] | None = None
 
     def __repr__(self) -> str:
@@ -158,7 +161,7 @@ class ElementGraph:
 
     def edge_count(self) -> int:
         sizes = self.group_sizes
-        pairs = sum(size * sum(map(sizes.__getitem__, neigh)) for size, neigh in zip(sizes, self.group_adjacency))
+        pairs = sum(size * sum(map(sizes.__getitem__, members(row))) for size, row in zip(sizes, self.group_rows))
         return pairs // 2  # each edge from both ends
 
     def edges(self) -> list[tuple[int, int]]:
@@ -176,9 +179,9 @@ class ElementGraph:
                     buf[i >> 3] |= 1 << (i & 7)
                 bits.append(int.from_bytes(buf, "little"))
             rows = [0] * self.vertex_count
-            for group, neigh in zip(self.group_members, self.group_adjacency):
+            for group, group_row in zip(self.group_members, self.group_rows):
                 # Member masks are disjoint, so their sum is their union.
-                row = sum(bits[h] for h in neigh)
+                row = sum(map(bits.__getitem__, members(group_row)))
                 for i in group:
                     rows[i] = row
             self._rows = rows
@@ -209,10 +212,11 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
     it.  A label group takes one label per component, so the product of
     the label lists gives `group_keys` in sorted order, with the unit key
     first and the zero key last (both skipped), and the product of the
-    count lists gives each group's size.  Python steps run per component,
-    per label or per group, and only the tables and their C-level counts
-    take a step per residue; `keep`, `group_members`, `vertices` and
-    `labels` are left to be built on first read.
+    count lists gives each group's size.  `_group_rows` gives each group's
+    neighbour row.  Python steps run per component, per label or per
+    group, and only the tables and their C-level counts take a step per
+    residue; `keep`, `group_members`, `vertices` and `labels` are left to
+    be built on first read.
 
     Refuses rings with more elements than the brute-force limit (argument,
     COZERO_BRUTE_LIMIT environment variable, or the built-in default).
@@ -229,12 +233,12 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
 
     group_keys = list(product(*labels_by_component))[1:-1]
     group_sizes = list(map(prod, product(*counts_by_component)))[1:-1]
-    group_adjacency = _group_adjacency(labels_by_component)
-    return ElementGraph(spec, group_keys, group_sizes, group_adjacency)
+    group_rows = _group_rows(labels_by_component)
+    return ElementGraph(spec, group_keys, group_sizes, group_rows)
 
 
-def _group_adjacency(labels_by_component: list[tuple[int, ...]]) -> list[list[int]]:
-    """Each label group's neighbour groups, ascending, from per-component divisibility masks.
+def _group_rows(labels_by_component: list[tuple[int, ...]]) -> list[int]:
+    """Each label group's neighbour bitmask over the groups, from per-component divisibility masks.
 
     Label combinations are numbered in product order, and position p is
     group p - 1.  The positions whose label index at component i is j form
@@ -261,27 +265,22 @@ def _group_adjacency(labels_by_component: list[tuple[int, ...]]) -> list[list[in
         multiples_by_component.append([groups(map(not_, map(mod, labels, repeat(a)))) for a in labels])
         divisors_by_component.append([groups(map(not_, map(a.__mod__, labels))) for a in labels])
         width = block
-    # Every neighbour list holds the ints of this one list, not fresh copies.
-    shared = list(range(n))
-    adjacency = []
-    for inside, outside in islice(zip(product(*multiples_by_component), product(*divisors_by_component)), 1, n + 1):
-        row = full ^ (reduce(and_, inside) | reduce(and_, outside))
-        adjacency.append(list(compress(shared, f"{row:0{n}b}"[::-1].encode().translate(_DIGITS))))
-    return adjacency
+    masks = islice(zip(product(*multiples_by_component), product(*divisors_by_component)), 1, n + 1)
+    return [full ^ (reduce(and_, inside) | reduce(and_, outside)) for inside, outside in masks]
 
 
 def compute_wiener(graph: ElementGraph) -> WienerReport:
     """Run BFS from every vertex of a built graph and aggregate the results.
 
-    One `groupbfs.all_sources` pass over the label groups' sizes and
-    neighbours gives the distance total, the diameter, the component count
-    and the edge count together; its source blocks keep the per-group masks
+    One `groupbfs.all_sources` pass over the label groups' sizes and rows
+    gives the distance total, the diameter, the component count and the
+    edge count together; its source blocks keep the per-group masks
     within `groupbfs.MASK_BUDGET`.  No member list or other per-element
     structure is built.
     """
     t0 = time.perf_counter()
     n = graph.vertex_count
-    total, diameter, components, edges = all_sources(graph.group_sizes, graph.group_adjacency)
+    total, diameter, components, edges = all_sources(graph.group_sizes, graph.group_rows)
     status = graph_status(n, components)
     connected = status == STATUS_VALUE
     return WienerReport(

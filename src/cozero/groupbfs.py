@@ -1,24 +1,28 @@
-"""Breadth-first search for the brute and quotient routes, one search per graph shape.
+"""Breadth-first search for the brute and quotient routes, two searches over one row shape.
 
-`all_sources` searches an element graph, given as label groups whose
-vertices share their neighbours, from every vertex at once: each group
-keeps one bitmask over a block of sources (multi-source BFS, Then et al.,
-PVLDB 8(4), 2014).  `sweep` searches plain neighbour rows from one source
-after another, for the quotient route's class graph and single-source
-distances; a level steps bottom-up when fewer vertices are unseen than
-are in the frontier, and top-down otherwise (direction-optimizing BFS,
-Beamer, Asanovic and Patterson, SC 2012).
+Both read a graph as one neighbour bitmask row per vertex.  `all_sources`
+searches an element graph, given as label groups whose vertices share
+their neighbours, with one row per group, from every vertex at once: each
+group keeps one bitmask over a block of sources (multi-source BFS, Then
+et al., PVLDB 8(4), 2014).  `sweep` searches plain neighbour rows from one
+source after another, for the quotient route's class graph and
+single-source distances; a level steps bottom-up when fewer vertices are
+unseen than are in the frontier, and top-down otherwise
+(direction-optimizing BFS, Beamer, Asanovic and Patterson, SC 2012).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import accumulate, pairwise
+from itertools import accumulate, compress, pairwise
 from operator import and_, invert, mul, or_, xor
 
 # Bytes that `all_sources` lets its masks take at once (see `block_size`).
 MASK_BUDGET = 48 * 2**20
+
+# bytes.translate table: map the digits "0" and "1" to the bytes 0 and 1.
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def sweep(rows: Sequence[int], sources: Iterable[int]) -> Iterator[tuple[int, int, int]]:
@@ -70,14 +74,17 @@ def component_roots(rows: Sequence[int]) -> list[int]:
 
 
 def all_sources(
-    group_sizes: Sequence[int], group_adjacency: Sequence[Sequence[int]], block: int | None = None
+    group_sizes: Sequence[int], group_rows: Sequence[int], block: int | None = None
 ) -> tuple[int, int, int, int]:
     """Search from every vertex at once: `(total, eccentricity_max, components, edges)`.
 
-    Group g has `group_sizes[g]` vertices and neighbour groups
-    `group_adjacency[g]`; no vertex number is read.  `total` sums the
-    distance over the ordered pairs of vertices that reach each other;
-    `eccentricity_max` is the largest (0 when no two vertices do).
+    Group g has `group_sizes[g]` vertices, and `group_rows[g]` is the
+    bitmask of its neighbour groups, the shape of `QuotientGraph.rows`; no
+    vertex number is read.  `total` sums the distance over the ordered
+    pairs of vertices that reach each other; `eccentricity_max` is the
+    largest (0 when no two vertices do).  Each row is decoded once per call
+    into a string of 0/1 flag bytes, one per group, which
+    `itertools.compress` reads at C speed at every level.
 
     Sources are numbered group by group and go in blocks of `block`, and
     each group keeps masks over a block's sources: `own[g]`, those in g (one
@@ -104,8 +111,10 @@ def all_sources(
     component of its own.
     """
     n = sum(group_sizes)
-    block = block or block_size(n, len(group_sizes))
+    groups = len(group_rows)
+    block = block or block_size(n, groups)
     offsets = list(accumulate(group_sizes, initial=0))
+    flags = [f"{row:0{groups}b}"[::-1].encode().translate(_DIGITS) for row in group_rows]
     total = eccentricity = components = adjacent_pairs = 0
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -117,7 +126,7 @@ def all_sources(
         left = (n - 1) * (stop - start)
         d = 0
         while left:
-            reach = [reduce(or_, map(reach.__getitem__, neighbours), 0) for neighbours in group_adjacency]
+            reach = [reduce(or_, compress(reach, neighbours), 0) for neighbours in flags]
             cleared = list(map(and_, reach, unseen))
             pairs = sum(map(mul, group_sizes, map(int.bit_count, cleared)))
             pairs -= sum(map(int.bit_count, map(and_, cleared, own)))
@@ -132,8 +141,8 @@ def all_sources(
         eccentricity = max(eccentricity, d)
         outside = list(map(and_, unseen, map(invert, own)))
         lower = {mask for mask, a in zip(outside, offsets) if a < start}
-        rooted = {mask for mask, sources, nb in zip(outside, own, group_adjacency) if sources and nb}
-        components += len(rooted - lower) + sum(o.bit_count() for o, nb in zip(own, group_adjacency) if not nb)
+        rooted = {mask for mask, sources, row in zip(outside, own, group_rows) if sources and row}
+        components += len(rooted - lower) + sum(o.bit_count() for o, row in zip(own, group_rows) if not row)
     return total, eccentricity, components, adjacent_pairs // 2
 
 
@@ -144,6 +153,8 @@ def block_size(n: int, groups: int) -> int:
     group (`own`, `unseen`, `reach`, `cleared` and one being built) and
     three more (`everyone`, two in one OR or AND).  A mask is an 8-byte list
     slot and an int of 24 bytes plus 4 per 30-bit digit, rounded up to 16.
+    The neighbour flags that `all_sources` decodes from the rows, `groups`
+    bytes per group, do not depend on the block and sit outside the budget.
     """
     room = MASK_BUDGET // (5 * groups + 3) - 8
     fits = (room // 16 * 16 - 24) // 4 * 30

@@ -123,11 +123,16 @@ def _check_structure(spec: RingSpec, graph: ElementGraph) -> tuple[bool, bool, b
     )
     element_edges = {
         frozenset((graph.group_keys[g], graph.group_keys[h]))
-        for g, neigh in enumerate(graph.group_adjacency)
-        for h in neigh
+        for g, row in enumerate(graph.group_rows)
+        for h in range(len(graph.group_rows))
+        if row >> h & 1
     }
     quotient_edges = {frozenset((class_keys[i], class_keys[j])) for i, j in qg.edges()}
-    adjacency_ok = element_edges == quotient_edges
+    # Both routes build the class graph on their own; the group rows and
+    # the class rows are the same list, in the same order.
+    adjacency_ok = (
+        element_edges == quotient_edges and graph.group_keys == class_keys and graph.group_rows == qg.rows
+    )
 
     pairwise_ok: bool | None = None
     if graph.vertex_count <= PAIRWISE_CAP:

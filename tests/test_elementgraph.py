@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import gcd, prod
 
 import pytest
@@ -121,7 +122,7 @@ def test_all_sources_in_blocks_matches_naive_reference():
         expected = naive_reference(spec)
         g = build_graph(spec)
         for block in (1, 7, None):
-            total, eccentricity, components, edges = all_sources(g.group_sizes, g.group_adjacency, block)
+            total, eccentricity, components, edges = all_sources(g.group_sizes, g.group_rows, block)
             assert components == expected["components"], (spec, block)
             assert edges == expected["edges"], (spec, block)
             if expected["status"] == "value":
@@ -190,7 +191,7 @@ def test_negative_explicit_limit_is_rejected():
 
 
 def _elementwise_graph(spec: RingSpec):
-    """Vertices, labels, label groups and group adjacency from one element and one pair at a time."""
+    """Vertices, labels, label groups and group rows from one element and one pair at a time."""
     vertices, labels = [], []
     for element in itertools.product(*(range(c) for c in spec.components)):
         if spec.is_field_product:
@@ -203,19 +204,19 @@ def _elementwise_graph(spec: RingSpec):
         labels.append(label)
     keys = sorted(set(labels))
     groups = [[i for i, label in enumerate(labels) if label == key] for key in keys]
-    adjacency = [
-        [h for h, b in enumerate(keys) if not ideal_contains(a, b) and not ideal_contains(b, a)] for a in keys
+    rows = [
+        sum(1 << h for h, b in enumerate(keys) if not ideal_contains(a, b) and not ideal_contains(b, a)) for a in keys
     ]
-    return vertices, labels, keys, groups, adjacency
+    return vertices, labels, keys, groups, rows
 
 
 def assert_matches_elementwise(spec: RingSpec):
-    vertices, labels, keys, groups, adjacency = _elementwise_graph(spec)
+    vertices, labels, keys, groups, rows = _elementwise_graph(spec)
     g = build_graph(spec)
     assert g.vertex_count == len(vertices), spec
     assert g.group_keys == keys, spec
     assert g.group_members == groups, spec
-    assert g.group_adjacency == adjacency, spec
+    assert g.group_rows == rows, spec
     assert g.vertices == vertices, spec
     assert g.labels == labels, spec
 
@@ -293,6 +294,26 @@ def test_wiener_reads_group_sizes_only():
         assert not {"group_members", "keep"} & vars(g).keys(), spec
         assert report.edge_count == g.edge_count(), spec
         assert g.group_sizes == [len(m) for m in g.group_members], spec
+
+
+def test_brute_memory_on_f2_11():
+    # F(2)^11 has 2046 one-vertex label groups, so the build holds one
+    # 2046-bit row per group and the search one 2046-byte flag string per
+    # group plus its masks. Peaks are of Python allocations, so they do not
+    # depend on the host; a graph held as neighbour lists reads over 30 MB.
+    spec = product_of_fields((2,) * 11)
+    tracemalloc.start()
+    try:
+        graph = build_graph(spec)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        report = compute_wiener(graph)
+        search_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.wiener == 2263041
+    assert build_peak < 2 * 2**20, build_peak
+    assert search_peak < 16 * 2**20, search_peak
 
 
 def test_limit_resolution_order(monkeypatch):

@@ -120,10 +120,10 @@ def test_sweep_matches_reference_bfs_on_single_bit_graphs(rows):
 
 
 def as_adjacency(groups):
-    """`(group_sizes, group_adjacency)` of a graph given as `(member_bits, neighbour_row)` groups."""
+    """`(group_sizes, group_rows)` of a graph given as `(member_bits, neighbour_row)` groups."""
     group_sizes = [bits.bit_count() for bits, _ in groups]
-    group_adjacency = [[h for h, (bits, _) in enumerate(groups) if row & bits] for _, row in groups]
-    return group_sizes, group_adjacency
+    group_rows = [sum(1 << h for h, (bits, _) in enumerate(groups) if row & bits) for _, row in groups]
+    return group_sizes, group_rows
 
 
 def reference_summary(groups, group_of):
@@ -151,9 +151,9 @@ def test_all_sources_matches_reference_bfs(graph):
     groups, group_of = graph
     n = len(group_of)
     expected = reference_summary(groups, group_of)
-    group_sizes, group_adjacency = as_adjacency(groups)
+    group_sizes, group_rows = as_adjacency(groups)
     for block in (1, 3, max(n, 1), None):
-        assert all_sources(group_sizes, group_adjacency, block) == expected, block
+        assert all_sources(group_sizes, group_rows, block) == expected, block
 
 
 def test_all_sources_on_interleaved_groups():
@@ -168,9 +168,9 @@ def test_all_sources_on_interleaved_groups():
     # The diameter, one component plus 11 isolated vertices, and 11 x 11
     # edges between each of the path's k - 2 pairs of consecutive groups.
     assert expected[1:] == (k - 2, 12, (k - 2) * 11 * 11)
-    group_sizes, group_adjacency = as_adjacency(groups)
+    group_sizes, group_rows = as_adjacency(groups)
     for block in (None, 100):
-        assert all_sources(group_sizes, group_adjacency, block) == expected
+        assert all_sources(group_sizes, group_rows, block) == expected
 
 
 def mask_bytes(bits):
