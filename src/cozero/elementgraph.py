@@ -3,9 +3,9 @@
 The graph of a ring has one vertex per element that is neither zero nor a
 unit; two distinct vertices are adjacent exactly when neither one's
 principal ideal contains the other's.  This module materializes that graph
-from the actual elements and computes all pairwise distances by BFS from
-every single vertex, making it the ground-truth oracle the arithmetic
-routes are checked against.
+from the actual elements, independently of the quotient route's class
+enumeration, making it the ground-truth oracle the arithmetic routes are
+checked against.
 
 Because adjacency between two elements depends only on their ideal labels,
 vertices sharing a label have identical neighbor sets, so the graph is
@@ -19,17 +19,14 @@ residue of a component; nothing is built per element of the ring or per
 pair of groups.  Everything per element is built on first read: `keep`,
 which flags the vertices among the elements, `group_members`, the vertex
 numbers of each group, and the element tuples and labels of `vertices`
-and `labels`.  `compute_wiener` reads only the group sizes and rows: it
-searches from every vertex in one multi-source pass over the groups,
-`groupbfs.all_sources`, where each group keeps a bitmask of the sources
-that have not reached its members, and takes the edge count from the
-search's first level.  `bfs_distances`, `adjacent` and `edges` read one
-neighbour row per vertex, built on first use from the group rows with one
-row per group shared by its members; `bfs_distances` runs
-`groupbfs.sweep` on them, the one-source-at-a-time search of the quotient
-route's class graph.  Brute still performs a genuine breadth-first search
-from every vertex and assumes nothing about distances, diameter, or
-connectivity.
+and `labels`.  `compute_wiener` reads only the group sizes and rows, and
+hands them to `groupbfs.group_wiener`, the quotient route's pair sum,
+which also counts the edges: the members of a group share their
+neighbours and are never adjacent, so the distances between vertices
+follow from those between groups, and no search runs per vertex.
+`bfs_distances`, `adjacent` and `edges` read one neighbour row per
+vertex, built on first use from the group rows with one row per group
+shared by its members; `bfs_distances` runs `groupbfs.sweep` on them.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from itertools import accumulate, compress, groupby, islice, product, repeat
 from math import gcd, prod
 from operator import and_, mod, not_
 
-from .groupbfs import all_sources, members, sweep, upper_edges
+from .groupbfs import group_wiener, members, sweep, upper_edges
 from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec
 
@@ -270,34 +267,30 @@ def _group_rows(labels_by_component: list[tuple[int, ...]]) -> list[int]:
 
 
 def compute_wiener(graph: ElementGraph) -> WienerReport:
-    """Run BFS from every vertex of a built graph and aggregate the results.
+    """Wiener index, diameter, components and edges of a built graph, by `groupbfs.group_wiener`.
 
-    One `groupbfs.all_sources` pass over the label groups' sizes and rows
-    gives the distance total, the diameter, the component count and the
-    edge count together; its source blocks keep the per-group masks
-    within `groupbfs.MASK_BUDGET`.  No member list or other per-element
-    structure is built.
+    Only the label groups' sizes and rows are read: no member list or other
+    per-element structure is built.
     """
     t0 = time.perf_counter()
     n = graph.vertex_count
-    total, diameter, components, edges = all_sources(graph.group_sizes, graph.group_rows)
+    wiener, diameter, components, edges = group_wiener(graph.group_sizes, graph.group_rows)
     status = graph_status(n, components)
-    connected = status == STATUS_VALUE
     return WienerReport(
         status=status,
         method="brute",
         vertex_count=n,
         class_count=len(graph.group_keys),
         component_count=components,
-        wiener=total // 2 if connected else None,
+        wiener=wiener if status == STATUS_VALUE else None,
         edge_count=edges,
-        diameter=diameter if connected and diameter else None,
+        diameter=diameter or None,
         elapsed=time.perf_counter() - t0,
     )
 
 
 def wiener_brute(spec: RingSpec, limit: int | None = None) -> WienerReport:
-    """Wiener index by exhaustive element enumeration and all-sources BFS."""
+    """Wiener index of the graph built from the ring's enumerated elements."""
     return compute_wiener(build_graph(spec, limit))
 
 

@@ -1,28 +1,21 @@
-"""Breadth-first search for the brute and quotient routes, two searches over one row shape.
+"""Breadth-first search and the Wiener sum over a graph held as bitmask rows.
 
-Both read a graph as one neighbour bitmask row per vertex.  `all_sources`
-searches an element graph, given as label groups whose vertices share
-their neighbours, with one row per group, from every vertex at once: each
-group keeps one bitmask over a block of sources (multi-source BFS, Then
-et al., PVLDB 8(4), 2014).  `sweep` searches plain neighbour rows from one
-source after another, for the quotient route's class graph and
-single-source distances; a level steps bottom-up when fewer vertices are
-unseen than are in the frontier, and top-down otherwise
-(direction-optimizing BFS, Beamer, Asanovic and Patterson, SC 2012).
+`sweep` searches neighbour rows, one bitmask per vertex, from one source
+after another; a level steps bottom-up when fewer vertices are unseen than
+are in the frontier, and top-down otherwise (direction-optimizing BFS,
+Beamer, Asanovic and Patterson, SC 2012).  It is the one search: both the
+brute and the quotient route hand `group_wiener` their graph as groups of
+twins, brute's label groups or the quotient's classes, with one row per
+group, and `group_wiener` counts every pair from the group sizes and
+searches only from the groups that have a pair at distance 3 or more.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from functools import reduce
-from itertools import accumulate, compress, pairwise
-from operator import and_, invert, mul, or_, xor
-
-# Bytes that `all_sources` lets its masks take at once (see `block_size`).
-MASK_BUDGET = 48 * 2**20
-
-# bytes.translate table: map the digits "0" and "1" to the bytes 0 and 1.
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+from itertools import repeat
+from math import comb
+from operator import and_
 
 
 def sweep(rows: Sequence[int], sources: Iterable[int]) -> Iterator[tuple[int, int, int]]:
@@ -73,92 +66,54 @@ def component_roots(rows: Sequence[int]) -> list[int]:
     return roots
 
 
-def all_sources(
-    group_sizes: Sequence[int], group_rows: Sequence[int], block: int | None = None
-) -> tuple[int, int, int, int]:
-    """Search from every vertex at once: `(total, eccentricity_max, components, edges)`.
+def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, int, int]:
+    """`(wiener, diameter, components, edges)` of a graph given as groups of twins.
 
-    Group g has `group_sizes[g]` vertices, and `group_rows[g]` is the
-    bitmask of its neighbour groups, the shape of `QuotientGraph.rows`; no
-    vertex number is read.  `total` sums the distance over the ordered
-    pairs of vertices that reach each other; `eccentricity_max` is the
-    largest (0 when no two vertices do).  Each row is decoded once per call
-    into a string of 0/1 flag bytes, one per group, which
-    `itertools.compress` reads at C speed at every level.
+    Group i has `sizes[i]` vertices, and `rows[i]` is the bitmask of its
+    neighbour groups, the shape of `QuotientGraph.rows`: a vertex is
+    adjacent to every vertex of the groups in its group's row, and to none
+    of its own group, so no row holds its own bit.  No vertex number is
+    read.  A group without neighbours scatters into `sizes[i]` isolated
+    vertices, and any other component of the group graph is one component
+    of the vertices.  `wiener` and `diameter` are 0 unless there is exactly
+    one component.
 
-    Sources are numbered group by group and go in blocks of `block`, and
-    each group keeps masks over a block's sources: `own[g]`, those in g (one
-    run of bits), and `reach[g]`, which starts as `own[g]` and is ORed over
-    g's neighbour groups at each level, so that at level d it holds the
-    sources with a walk of length d to g.  For d >= 1 a walk reaches all of
-    g's members, which share their neighbours, or none, so the first level
-    d >= 1 at which s enters `reach[g]` is its distance to every vertex of
-    g but s.  `unseen[g]` holds the sources not in it yet, so
-    `cleared = reach[g] & unseen[g]` are those at distance d, and the level
-    counts |g|·|cleared| - |cleared & own[g]| pairs, in O(G + E_g) big-int
-    steps for G groups and E_g adjacent group pairs.  The search stops once
-    every pair is counted, or at a level that counts none: a vertex at
-    distance d + 1 has a neighbour at distance d.  Level 1 counts exactly
-    the ordered adjacent pairs whose first vertex is in the block, so over
-    all blocks it counts every edge twice, and `edges` is half of it.
+    Two members of one group are at distance 2 through any neighbour,
+    which gives `2 * sum_i C(sizes[i], 2)`.  Vertices in groups i < j are
+    at the groups' distance d(i, j), which splits along
+    d = 1 + [d >= 2] + sum_{t >= 3} [d >= t]:
 
-    A vertex's final mask, its group's without its own bit, is the block's
-    sources outside its component: for a group with neighbours, its mask
-    without its own sources (a group of one may stop before its source
-    walks back to it).  A component is counted in the first block that
-    holds one of its sources, as no group with a source before the block
-    holds its mask; each vertex of a group without neighbours is a
-    component of its own.
+    * every pair counts once, `(V^2 - sum s^2) / 2` for V = sum s;
+    * every non-adjacent pair of groups i < j counts once more, and the
+      pairs it weighs are not edges; it is at distance 2 when the rows of
+      i and j meet, and at 3 or more otherwise, which makes i *deep*;
+    * each pair at distance d >= 3 counts d - 2 more.  Its lower group is
+      deep, so `sweep` runs from the deep groups only, and level d of the
+      search from s weighs the frontier above s.
     """
-    n = sum(group_sizes)
-    groups = len(group_rows)
-    block = block or block_size(n, groups)
-    offsets = list(accumulate(group_sizes, initial=0))
-    flags = [f"{row:0{groups}b}"[::-1].encode().translate(_DIGITS) for row in group_rows]
-    total = eccentricity = components = adjacent_pairs = 0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        everyone = (1 << stop - start) - 1
-        # Group g's sources are offsets[g] to offsets[g + 1] - 1, cut to the block.
-        own = [(1 << max(0, min(b, stop) - max(a, start))) - 1 << max(0, a - start) for a, b in pairwise(offsets)]
-        unseen = [everyone] * len(own)
-        reach = own
-        left = (n - 1) * (stop - start)
-        d = 0
-        while left:
-            reach = [reduce(or_, compress(reach, neighbours), 0) for neighbours in flags]
-            cleared = list(map(and_, reach, unseen))
-            pairs = sum(map(mul, group_sizes, map(int.bit_count, cleared)))
-            pairs -= sum(map(int.bit_count, map(and_, cleared, own)))
-            if not pairs:
-                break
-            unseen = list(map(xor, unseen, cleared))
-            d += 1
-            total += d * pairs
-            left -= pairs
-            if d == 1:
-                adjacent_pairs += pairs
-        eccentricity = max(eccentricity, d)
-        outside = list(map(and_, unseen, map(invert, own)))
-        lower = {mask for mask, a in zip(outside, offsets) if a < start}
-        rooted = {mask for mask, sources, row in zip(outside, own, group_rows) if sources and row}
-        components += len(rooted - lower) + sum(o.bit_count() for o, row in zip(own, group_rows) if not row)
-    return total, eccentricity, components, adjacent_pairs // 2
-
-
-def block_size(n: int, groups: int) -> int:
-    """Sources per block of `all_sources` on n vertices in `groups` label groups.
-
-    All n, or as many as fit MASK_BUDGET bytes in five lists of a mask per
-    group (`own`, `unseen`, `reach`, `cleared` and one being built) and
-    three more (`everyone`, two in one OR or AND).  A mask is an 8-byte list
-    slot and an int of 24 bytes plus 4 per 30-bit digit, rounded up to 16.
-    The neighbour flags that `all_sources` decodes from the rows, `groups`
-    bytes per group, do not depend on the block and sit outside the budget.
-    """
-    room = MASK_BUDGET // (5 * groups + 3) - 8
-    fits = (room // 16 * 16 - 24) // 4 * 30
-    return max(1, min(n, fits))
+    components = sum(1 if rows[r] else sizes[r] for r in component_roots(rows))
+    connected = components == 1
+    vertex_count = sum(sizes)
+    pairs = (vertex_count * vertex_count - sum(s * s for s in sizes)) // 2
+    everyone = (1 << len(rows)) - 1
+    apart_pairs = 0
+    deep = []
+    for i, row in enumerate(rows):
+        apart = list(members(everyone >> i + 1 << i + 1 & ~row))
+        if apart:
+            apart_pairs += sizes[i] * sum(map(sizes.__getitem__, apart))
+            if connected and 0 in map(and_, repeat(row), map(rows.__getitem__, apart)):
+                deep.append(i)
+    edges = pairs - apart_pairs
+    if not connected:
+        return 0, 0, components, edges
+    wiener = pairs + apart_pairs + 2 * sum(comb(s, 2) for s in sizes)
+    diameter = 0 if vertex_count == 1 else 2 if apart_pairs or max(sizes) > 1 else 1
+    for s, d, frontier in sweep(rows, deep):
+        if d >= 3:
+            wiener += (d - 2) * sizes[s] * sum(map(sizes.__getitem__, members(frontier >> s + 1 << s + 1)))
+            diameter = max(diameter, d)
+    return wiener, diameter, components, edges
 
 
 def upper_edges(rows: Sequence[int]) -> list[tuple[int, int]]:

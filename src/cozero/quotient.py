@@ -16,15 +16,12 @@ bitmask row per class.  The rows come from per-chain order masks: a class
 carries an exponent vector with one coordinate per chain of
 `RingSpec.local_factors`, and one ANDs, per coordinate, the masks of the
 classes at most and at least as large, so no class pair is visited to
-build them.  The sum over class pairs builds no distance table: every
-pair counts once, from the sizes alone; each non-adjacent pair is visited
-once, counts once more, and is at distance 2 when the two rows meet.  A
-class with a later non-neighbour whose row it does not meet is *deep*,
-and `groupbfs.sweep` searches the rows from the deep classes only, for
-the pairs at distance 3 or more.  The status follows from the vertex and
-component counts alone; a class without neighbours scatters into `size`
-isolated vertices, and any other class component is one element-level
-component.
+build them.  The classes are groups of twins, as brute's label groups
+are, so `groupbfs.group_wiener` takes the sizes and rows to the Wiener
+index, the diameter and the component count: it builds no distance
+table, visits each non-adjacent class pair once, and searches only from
+the classes with a pair at distance 3 or more.  The status follows from
+the vertex and component counts alone.
 """
 
 from __future__ import annotations
@@ -33,9 +30,8 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass
-from math import comb
 
-from .groupbfs import component_roots, members, sweep, upper_edges
+from .groupbfs import group_wiener, members, sweep, upper_edges
 from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import IdealLabel, RingSpec, chain_sizes, labels_comparable
 
@@ -157,67 +153,20 @@ def quotient_distances(qg: QuotientGraph) -> tuple[list[list[int | None]], bool]
 
 
 def wiener_quotient(spec: RingSpec) -> WienerReport:
-    """Wiener index from class sizes and the class graph's pair distances.
-
-    Classmates sit at distance 2, which gives `2 * sum_i C(size_i, 2)`; the
-    pairs of distinct classes come from `_pair_distance_sum`, and a class
-    of two or more elements makes the diameter at least 2.
-    """
+    """Wiener index from the class sizes and the class graph, by `groupbfs.group_wiener`."""
     t0 = time.perf_counter()
     qg = build_quotient_graph(spec)
     sizes = [c.size for c in qg.classes]
     vertex_count = sum(sizes)
-    # A class without neighbours scatters into `size` isolated vertices; any
-    # other class component is one element-level component.
-    components = sum(1 if qg.rows[r] else sizes[r] for r in component_roots(qg.rows))
+    wiener, diameter, components, _ = group_wiener(sizes, qg.rows)
     status = graph_status(vertex_count, components)
-    total = diameter = 0
-    if status == STATUS_VALUE:
-        total, diameter = _pair_distance_sum(qg.rows, sizes)
-        total += 2 * sum(comb(s, 2) for s in sizes)
-        if any(s >= 2 for s in sizes):
-            diameter = max(diameter, 2)
     return WienerReport(
         status=status,
         method="quotient",
         vertex_count=vertex_count,
         class_count=len(sizes),
         component_count=components,
-        wiener=total if status == STATUS_VALUE else None,
+        wiener=wiener if status == STATUS_VALUE else None,
         diameter=diameter or None,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _pair_distance_sum(rows: list[int], sizes: list[int]) -> tuple[int, int]:
-    """`(sum_{i<j} sizes[i] * sizes[j] * d(i, j), max_{i<j} d(i, j))` over a connected graph.
-
-    `rows[i]` is vertex i's neighbour bitmask.  The sum splits along
-    d = 1 + [d >= 2] + sum_{t >= 3} [d >= t]:
-
-    * every pair counts once, `(V^2 - sum s^2) / 2` for V = sum s;
-    * every non-adjacent pair i < j counts once more; it is at distance 2
-      when the rows of i and j meet, and at 3 or more otherwise, which
-      makes i *deep*;
-    * each pair at distance d >= 3 counts d - 2 more.  Its lower vertex is
-      deep, so `sweep` runs from the deep vertices only, and level d of
-      the search from s weighs the frontier above s.
-    """
-    k = len(rows)
-    vertex_count = sum(sizes)
-    total = (vertex_count * vertex_count - sum(s * s for s in sizes)) // 2
-    diameter = 1 if k > 1 else 0
-    everyone = (1 << k) - 1
-    deep = []
-    for i, row in enumerate(rows):
-        apart = list(members(everyone >> i + 1 << i + 1 & ~row))
-        if apart:
-            total += sizes[i] * sum(map(sizes.__getitem__, apart))
-            diameter = 2
-            if 0 in map(operator.and_, itertools.repeat(row), map(rows.__getitem__, apart)):
-                deep.append(i)
-    for s, d, frontier in sweep(rows, deep):
-        if d >= 3:
-            total += (d - 2) * sizes[s] * sum(map(sizes.__getitem__, members(frontier >> s + 1 << s + 1)))
-            diameter = max(diameter, d)
-    return total, diameter

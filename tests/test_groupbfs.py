@@ -1,19 +1,10 @@
 import itertools
-import sys
 
 from conftest import reference_levels, single_bit_graphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cozero.elementgraph import DEFAULT_BRUTE_LIMIT
-from cozero.groupbfs import (
-    MASK_BUDGET,
-    all_sources,
-    block_size,
-    component_roots,
-    members,
-    sweep,
-)
+from cozero.groupbfs import component_roots, group_wiener, members, sweep
 
 # Six vertices in three label groups: {0, 1} ~ {2} form one component, and
 # the group {3, 4, 5} has no neighbours, so its vertices are isolated.
@@ -77,19 +68,20 @@ def test_members_lists_set_bits_ascending():
 
 
 @st.composite
-def group_graphs(draw):
+def group_graphs(draw, loops=True):
     """Random undirected graphs on label groups of 1-4 members each.
 
     Vertices are shuffled across groups, some groups may have no neighbours,
-    a group may neighbour itself (its members then form a clique with loops),
-    and the group graph may be disconnected.
+    with `loops` a group may neighbour itself (its members then form a
+    clique with loops), and the group graph may be disconnected.
     """
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
     labels = [g for g, size in enumerate(sizes) for _ in range(size)]
     group_of = draw(st.permutations(labels))
     k = len(sizes)
     neighbours = [set() for _ in range(k)]
-    for a, b in itertools.combinations_with_replacement(range(k), 2):
+    pairs = itertools.combinations_with_replacement if loops else itertools.combinations
+    for a, b in pairs(range(k), 2):
         if draw(st.booleans()):
             neighbours[a].add(b)
             neighbours[b].add(a)
@@ -142,23 +134,34 @@ def reference_summary(groups, group_of):
     return total, eccentricity, components, edges
 
 
+def assert_group_wiener_matches(groups, group_of, expected):
+    """`group_wiener` against `reference_summary`'s `(total, eccentricity, components, edges)`.
+
+    Components and edges are compared always; the Wiener index, half the
+    ordered-pair total, and the diameter only when the graph is connected.
+    """
+    total, eccentricity, components, edges = expected
+    wiener, diameter, *counts = group_wiener(*as_adjacency(groups))
+    assert counts == [components, edges]
+    if components == 1:
+        assert (wiener, diameter) == (total // 2, eccentricity)
+
+
 @settings(max_examples=200, deadline=None)
-@given(group_graphs())
+@given(group_graphs(loops=False))
 @example(([], []))  # no vertices
 @example(([(0b1, 0)], [0]))  # one vertex
 @example((GROUPS, GROUP_OF))  # one edge-bearing component and three isolated vertices
 def test_all_sources_matches_reference_bfs(graph):
+    # group_wiener sums over all sources at once; check it against a queue
+    # BFS from every vertex.
     groups, group_of = graph
-    n = len(group_of)
-    expected = reference_summary(groups, group_of)
-    group_sizes, group_rows = as_adjacency(groups)
-    for block in (1, 3, max(n, 1), None):
-        assert all_sources(group_sizes, group_rows, block) == expected, block
+    assert_group_wiener_matches(groups, group_of, reference_summary(groups, group_of))
 
 
 def test_all_sources_on_interleaved_groups():
     # 26 groups of 11 interleaved vertices along a path of groups, with the
-    # last group isolated; blocks of 100 sources split groups.
+    # last group isolated.
     k = 26
     group_of = [v % k for v in range(11 * k)]
     bits = [sum(1 << v for v, g in enumerate(group_of) if g == h) for h in range(k)]
@@ -168,37 +171,8 @@ def test_all_sources_on_interleaved_groups():
     # The diameter, one component plus 11 isolated vertices, and 11 x 11
     # edges between each of the path's k - 2 pairs of consecutive groups.
     assert expected[1:] == (k - 2, 12, (k - 2) * 11 * 11)
+    assert_group_wiener_matches(groups, group_of, expected)
+    # Without the isolated group the path is connected, and the isolated
+    # vertices added no distance to the total.
     group_sizes, group_rows = as_adjacency(groups)
-    for block in (None, 100):
-        assert all_sources(group_sizes, group_rows, block) == expected
-
-
-def mask_bytes(bits):
-    """Bytes a `bits`-bit mask takes in a list: the 8-byte slot plus the int object.
-
-    A CPython int is a 24-byte header and 4 bytes per 30-bit digit, rounded
-    up to 16 bytes by the allocator.
-    """
-    return 8 + -(-(24 + 4 * -(-bits // 30)) // 16) * 16
-
-
-def test_block_rule_fits_the_mask_budget_at_the_brute_cap():
-    # Arithmetic only: nothing of the size it bounds is allocated.  The
-    # masks alive at once are five lists of one per group plus three, and
-    # the worst case at the brute cap is every vertex in a group of its own.
-    n = groups = DEFAULT_BRUTE_LIMIT
-    block = block_size(n, groups)
-    assert (5 * groups + 3) * mask_bytes(block) <= MASK_BUDGET
-    # The block is the largest that fits, to one 30-bit digit.
-    assert (5 * groups + 3) * mask_bytes(block + 30) > MASK_BUDGET
-    assert block == 420
-    # Graphs the size of the acceptance sweep are searched in one block,
-    # and so are rings at the cap with few label groups.
-    assert block_size(2000, 2000) == 2000
-    assert block_size(n, 100) == n
-    assert block_size(0, 0) == 1
-
-
-def test_mask_bytes_covers_the_int_and_its_list_slot():
-    for bits in (1, 29, 30, 31, 420, 2000, 3420):
-        assert mask_bytes(bits) >= sys.getsizeof((1 << bits) - 1) + 8
+    assert group_wiener(group_sizes[:-1], group_rows[:-1]) == (expected[0] // 2, k - 2, 1, expected[3])

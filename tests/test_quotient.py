@@ -1,6 +1,6 @@
 import itertools
 import time
-from math import prod
+from math import comb, prod
 
 import pytest
 from conftest import outcome, reference_levels, single_bit_graphs
@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from cozero.closedform import wiener_closed
 from cozero.elementgraph import build_graph, wiener_brute
+from cozero.groupbfs import group_wiener
 from cozero.numtheory import divisors, euler_phi
 from cozero.quotient import (
-    _pair_distance_sum,
     build_quotient_graph,
     class_adjacent,
     enumerate_classes,
@@ -307,8 +307,13 @@ def test_classes_match_label_rule_fields(orders):
 
 
 def reference_pair_distance_sum(rows, sizes):
-    """`_pair_distance_sum` by a queue BFS from every vertex, each pair weighed from its lower end."""
-    total = diameter = 0
+    """`group_wiener`'s `(wiener, diameter)` by a queue BFS from every group, each pair weighed from its lower end.
+
+    Classmates sit at distance 2: `2 * sum C(s, 2)` of them, which makes
+    the diameter at least 2 when some size is 2 or more.
+    """
+    total = 2 * sum(comb(s, 2) for s in sizes)
+    diameter = 2 if max(sizes) > 1 else 0
     for s, d, bits in reference_levels(rows, range(len(rows))):
         total += d * sizes[s] * sum(sizes[j] for j in range(s + 1, len(rows)) if bits >> j & 1)
         diameter = max(diameter, d)
@@ -328,7 +333,12 @@ def positive_sizes(n):
 def test_pair_distance_sum_matches_reference_bfs(rows, data):
     assume(is_connected(rows))
     sizes = data.draw(positive_sizes(len(rows)))
-    assert _pair_distance_sum(rows, sizes) == reference_pair_distance_sum(rows, sizes)
+    wiener, diameter, components, _ = group_wiener(sizes, rows)
+    if len(rows) == 1:
+        # One group without neighbours: its members are isolated vertices.
+        assert components == sizes[0]
+    else:
+        assert (wiener, diameter, components) == (*reference_pair_distance_sum(rows, sizes), 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -340,21 +350,21 @@ def test_pair_distance_sum_on_paths_and_cycles(n, cycle, data):
         rows[0] |= 1 << n - 1
         rows[n - 1] |= 1
     sizes = data.draw(positive_sizes(n))
-    total, diameter = _pair_distance_sum(rows, sizes)
-    assert (total, diameter) == reference_pair_distance_sum(rows, sizes)
+    total, diameter, components, _ = group_wiener(sizes, rows)
+    assert (total, diameter, components) == (*reference_pair_distance_sum(rows, sizes), 1)
     assert diameter == (n // 2 if cycle else n - 1)
 
 
 def assert_pair_distance_sum_matches_table(spec):
-    """On a connected class graph, `_pair_distance_sum` is the size-weighted sum over `quotient_distances`' table."""
+    """On a connected class graph of two or more classes, `group_wiener` is the size-weighted sum over `quotient_distances`' table."""
     qg = build_quotient_graph(spec)
     table, connected = quotient_distances(qg)
-    if connected:
-        sizes = [c.size for c in qg.classes]
+    sizes = [c.size for c in qg.classes]
+    if connected and len(sizes) > 1:
         pairs = list(itertools.combinations(range(len(sizes)), 2))
-        total = sum(sizes[i] * sizes[j] * table[i][j] for i, j in pairs)
-        diameter = max((table[i][j] for i, j in pairs), default=0)
-        assert _pair_distance_sum(qg.rows, sizes) == (total, diameter), spec
+        total = sum(sizes[i] * sizes[j] * table[i][j] for i, j in pairs) + 2 * sum(comb(s, 2) for s in sizes)
+        diameter = max(max(table[i][j] for i, j in pairs), 2 if max(sizes) > 1 else 0)
+        assert group_wiener(sizes, qg.rows)[:3] == (total, diameter, 1), spec
 
 
 def test_pair_distance_sum_matches_distance_table_zn():
