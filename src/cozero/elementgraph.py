@@ -16,17 +16,19 @@ residue counts, and its neighbours are one bitmask row over the groups,
 the shape of the quotient route's `QuotientGraph.rows`, ANDed from
 per-component divisibility masks.  Only the label tables take a step per
 residue of a component; nothing is built per element of the ring or per
-pair of groups.  Everything per element is built on first read: `keep`,
-which flags the vertices among the elements, `group_members`, the vertex
-numbers of each group, and the element tuples and labels of `vertices`
-and `labels`.  `compute_wiener` reads only the group sizes and rows, and
-hands them to `groupbfs.group_wiener`, the quotient route's pair sum,
-which also counts the edges: the members of a group share their
-neighbours and are never adjacent, so the distances between vertices
-follow from those between groups, and no search runs per vertex.
-`bfs_distances`, `adjacent` and `edges` read one neighbour row per
-vertex, built on first use from the group rows with one row per group
-shared by its members; `bfs_distances` runs `groupbfs.sweep` on them.
+pair of groups.  Everything per element is built on first read, and rests
+on one index per vertex, `group_of`, its label group: an element is a
+vertex exactly when its label is a group key (the unit key and the zero
+key are the two that are not), so `keep` flags the vertices by their
+labels, and `vertices`, `labels`, `group_of` and `group_members` follow.
+`compute_wiener` reads only the group sizes and rows, and hands them to
+`groupbfs.group_wiener`, the quotient route's pair sum, which also counts
+the edges: the members of a group share their neighbours and are never
+adjacent, so the distances between vertices follow from those between
+groups, and no search runs per vertex.  `adjacent` reads one bit of a
+group row.  `bfs_distances` and `edges` read one neighbour row per vertex,
+built on first use with one row per group shared by its members;
+`bfs_distances` runs `groupbfs.sweep` on them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import os
 import time
 from collections import Counter
 from functools import cached_property, reduce
-from itertools import accumulate, compress, groupby, islice, product, repeat
+from itertools import compress, islice, product, repeat
 from math import gcd, prod
 from operator import and_, mod, not_
 
@@ -45,9 +47,6 @@ from .ringspec import FAMILY_Z, IdealLabel, RingSpec
 
 BRUTE_LIMIT_ENV = "COZERO_BRUTE_LIMIT"
 DEFAULT_BRUTE_LIMIT = 100_000
-
-# bytes.translate table: swap the bytes 0 and 1.
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class BruteForceLimitError(ValueError):
@@ -90,8 +89,9 @@ class ElementGraph:
     within one group.  The searches read only these and `vertex_count`.
     What is per element is built on first read from the per-component
     label tables: `keep`, whose byte r is 1 when the element of
-    lexicographic rank r is a vertex, `group_members[g]`, the vertex
-    indices carrying group g's label, and `vertices` and `labels`.
+    lexicographic rank r is a vertex, `vertices` and `labels`,
+    `group_of[i]`, the group of vertex i, and `group_members[g]`, the
+    vertex indices of group g.
     """
 
     def __init__(
@@ -106,7 +106,6 @@ class ElementGraph:
         self.group_keys = group_keys
         self.group_sizes = group_sizes
         self.group_rows = group_rows
-        self._rows: list[int] | None = None
 
     def __repr__(self) -> str:
         return (
@@ -117,32 +116,8 @@ class ElementGraph:
     @cached_property
     def keep(self) -> bytes:
         """Byte r is 1 when the element of lexicographic rank r is a vertex, neither zero nor a unit."""
-        # Zero is rank 0; the units are the Kronecker product of each
-        # component's "label is 1" flags.
-        units = b"\x01"
-        for c, table in zip(self.spec.components, _label_tables(self.spec)):
-            units = b"".join(map((bytes(c), bytes(map((1).__eq__, table))).__getitem__, units))
-        return b"\x00" + units[1:].translate(_FLIP)
-
-    @cached_property
-    def group_members(self) -> list[list[int]]:
-        """Each label group's vertex indices, ascending."""
-        # Each component's residues are split by label, ascending, and
-        # multiplied by the component's lexicographic stride; a group's
-        # members' ranks are the sums over the product of its labels'
-        # residue lists, and a prefix count of `keep` turns a rank into a
-        # vertex index.
-        stride = self.spec.cardinality
-        ranks_by_component = []
-        for c, table in zip(self.spec.components, _label_tables(self.spec)):
-            stride //= c
-            runs = groupby(sorted(range(c), key=table.__getitem__), table.__getitem__)
-            ranks_by_component.append([list(map(stride.__mul__, run)) for _, run in runs])
-        index = list(accumulate(self.keep, initial=0))
-        return [
-            list(map(index.__getitem__, map(sum, product(*ranks))))
-            for ranks in islice(product(*ranks_by_component), 1, len(self.group_keys) + 1)
-        ]
+        # Every label is a group key but the unit key and the zero key, which `build_graph` cuts.
+        return bytes(map(set(self.group_keys).__contains__, product(*_label_tables(self.spec))))
 
     @cached_property
     def vertices(self) -> list[tuple[int, ...]]:
@@ -152,9 +127,22 @@ class ElementGraph:
     def labels(self) -> list[IdealLabel]:
         return list(compress(product(*_label_tables(self.spec)), self.keep))
 
+    @cached_property
+    def group_of(self) -> list[int]:
+        """Vertex i's label group: the index of its label in `group_keys`."""
+        return list(map({key: g for g, key in enumerate(self.group_keys)}.__getitem__, self.labels))
+
+    @cached_property
+    def group_members(self) -> list[list[int]]:
+        """Each label group's vertex indices, ascending."""
+        groups: list[list[int]] = [[] for _ in self.group_keys]
+        for i, g in enumerate(self.group_of):
+            groups[g].append(i)
+        return groups
+
     def adjacent(self, i: int, j: int) -> bool:
         """True when vertices i and j share an edge (never when i == j)."""
-        return self._vertex_rows()[i] >> j & 1 == 1
+        return self.group_rows[self.group_of[i]] >> self.group_of[j] & 1 == 1
 
     def edge_count(self) -> int:
         sizes = self.group_sizes
@@ -163,32 +151,27 @@ class ElementGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) index pairs with i < j, lexicographic."""
-        return upper_edges(self._vertex_rows())
+        return upper_edges(self._vertex_rows)
 
+    @cached_property
     def _vertex_rows(self) -> list[int]:
-        """Each vertex's neighbour bitmask, built on first use; a group's members share one row."""
-        if self._rows is None:
-            nbytes = (self.vertex_count + 7) // 8
-            bits = []
-            for group in self.group_members:
-                buf = bytearray(nbytes)
-                for i in group:
-                    buf[i >> 3] |= 1 << (i & 7)
-                bits.append(int.from_bytes(buf, "little"))
-            rows = [0] * self.vertex_count
-            for group, group_row in zip(self.group_members, self.group_rows):
-                # Member masks are disjoint, so their sum is their union.
-                row = sum(map(bits.__getitem__, members(group_row)))
-                for i in group:
-                    rows[i] = row
-            self._rows = rows
-        return self._rows
+        """Each vertex's neighbour bitmask; a group's members share one row."""
+        nbytes = (self.vertex_count + 7) // 8
+        bits = []
+        for group in self.group_members:
+            buf = bytearray(nbytes)
+            for i in group:
+                buf[i >> 3] |= 1 << (i & 7)
+            bits.append(int.from_bytes(buf, "little"))
+        # Member masks are disjoint, so their sum is their union.
+        by_group = [sum(map(bits.__getitem__, members(row))) for row in self.group_rows]
+        return list(map(by_group.__getitem__, self.group_of))
 
     def bfs_distances(self, source: int) -> list[int | None]:
         """Shortest-path distances from one vertex; None where unreachable."""
         dist: list[int | None] = [None] * self.vertex_count
         dist[source] = 0
-        for _, d, frontier in sweep(self._vertex_rows(), (source,)):
+        for _, d, frontier in sweep(self._vertex_rows, (source,)):
             for v in members(frontier):
                 dist[v] = d
         return dist

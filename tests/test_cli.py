@@ -487,6 +487,9 @@ def fuzz_argv(draw):
 def test_cli_fuzz_fails_cleanly(argv):
     # Whatever the input, main returns a documented exit code, prints no
     # traceback, and a failure (exit 1) prints exactly one `error:` line.
+    # A csv answer (exit 0, or 2 for a graph without a value) has the
+    # header's width on every row; compare's table sits between two more
+    # lines, which test_csv_rows_have_the_header_width strips.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -495,3 +498,7 @@ def test_cli_fuzz_fails_cleanly(argv):
     assert "Traceback" not in text, argv
     if code == 1:
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+    csv_answer = "--format" in argv and argv[argv.index("--format") + 1] == "csv"
+    if csv_answer and code in (0, 2) and argv[0] != "compare":
+        rows = list(csv.reader(out.getvalue().splitlines()))
+        assert all(len(row) == len(rows[0]) for row in rows), (argv, out.getvalue())

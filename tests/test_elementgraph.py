@@ -205,6 +205,7 @@ def assert_matches_elementwise(spec: RingSpec):
     assert g.vertex_count == len(vertices), spec
     assert g.group_keys == keys, spec
     assert g.group_members == groups, spec
+    assert g.group_of == [keys.index(label) for label in labels], spec
     assert g.group_rows == rows, spec
     assert g.vertices == vertices, spec
     assert g.labels == labels, spec
@@ -274,15 +275,44 @@ def test_wiener_builds_no_vertices_or_labels():
 
 
 def test_wiener_reads_group_sizes_only():
-    # compute_wiener builds no member list and no keep flags; the sizes it
-    # reads match the member lists built on first read, and the edge count
-    # from the pair sum matches the per-group sum.
+    # compute_wiener builds nothing per element: no group index, member
+    # list, keep flags or vertex rows; the sizes it reads match the member
+    # lists built on first read, and the edge count from the pair sum
+    # matches the per-group sum.
     for spec in SMALL_SPECS:
         g = build_graph(spec)
         report = compute_wiener(g)
-        assert not {"group_members", "keep"} & vars(g).keys(), spec
+        assert not {"group_of", "group_members", "keep", "_vertex_rows"} & vars(g).keys(), spec
         assert report.edge_count == g.edge_count(), spec
         assert g.group_sizes == [len(m) for m in g.group_members], spec
+
+
+def test_adjacent_reads_no_vertex_rows():
+    # adjacent reads two group indices and one bit of a group row; it builds
+    # no neighbour row per vertex, which on F(2)^12 would be 4094 rows of
+    # 4094 bits. On F(2)^k an element's label ranks as its complement, so
+    # vertex i is in group V - 1 - i; complementing both ends keeps an
+    # edge, so vertices i and j are adjacent exactly when groups i and j are.
+    g = build_graph(product_of_fields((2,) * 12))
+    n = g.vertex_count
+    tracemalloc.start()
+    try:
+        for i, j in itertools.product(range(0, n, 61), range(0, n, 7)):
+            assert g.adjacent(i, j) == bool(g.group_rows[i] >> j & 1), (i, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert "_vertex_rows" not in vars(g)
+    assert g.group_of == list(range(n))[::-1]
+
+
+@pytest.mark.parametrize("spec", [product_of_integers_mod((8, 9, 25)), product_of_fields((2,) * 10)], ids=str)
+def test_edge_list_matches_the_search(spec):
+    # The acceptance sweep checks adjacency pair by pair only up to 100
+    # vertices; these lists hold 441484 and 465751 edges.
+    g = build_graph(spec)
+    assert len(g.edges()) == compute_wiener(g).edge_count == g.edge_count()
 
 
 def test_brute_memory_on_f2_11():
