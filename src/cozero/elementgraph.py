@@ -16,32 +16,32 @@ residue counts, and its neighbours are one bitmask row over the groups,
 the shape of the quotient route's `QuotientGraph.rows`, ANDed from
 per-component divisibility masks.  Only the label tables take a step per
 residue of a component; nothing is built per element of the ring or per
-pair of groups.  Everything per element is built on first read, and rests
-on one index per vertex, `group_of`, its label group: an element is a
-vertex exactly when its label is a group key (the unit key and the zero
-key are the two that are not), so `keep` flags the vertices by their
-labels, and `vertices`, `labels`, `group_of` and `group_members` follow.
-`compute_wiener` reads only the group sizes and rows, and hands them to
-`groupbfs.group_wiener`, the quotient route's pair sum, which also counts
-the edges: the members of a group share their neighbours and are never
-adjacent, so the distances between vertices follow from those between
-groups, and no search runs per vertex.  `adjacent` reads one bit of a
-group row.  `bfs_distances` and `edges` read one neighbour row per vertex,
-built on first use with one row per group shared by its members;
-`bfs_distances` runs `groupbfs.sweep` on them.
+pair of groups.  The group rows are the one graph: the members of a group
+share their neighbours and are never adjacent, so every distance and
+every edge between vertices follows from the groups.  Everything per
+element is built on first read, and rests on one index per vertex,
+`group_of`, its label group: an element is a vertex exactly when its
+label is a group key (the unit key and the zero key are the two that are
+not), so `keep` flags the vertices by their labels, and `vertices`,
+`labels`, `group_of` and `group_members` follow.  `compute_wiener` reads
+only the group sizes and rows, and hands them to `groupbfs.group_wiener`,
+the quotient route's pair sum, which also counts the edges; no search
+runs per vertex.  `adjacent` reads one bit of a group row, and `edges`
+lists, for each group, the members of the groups in its row.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_right
 from collections import Counter
 from functools import cached_property, reduce
-from itertools import compress, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from math import gcd, prod
 from operator import and_, mod, not_
 
-from .groupbfs import group_wiener, members, sweep, upper_edges
+from .groupbfs import group_wiener, members
 from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec
 
@@ -86,12 +86,13 @@ class ElementGraph:
     non-containing labels.  The groups are the quotient route's classes, in
     the same order, and `group_rows` has the shape of `QuotientGraph.rows`.
     Two vertices are adjacent exactly when their groups are, and never
-    within one group.  The searches read only these and `vertex_count`.
+    within one group.  The search reads only these and `vertex_count`.
     What is per element is built on first read from the per-component
     label tables: `keep`, whose byte r is 1 when the element of
     lexicographic rank r is a vertex, `vertices` and `labels`,
     `group_of[i]`, the group of vertex i, and `group_members[g]`, the
-    vertex indices of group g.
+    vertex indices of group g.  `adjacent` and `edges` read the group rows
+    through `group_of` and `group_members`; no row is built per vertex.
     """
 
     def __init__(
@@ -150,31 +151,14 @@ class ElementGraph:
         return pairs // 2  # each edge from both ends
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (i, j) index pairs with i < j, lexicographic."""
-        return upper_edges(self._vertex_rows)
+        """All edges as (i, j) index pairs with i < j, lexicographic.
 
-    @cached_property
-    def _vertex_rows(self) -> list[int]:
-        """Each vertex's neighbour bitmask; a group's members share one row."""
-        nbytes = (self.vertex_count + 7) // 8
-        bits = []
-        for group in self.group_members:
-            buf = bytearray(nbytes)
-            for i in group:
-                buf[i >> 3] |= 1 << (i & 7)
-            bits.append(int.from_bytes(buf, "little"))
-        # Member masks are disjoint, so their sum is their union.
-        by_group = [sum(map(bits.__getitem__, members(row))) for row in self.group_rows]
-        return list(map(by_group.__getitem__, self.group_of))
-
-    def bfs_distances(self, source: int) -> list[int | None]:
-        """Shortest-path distances from one vertex; None where unreachable."""
-        dist: list[int | None] = [None] * self.vertex_count
-        dist[source] = 0
-        for _, d, frontier in sweep(self._vertex_rows, (source,)):
-            for v in members(frontier):
-                dist[v] = d
-        return dist
+        A group's members share one neighbour list, the sorted members of
+        the groups in its row; vertex i takes the part of it past i.
+        """
+        members_of = self.group_members
+        neighbours = [sorted(chain.from_iterable(map(members_of.__getitem__, members(row)))) for row in self.group_rows]
+        return [(i, j) for i, g in enumerate(self.group_of) for j in neighbours[g][bisect_right(neighbours[g], i) :]]
 
 
 def _label_tables(spec: RingSpec) -> list[list[int]]:

@@ -62,14 +62,11 @@ def pytest_runtest_call(item):
     pytest.fail(f"test ran past {TEST_TIME_LIMIT_S} s; stopped at:\n{stack}", pytrace=False)
 
 
-def naive_reference(spec: RingSpec) -> dict:
-    """Fully independent reimplementation of the element-level computation.
+def naive_adjacency(spec: RingSpec) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
+    """Vertices, neighbour lists and edge count, from one element and one pair at a time.
 
-    Enumerates elements, labels them with its own gcd logic, builds an
-    explicit pairwise adjacency matrix from mutual ideal non-containment,
-    and runs a plain queue BFS from every vertex.  Only usable for small
-    rings; exists so the package's brute force is itself checked against
-    something dumber.
+    Enumerates elements, labels them with its own gcd logic, and builds an
+    explicit pairwise adjacency from mutual ideal non-containment.
     """
     comps = spec.components
     is_field = spec.is_field_product
@@ -102,6 +99,33 @@ def naive_reference(spec: RingSpec) -> dict:
                 adj[i].append(j)
                 adj[j].append(i)
                 edge_count += 1
+    return verts, adj, edge_count
+
+
+def naive_distances(spec: RingSpec, source: int) -> list[int | None]:
+    """Plain queue BFS over `naive_adjacency` from vertex `source`; None where unreachable."""
+    _, adj, _ = naive_adjacency(spec)
+    dist: list[int | None] = [None] * len(adj)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] is None:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def naive_reference(spec: RingSpec) -> dict:
+    """Fully independent reimplementation of the element-level computation.
+
+    Takes its graph from `naive_adjacency` and runs a plain queue BFS from
+    every vertex.  Only usable for small rings; exists so the package's
+    brute force is itself checked against something dumber.
+    """
+    verts, adj, edge_count = naive_adjacency(spec)
+    n = len(verts)
 
     if n == 0:
         return {"status": "empty_graph", "wiener": None, "diameter": None,

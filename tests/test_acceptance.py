@@ -18,7 +18,7 @@ from math import gcd
 
 import pytest
 
-from conftest import prime_power_multisets
+from conftest import naive_distances, prime_power_multisets
 from cozero.cli import main as cli_main
 from cozero.closedform import wiener_prime_power_product, wiener_reduced, wiener_zn
 from cozero.elementgraph import ElementGraph, build_graph, compute_wiener
@@ -295,7 +295,7 @@ def test_criterion_05_worked_product_example():
     # (2,4,3) vs (1,1,3): zero-zero-zerodivisor against unit-unit-zerodivisor,
     # and (2,2,9) vs (1,2,1): the same pattern in the middle component.
     for a, b in (((2, 4, 3), (1, 1, 3)), ((2, 2, 9), (1, 2, 1))):
-        dist = graph.bfs_distances(by_label[a][0])
+        dist = naive_distances(spec, by_label[a][0])
         assert all(dist[j] == 3 for j in by_label[b])
 
 

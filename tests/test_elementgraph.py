@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_reference
+from conftest import naive_distances, naive_reference
 from cozero.closedform import wiener_closed
 from cozero.elementgraph import (
     BruteForceLimitError,
@@ -154,15 +154,17 @@ def test_wiener_invariant_under_component_permutation():
 
 
 def test_bfs_distances_vector():
+    # Distances from conftest's element-by-element queue BFS, read at the
+    # indices of the built graph's vertices.
     g = build_graph(integers_mod(12))
     idx = {v[0]: i for i, v in enumerate(g.vertices)}
-    dist = g.bfs_distances(idx[2])
+    dist = naive_distances(integers_mod(12), idx[2])
     assert dist[idx[2]] == 0
     assert dist[idx[3]] == 1
     assert dist[idx[4]] == 2
     assert dist[idx[6]] == 3
     assert dist[idx[10]] == 2  # 10 shares the label of 2
-    assert build_graph(integers_mod(8)).bfs_distances(0) == [0, None, None]  # disconnected
+    assert naive_distances(integers_mod(8), 0) == [0, None, None]  # disconnected
 
 
 def test_limit_enforced_with_named_numbers():
@@ -201,14 +203,18 @@ def _elementwise_graph(spec: RingSpec):
 
 def assert_matches_elementwise(spec: RingSpec):
     vertices, labels, keys, groups, rows = _elementwise_graph(spec)
+    group_of = [keys.index(label) for label in labels]
     g = build_graph(spec)
     assert g.vertex_count == len(vertices), spec
     assert g.group_keys == keys, spec
     assert g.group_members == groups, spec
-    assert g.group_of == [keys.index(label) for label in labels], spec
+    assert g.group_of == group_of, spec
     assert g.group_rows == rows, spec
     assert g.vertices == vertices, spec
     assert g.labels == labels, spec
+    if len(vertices) <= 400:
+        pairs = itertools.combinations(range(len(vertices)), 2)
+        assert g.edges() == [(i, j) for i, j in pairs if rows[group_of[i]] >> group_of[j] & 1], spec
 
 
 @pytest.mark.parametrize(
@@ -228,7 +234,8 @@ def test_build_matches_elementwise_rule(spec):
     # The acceptance sweep compares vertices and labels only on graphs of at
     # most 100 vertices; these run the same comparison, and the pairwise
     # containment rule for the group adjacency, on larger rings: F(2)^8 has
-    # 254 groups and ZxZ(4,2,9,5) four components.
+    # 254 groups and ZxZ(4,2,9,5) four components. Rings of at most 400
+    # vertices also compare the edge list pair by pair.
     assert_matches_elementwise(spec)
 
 
@@ -276,13 +283,13 @@ def test_wiener_builds_no_vertices_or_labels():
 
 def test_wiener_reads_group_sizes_only():
     # compute_wiener builds nothing per element: no group index, member
-    # list, keep flags or vertex rows; the sizes it reads match the member
-    # lists built on first read, and the edge count from the pair sum
-    # matches the per-group sum.
+    # list or keep flags; the sizes it reads match the member lists built
+    # on first read, and the edge count from the pair sum matches the
+    # per-group sum.
     for spec in SMALL_SPECS:
         g = build_graph(spec)
         report = compute_wiener(g)
-        assert not {"group_of", "group_members", "keep", "_vertex_rows"} & vars(g).keys(), spec
+        assert not {"group_of", "group_members", "keep"} & vars(g).keys(), spec
         assert report.edge_count == g.edge_count(), spec
         assert g.group_sizes == [len(m) for m in g.group_members], spec
 
@@ -303,7 +310,6 @@ def test_adjacent_reads_no_vertex_rows():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
-    assert "_vertex_rows" not in vars(g)
     assert g.group_of == list(range(n))[::-1]
 
 

@@ -152,14 +152,14 @@ def assert_group_wiener_matches(groups, group_of, expected):
 @example(([], []))  # no vertices
 @example(([(0b1, 0)], [0]))  # one vertex
 @example((GROUPS, GROUP_OF))  # one edge-bearing component and three isolated vertices
-def test_all_sources_matches_reference_bfs(graph):
+def test_group_wiener_matches_reference_bfs(graph):
     # group_wiener sums over all sources at once; check it against a queue
     # BFS from every vertex.
     groups, group_of = graph
     assert_group_wiener_matches(groups, group_of, reference_summary(groups, group_of))
 
 
-def test_all_sources_on_interleaved_groups():
+def test_group_wiener_on_interleaved_groups():
     # 26 groups of 11 interleaved vertices along a path of groups, with the
     # last group isolated.
     k = 26

@@ -3,7 +3,7 @@ import time
 from math import comb, prod
 
 import pytest
-from conftest import outcome, reference_levels, single_bit_graphs
+from conftest import naive_distances, outcome, reference_levels, single_bit_graphs
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -149,7 +149,7 @@ def test_within_class_element_distance_is_two_when_connected():
             by_label.setdefault(lab, []).append(i)
         for members in by_label.values():
             if len(members) >= 2:
-                dist = graph.bfs_distances(members[0])
+                dist = naive_distances(spec, members[0])
                 assert dist[members[1]] == 2
 
 
@@ -306,7 +306,7 @@ def test_classes_match_label_rule_fields(orders):
     assert_classes_match_reference(product_of_fields(orders))
 
 
-def reference_pair_distance_sum(rows, sizes):
+def reference_group_wiener(rows, sizes):
     """`group_wiener`'s `(wiener, diameter)` by a queue BFS from every group, each pair weighed from its lower end.
 
     Classmates sit at distance 2: `2 * sum C(s, 2)` of them, which makes
@@ -330,7 +330,7 @@ def positive_sizes(n):
 
 @settings(max_examples=200, deadline=None)
 @given(single_bit_graphs(), st.data())
-def test_pair_distance_sum_matches_reference_bfs(rows, data):
+def test_group_wiener_matches_weighted_reference_bfs(rows, data):
     assume(is_connected(rows))
     sizes = data.draw(positive_sizes(len(rows)))
     wiener, diameter, components, _ = group_wiener(sizes, rows)
@@ -338,12 +338,12 @@ def test_pair_distance_sum_matches_reference_bfs(rows, data):
         # One group without neighbours: its members are isolated vertices.
         assert components == sizes[0]
     else:
-        assert (wiener, diameter, components) == (*reference_pair_distance_sum(rows, sizes), 1)
+        assert (wiener, diameter, components) == (*reference_group_wiener(rows, sizes), 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(5, 12), st.booleans(), st.data())
-def test_pair_distance_sum_on_paths_and_cycles(n, cycle, data):
+def test_group_wiener_on_paths_and_cycles(n, cycle, data):
     # Diameters up to 11, past the 3 that no ring's class graph exceeds.
     rows = [(1 << v >> 1 | 1 << v << 1) & (1 << n) - 1 for v in range(n)]
     if cycle:
@@ -351,11 +351,11 @@ def test_pair_distance_sum_on_paths_and_cycles(n, cycle, data):
         rows[n - 1] |= 1
     sizes = data.draw(positive_sizes(n))
     total, diameter, components, _ = group_wiener(sizes, rows)
-    assert (total, diameter, components) == (*reference_pair_distance_sum(rows, sizes), 1)
+    assert (total, diameter, components) == (*reference_group_wiener(rows, sizes), 1)
     assert diameter == (n // 2 if cycle else n - 1)
 
 
-def assert_pair_distance_sum_matches_table(spec):
+def assert_group_wiener_matches_table(spec):
     """On a connected class graph of two or more classes, `group_wiener` is the size-weighted sum over `quotient_distances`' table."""
     qg = build_quotient_graph(spec)
     table, connected = quotient_distances(qg)
@@ -367,17 +367,17 @@ def assert_pair_distance_sum_matches_table(spec):
         assert group_wiener(sizes, qg.rows)[:3] == (total, diameter, 1), spec
 
 
-def test_pair_distance_sum_matches_distance_table_zn():
+def test_group_wiener_matches_distance_table_zn():
     for n in range(2, 600):
-        assert_pair_distance_sum_matches_table(integers_mod(n))
+        assert_group_wiener_matches_table(integers_mod(n))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(2, 120), min_size=2, max_size=3))
-def test_pair_distance_sum_matches_distance_table_products(moduli):
+def test_group_wiener_matches_distance_table_products(moduli):
     spec = product_of_integers_mod(moduli)
     assume(class_count(spec) <= 300)
-    assert_pair_distance_sum_matches_table(spec)
+    assert_group_wiener_matches_table(spec)
 
 
 @pytest.mark.parametrize("spec", [integers_mod(3603600), product_of_integers_mod((8, 9, 16))], ids=str)
@@ -385,4 +385,4 @@ def test_rings_of_diameter_three_have_deep_classes(spec):
     # The lower class of a pair at distance 3 is deep.
     table, connected = quotient_distances(build_quotient_graph(spec))
     assert connected and max(map(max, table)) == 3
-    assert_pair_distance_sum_matches_table(spec)
+    assert_group_wiener_matches_table(spec)
