@@ -7,15 +7,31 @@ Beamer, Asanovic and Patterson, SC 2012).  It is the one search: both the
 brute and the quotient route hand `group_wiener` their graph as groups of
 twins, brute's label groups or the quotient's classes, with one row per
 group, and `group_wiener` counts every pair from the group sizes and
-searches only from the groups that have a pair at distance 3 or more.
+searches only from the groups that have a pair at distance 3 or more.  To
+find those groups it takes the second level of each group's search from a
+few hub rows first, the rows of the groups of highest degree, and tests
+only the pairs the hubs leave; it weighs a set of groups by popcounts over
+masks of the sizes, such as their bit planes, and decodes no set of groups
+to sum its sizes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from heapq import nlargest
 from itertools import repeat
 from math import comb
 from operator import and_
+
+HUBS = 16
+"""How many groups of highest degree `group_wiener` takes as hubs.
+
+Chosen from the hub curve in BENCH_hub_rows.json (0, 4, 8, 16 and 32 hubs):
+16 is the fastest on oracle_sweep's small rings, where every group of a
+graph of at most 16 is a hub with no ranking, and on Z(963761198400) and
+F(2)^14; 8 is up to 15% faster on class_graph(1) and F(2)^12, and 32 is
+faster than 16 on none.
+"""
 
 
 def sweep(rows: Sequence[int], sources: Iterable[int]) -> Iterator[tuple[int, int, int]]:
@@ -90,20 +106,46 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
     * each pair at distance d >= 3 counts d - 2 more.  Its lower group is
       deep, so `sweep` runs from the deep groups only, and level d of the
       search from s weighs the frontier above s.
+
+    The deep test covers first.  The `HUBS` groups of highest degree are
+    hubs, and a hub in i's row meets the row of every group in its own, so
+    those groups are at distance 2 from i and drop out, hub by hub until
+    none is left.  Only the non-adjacent groups that no hub in i's row
+    reaches are tested, one row AND each.  A set of groups is weighed by
+    `weigh` over the `size_planes` of the sizes.
     """
     components = sum(1 if rows[r] else sizes[r] for r in component_roots(rows))
     connected = components == 1
     vertex_count = sum(sizes)
     pairs = (vertex_count * vertex_count - sum(s * s for s in sizes)) // 2
-    everyone = (1 << len(rows)) - 1
+    k = len(rows)
+    everyone = (1 << k) - 1
+    planes = size_planes(sizes)
+    if k <= HUBS:
+        # Every group is a hub; on such small graphs ranking the groups and
+        # summing the hub bits cost more than the rest of this set-up.
+        top, hub_mask = range(k), everyone
+    else:
+        top = nlargest(HUBS, range(k), key=lambda h: rows[h].bit_count())
+        hub_mask = sum(1 << h for h in top)
+    # Each hub's bit and the groups outside its row.
+    hubs = [(1 << h, everyone & ~rows[h]) for h in top]
     apart_pairs = 0
     deep = []
     for i, row in enumerate(rows):
-        apart = list(members(everyone >> i + 1 << i + 1 & ~row))
+        apart = everyone >> i + 1 << i + 1 & ~row
         if apart:
-            apart_pairs += sizes[i] * sum(map(sizes.__getitem__, apart))
-            if connected and 0 in map(and_, repeat(row), map(rows.__getitem__, apart)):
-                deep.append(i)
+            apart_pairs += sizes[i] * weigh(apart, planes)
+            if connected:
+                need = apart
+                held = row & hub_mask
+                for bit, outside in hubs:
+                    if held & bit:
+                        need &= outside
+                        if not need:
+                            break
+                if need and 0 in map(and_, repeat(row), map(rows.__getitem__, members(need))):
+                    deep.append(i)
     edges = pairs - apart_pairs
     if not connected:
         return 0, 0, components, edges
@@ -111,9 +153,33 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
     diameter = 0 if vertex_count == 1 else 2 if apart_pairs or max(sizes) > 1 else 1
     for s, d, frontier in sweep(rows, deep):
         if d >= 3:
-            wiener += (d - 2) * sizes[s] * sum(map(sizes.__getitem__, members(frontier >> s + 1 << s + 1)))
+            wiener += (d - 2) * sizes[s] * weigh(frontier >> s + 1 << s + 1, planes)
             diameter = max(diameter, d)
     return wiener, diameter, components, edges
+
+
+def size_planes(sizes: Sequence[int]) -> list[tuple[int, int]]:
+    """`(weight, mask)` pairs such that `sizes[i]` is the sum of the weights whose mask holds bit i.
+
+    The bit planes of the sizes, weight 2^b over the groups whose size has
+    bit b set, or one mask per distinct size when that takes fewer masks,
+    as on small graphs whose sizes repeat.
+    """
+    width = max(sizes, default=0).bit_length()
+    if len(set(sizes)) < width:
+        by_size: dict[int, int] = {}
+        for i, size in enumerate(sizes):
+            by_size[size] = by_size.get(size, 0) | 1 << i
+        return list(by_size.items())
+    # One fixed-width binary string per size, the last group first; every
+    # width-th digit of the joined string is then one plane, top group first.
+    digits = "".join(map(format, reversed(sizes), repeat(f"0{width}b")))
+    return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width)]
+
+
+def weigh(mask: int, planes: Sequence[tuple[int, int]]) -> int:
+    """The sum of the sizes of the groups in `mask`, given the sizes' `size_planes`."""
+    return sum((mask & plane).bit_count() * weight for weight, plane in planes)
 
 
 def upper_edges(rows: Sequence[int]) -> list[tuple[int, int]]:

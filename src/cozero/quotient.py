@@ -19,8 +19,9 @@ classes at most and at least as large, so no class pair is visited to
 build them.  The classes are groups of twins, as brute's label groups
 are, so `groupbfs.group_wiener` takes the sizes and rows to the Wiener
 index, the diameter and the component count: it builds no distance
-table, visits each non-adjacent class pair once, and searches only from
-the classes with a pair at distance 3 or more.  The status follows from
+table, weighs each class's later non-neighbours as one bitmask, tests for
+distance 3 only the class pairs that no hub row covers, and searches only
+from the classes with a pair at distance 3 or more.  The status follows from
 the vertex and component counts alone.
 """
 

@@ -1,10 +1,11 @@
 import itertools
 
+import pytest
 from conftest import reference_levels, single_bit_graphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cozero.groupbfs import component_roots, group_wiener, members, sweep
+from cozero.groupbfs import HUBS, component_roots, group_wiener, members, size_planes, sweep, weigh
 
 # Six vertices in three label groups: {0, 1} ~ {2} form one component, and
 # the group {3, 4, 5} has no neighbours, so its vertices are isolated.
@@ -176,3 +177,74 @@ def test_group_wiener_on_interleaved_groups():
     # vertices added no distance to the total.
     group_sizes, group_rows = as_adjacency(groups)
     assert group_wiener(group_sizes[:-1], group_rows[:-1]) == (expected[0] // 2, k - 2, 1, expected[3])
+
+
+def test_group_wiener_without_pairs():
+    assert group_wiener([], []) == (0, 0, 0, 0)
+    # One group without neighbours: three isolated vertices and no edge.
+    assert group_wiener([3], [0]) == (0, 0, 3, 0)
+
+
+def single_vertex_groups(rows):
+    """`(groups, group_of)` for a graph whose every group is one vertex."""
+    return [(1 << v, row) for v, row in enumerate(rows)], list(range(len(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_bit_graphs())
+@example([(1 << 12) - 1 & ~(1 << v) for v in range(12)])  # complete graph
+@example([(1 << v >> 1 | 1 << v << 1) & (1 << 40) - 1 for v in range(40)])  # path, no hub on most pairs
+def test_group_wiener_matches_reference_bfs_with_every_size_one(rows):
+    groups, group_of = single_vertex_groups(rows)
+    assert_group_wiener_matches(groups, group_of, reference_summary(groups, group_of))
+
+
+def path_joined_to_clique(clique, path, path_first):
+    """Rows of a clique of `clique` groups with a path of `path` groups hung from one of them.
+
+    The path takes the lowest group numbers when `path_first`, so that its
+    far end is the lower group of its pairs with the clique.
+    """
+    k = clique + path
+    on_path = list(range(path)) if path_first else list(range(clique, k))
+    in_clique = [g for g in range(k) if g not in on_path]
+    rows = [0] * k
+    edges = list(itertools.combinations(in_clique, 2)) + list(itertools.pairwise([in_clique[0]] + on_path))
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return rows, on_path
+
+
+@pytest.mark.parametrize("path_first", [False, True])
+def test_group_wiener_on_a_path_joined_to_a_clique(path_first):
+    # Every hub is a clique group, so no hub is in the row of a path group
+    # past the first, and every pair at distance 3 or more is left to the
+    # per-pair test.
+    clique, path = HUBS + 4, 9
+    rows, on_path = path_joined_to_clique(clique, path, path_first)
+    degrees = [row.bit_count() for row in rows]
+    assert max(degrees[g] for g in on_path) < min(d for g, d in enumerate(degrees) if g not in on_path)
+    groups, group_of = single_vertex_groups(rows)
+    expected = reference_summary(groups, group_of)
+    assert expected[1:3] == (path + 1, 1)
+    assert_group_wiener_matches(groups, group_of, expected)
+    # The same graph with groups of 1-3 vertices.
+    sizes = [1 + v % 3 for v in range(len(rows))]
+    group_of = [g for g, size in enumerate(sizes) for _ in range(size)]
+    bits = [sum(1 << v for v, g in enumerate(group_of) if g == h) for h in range(len(rows))]
+    groups = [(bits[g], sum(bits[h] for h in members(row))) for g, row in enumerate(rows)]
+    assert as_adjacency(groups) == (sizes, rows)
+    assert_group_wiener_matches(groups, group_of, reference_summary(groups, group_of))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**70), max_size=20), st.integers(0, 2**20 - 1), st.booleans())
+def test_weigh_sums_the_sizes_in_a_mask(sizes, mask, repeated):
+    # Few distinct sizes take one mask per size; many, the bit planes.
+    if repeated:
+        sizes = [size % 3 + 100 for size in sizes]
+    mask &= (1 << len(sizes)) - 1
+    planes = size_planes(sizes)
+    assert weigh(mask, planes) == sum(sizes[i] for i in members(mask))
+    assert len(planes) <= max(sizes, default=0).bit_length()

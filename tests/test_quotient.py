@@ -215,9 +215,11 @@ def test_wiener_quotient_two_thousand_classes():
 
 
 def test_wiener_quotient_six_thousand_classes():
-    # Z(963761198400) = 2^6 3^4 5^2 7 11 13 17 19 23 has tau - 2 = 6718 classes;
-    # the visit of its ~1.8 M non-adjacent class pairs is most of the cost
-    # of this call.
+    # Z(963761198400) = 2^6 3^4 5^2 7 11 13 17 19 23 has tau - 2 = 6718 classes
+    # and ~1.8 M non-adjacent class pairs. group_wiener weighs each class's
+    # non-neighbours as one row and tests one by one only the pairs the hub
+    # rows leave, 724 of them; its per-row bitmask work over 6718-bit rows
+    # is most of the cost of this call.
     spec = integers_mod(963761198400)
     start = time.perf_counter()
     report = wiener_quotient(spec)
