@@ -3,14 +3,14 @@
 Three independent computation routes over three ring families (integers
 mod n, products of integers-mod rings, products of finite fields):
 
-* :func:`wiener_brute` materializes the graph from ring elements and runs
-  BFS from every vertex (the ground-truth oracle);
-* :func:`wiener_quotient` works on ideal-label equivalence classes with
-  arithmetic sizes and class-graph BFS distances;
+* :func:`wiener_brute` groups the ring's elements by ideal label (the
+  ground-truth oracle), and :func:`wiener_quotient` counts the same
+  classes arithmetically; both sum distances by `groupbfs.group_wiener`;
 * :func:`wiener_closed` evaluates one arithmetic formula over the ring's
   local factors, with no graph search.
 
-All three agree on every supported ring, which the test suite enforces.
+All three agree on every outcome field of their `WienerReport` on every
+supported ring, which the test suite enforces.
 Everything else is imported from its module: the per-family closed forms
 from `cozero.closedform`, the graphs and classifiers from
 `cozero.elementgraph`, `cozero.quotient` and `cozero.ringspec`, and the

@@ -20,7 +20,7 @@ from .elementgraph import (
     wiener_brute,
 )
 from .quotient import build_quotient_graph, wiener_quotient
-from .report import STATUS_DISCONNECTED, WienerReport
+from .report import OUTCOME_FIELDS, STATUS_DISCONNECTED, WienerReport
 from .ringspec import (
     FAMILY_Z,
     RingSpec,
@@ -84,10 +84,9 @@ def _run_routes(
     diffs = []
     for name, _, rep in runs[1:]:
         name0, _, base = runs[0]
-        for field in ("status", "wiener", "vertex_count", "class_count", "diameter"):
+        for field in OUTCOME_FIELDS:
             a, b = getattr(base, field), getattr(rep, field)
-            # A diameter is compared only where both routes report one.
-            if a != b and (field != "diameter" or None not in (a, b)):
+            if a != b:
                 diffs.append(f"{field}: {name0}={a} vs {name}={b}")
     return runs, diffs, skipped
 

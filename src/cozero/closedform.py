@@ -205,6 +205,7 @@ def _wiener_local(factors, t0: float) -> WienerReport:
             class_count=classes,
             component_count=vertices,
             wiener=0 if vertices == 1 else None,
+            edge_count=0,
             elapsed=time.perf_counter() - t0,
         )
 
@@ -217,7 +218,7 @@ def _wiener_local(factors, t0: float) -> WienerReport:
         # Chain pattern in this factor r: one side is zero off r, the other a
         # unit off r, and both carry zero-divisor exponents 1 <= y <= x < a at r.
         distance3 += units // s[0] * sum(s[x] * (prefix[x] - s[0]) for x in range(1, len(s) - 1))
-    twice_edges = cardinality * cardinality - (2 * below - same)
+    edges = (cardinality * cardinality - (2 * below - same)) // 2
     ordered_pairs = vertices * (vertices - 1)
     return WienerReport(
         status=STATUS_VALUE,
@@ -225,8 +226,9 @@ def _wiener_local(factors, t0: float) -> WienerReport:
         vertex_count=vertices,
         class_count=classes,
         component_count=1,
-        wiener=ordered_pairs - twice_edges // 2 + distance3,
-        diameter=3 if distance3 else 2 if twice_edges < ordered_pairs else 1,
+        wiener=ordered_pairs - edges + distance3,
+        edge_count=edges,
+        diameter=3 if distance3 else 2 if 2 * edges < ordered_pairs else 1,
         elapsed=time.perf_counter() - t0,
     )
 

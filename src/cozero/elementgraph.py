@@ -19,14 +19,10 @@ residue of a component; nothing is built per element of the ring or per
 pair of groups.  The group rows are the one graph: the members of a group
 share their neighbours and are never adjacent, so every distance and
 every edge between vertices follows from the groups.  Everything per
-element is built on first read, and rests on one index per vertex,
-`group_of`, its label group: an element is a vertex exactly when its
-label is a group key (the unit key and the zero key are the two that are
-not), so `keep` flags the vertices by their labels, and `vertices`,
-`labels`, `group_of` and `group_members` follow.  `compute_wiener` reads
-only the group sizes and rows, and hands them to `groupbfs.group_wiener`,
-the quotient route's pair sum, which also counts the edges; no search
-runs per vertex.  `adjacent` reads one bit of a group row, and `edges`
+element is built on first read (see `ElementGraph`).  `compute_wiener` reads
+only the group sizes and rows, and hands them to `groupbfs.group_report`,
+the quotient route's report builder, which also counts the edges; no
+search runs per vertex.  `adjacent` reads one bit of a group row, and `edges`
 lists, for each group, the members of the groups in its row.
 """
 
@@ -41,8 +37,8 @@ from itertools import chain, compress, islice, product, repeat
 from math import gcd, prod
 from operator import and_, mod, not_
 
-from .groupbfs import group_wiener, members
-from .report import STATUS_VALUE, WienerReport, graph_status
+from .groupbfs import group_report, members
+from .report import WienerReport
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec
 
 BRUTE_LIMIT_ENV = "COZERO_BRUTE_LIMIT"
@@ -86,7 +82,7 @@ class ElementGraph:
     non-containing labels.  The groups are the quotient route's classes, in
     the same order, and `group_rows` has the shape of `QuotientGraph.rows`.
     Two vertices are adjacent exactly when their groups are, and never
-    within one group.  The search reads only these and `vertex_count`.
+    within one group.  The search reads only the group sizes and rows.
     What is per element is built on first read from the per-component
     label tables: `keep`, whose byte r is 1 when the element of
     lexicographic rank r is a vertex, `vertices` and `labels`,
@@ -234,31 +230,18 @@ def _group_rows(labels_by_component: list[tuple[int, ...]]) -> list[int]:
 
 
 def compute_wiener(graph: ElementGraph) -> WienerReport:
-    """Wiener index, diameter, components and edges of a built graph, by `groupbfs.group_wiener`.
+    """Wiener index, diameter, components and edges of a built graph, by `groupbfs.group_report`.
 
-    Only the label groups' sizes and rows are read: no member list or other
-    per-element structure is built.
+    Reads only the groups' sizes and rows, nothing per element; `elapsed` times this search alone.
     """
-    t0 = time.perf_counter()
-    n = graph.vertex_count
-    wiener, diameter, components, edges = group_wiener(graph.group_sizes, graph.group_rows)
-    status = graph_status(n, components)
-    return WienerReport(
-        status=status,
-        method="brute",
-        vertex_count=n,
-        class_count=len(graph.group_keys),
-        component_count=components,
-        wiener=wiener if status == STATUS_VALUE else None,
-        edge_count=edges,
-        diameter=diameter or None,
-        elapsed=time.perf_counter() - t0,
-    )
+    return group_report("brute", graph.group_sizes, graph.group_rows, time.perf_counter())
 
 
 def wiener_brute(spec: RingSpec, limit: int | None = None) -> WienerReport:
-    """Wiener index of the graph built from the ring's enumerated elements."""
-    return compute_wiener(build_graph(spec, limit))
+    """Wiener index of the graph built from the ring's enumerated elements, timed with the build."""
+    t0 = time.perf_counter()
+    graph = build_graph(spec, limit)
+    return group_report("brute", graph.group_sizes, graph.group_rows, t0)
 
 
 def vertex_name(spec: RingSpec, element: tuple[int, ...]) -> str:

@@ -17,11 +17,14 @@ to sum its sizes.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterable, Iterator, Sequence
 from heapq import nlargest
 from itertools import repeat
 from math import comb
 from operator import and_
+
+from .report import STATUS_VALUE, WienerReport, graph_status
 
 HUBS = 16
 """How many groups of highest degree `group_wiener` takes as hubs.
@@ -156,6 +159,24 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
             wiener += (d - 2) * sizes[s] * weigh(frontier >> s + 1 << s + 1, planes)
             diameter = max(diameter, d)
     return wiener, diameter, components, edges
+
+
+def group_report(method: str, sizes: Sequence[int], rows: Sequence[int], t0: float) -> WienerReport:
+    """The `method` route's report on the graph of `group_wiener(sizes, rows)`, timed from `t0`."""
+    wiener, diameter, components, edges = group_wiener(sizes, rows)
+    vertex_count = sum(sizes)
+    status = graph_status(vertex_count, components)
+    return WienerReport(
+        status=status,
+        method=method,
+        vertex_count=vertex_count,
+        class_count=len(sizes),
+        component_count=components,
+        wiener=wiener if status == STATUS_VALUE else None,
+        edge_count=edges,
+        diameter=diameter or None,
+        elapsed=time.perf_counter() - t0,
+    )
 
 
 def size_planes(sizes: Sequence[int]) -> list[tuple[int, int]]:

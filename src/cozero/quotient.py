@@ -18,11 +18,11 @@ carries an exponent vector with one coordinate per chain of
 classes at most and at least as large, so no class pair is visited to
 build them.  The classes are groups of twins, as brute's label groups
 are, so `groupbfs.group_wiener` takes the sizes and rows to the Wiener
-index, the diameter and the component count: it builds no distance
+index, the diameter and the component and edge counts: it builds no distance
 table, weighs each class's later non-neighbours as one bitmask, tests for
 distance 3 only the class pairs that no hub row covers, and searches only
-from the classes with a pair at distance 3 or more.  The status follows from
-the vertex and component counts alone.
+from the classes with a pair at distance 3 or more.  `groupbfs.group_report`
+makes the report, as it does for brute.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .groupbfs import group_wiener, members, sweep, upper_edges
-from .report import STATUS_VALUE, WienerReport, graph_status
+from .groupbfs import group_report, members, sweep, upper_edges
+from .report import WienerReport
 from .ringspec import IdealLabel, RingSpec, chain_sizes, labels_comparable
 
 
@@ -154,20 +154,7 @@ def quotient_distances(qg: QuotientGraph) -> tuple[list[list[int | None]], bool]
 
 
 def wiener_quotient(spec: RingSpec) -> WienerReport:
-    """Wiener index from the class sizes and the class graph, by `groupbfs.group_wiener`."""
+    """Wiener index from the class sizes and the class graph, by `groupbfs.group_report`."""
     t0 = time.perf_counter()
     qg = build_quotient_graph(spec)
-    sizes = [c.size for c in qg.classes]
-    vertex_count = sum(sizes)
-    wiener, diameter, components, _ = group_wiener(sizes, qg.rows)
-    status = graph_status(vertex_count, components)
-    return WienerReport(
-        status=status,
-        method="quotient",
-        vertex_count=vertex_count,
-        class_count=len(sizes),
-        component_count=components,
-        wiener=wiener if status == STATUS_VALUE else None,
-        diameter=diameter or None,
-        elapsed=time.perf_counter() - t0,
-    )
+    return group_report("quotient", [c.size for c in qg.classes], qg.rows, t0)

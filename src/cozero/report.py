@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from math import comb
 
 STATUS_VALUE = "value"
 STATUS_EMPTY = "empty_graph"
@@ -22,9 +23,10 @@ class WienerReport:
 
     `wiener` is present exactly when status is "value"; a disconnected
     graph deliberately carries no value because shortest paths between
-    components do not exist.  `edge_count` is reported by the element-level
-    method only, `diameter` only for connected graphs with two or more
-    vertices.  All integers are exact.
+    components do not exist.  `diameter` is present only for connected
+    graphs with two or more vertices.  All integers are exact.  Every route
+    fills every field, and two routes agree on a ring exactly when their
+    `OUTCOME_FIELDS`, all but `method` and `elapsed`, are equal.
     """
 
     status: str
@@ -50,3 +52,8 @@ class WienerReport:
             raise ValueError("a single-vertex graph has Wiener index 0")
         if self.diameter is not None and (self.status != STATUS_VALUE or self.vertex_count < 2):
             raise ValueError("diameter applies to connected graphs with >= 2 vertices only")
+        if self.edge_count is not None and not 0 <= self.edge_count <= comb(self.vertex_count, 2):
+            raise ValueError(f"edge count {self.edge_count} is outside 0..C({self.vertex_count}, 2)")
+
+
+OUTCOME_FIELDS = tuple(f.name for f in fields(WienerReport) if f.name not in ("method", "elapsed"))

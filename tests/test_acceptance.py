@@ -24,7 +24,7 @@ from cozero.closedform import wiener_prime_power_product, wiener_reduced, wiener
 from cozero.elementgraph import ElementGraph, build_graph, compute_wiener
 from cozero.numtheory import divisors, factorize
 from cozero.quotient import build_quotient_graph, wiener_quotient
-from cozero.report import WienerReport
+from cozero.report import OUTCOME_FIELDS, WienerReport
 from cozero.ringspec import (
     RingSpec,
     crt_normalize,
@@ -207,8 +207,8 @@ def sweep() -> Sweep:
     return Sweep(instances, compute_seconds)
 
 
-def _outcome(report: WienerReport) -> tuple[str, int | None]:
-    return report.status, report.wiener
+def _outcome(report: WienerReport) -> tuple:
+    return tuple(getattr(report, field) for field in OUTCOME_FIELDS)
 
 
 # --------------------------------------------------------------------------
@@ -302,14 +302,10 @@ def test_criterion_05_worked_product_example():
 def test_criterion_06_oracle_equivalence_sweep(sweep):
     assert len(sweep.instances) > 4900
     for inst in sweep.instances:
+        # Every outcome field, |E| and the component count included.
         assert _outcome(inst.brute) == _outcome(inst.quotient), inst.spec
         assert _outcome(inst.brute) == _outcome(inst.closed), inst.spec
-        assert inst.brute.vertex_count == inst.quotient.vertex_count == inst.closed.vertex_count
-        assert inst.brute.class_count == inst.quotient.class_count
-        if inst.brute.diameter is not None and inst.closed.diameter is not None:
-            assert inst.brute.diameter == inst.closed.diameter
-        if inst.brute.diameter is not None and inst.quotient.diameter is not None:
-            assert inst.brute.diameter == inst.quotient.diameter
+        assert inst.brute.edge_count is not None, inst.spec
     assert sweep.compute_seconds < 120.0, f"sweep took {sweep.compute_seconds:.1f} s"
 
 

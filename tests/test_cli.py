@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import cozero
 from cozero import report as report_mod
 from cozero.cli import main
+from cozero.closedform import wiener_closed
 from cozero.report import WienerReport
 from cozero.ringspec import parse_ring_spec
 
@@ -155,6 +157,21 @@ def test_compare_detects_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, "compare", "Z(100)")
     assert code == 3
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize("field", ["edge_count", "component_count"])
+def test_compare_checks_every_outcome_field(capsys, monkeypatch, field):
+    import cozero.cli as cli_mod
+
+    def off_by_one(spec):
+        report = wiener_closed(spec)
+        return dataclasses.replace(report, **{field: getattr(report, field) + 1})
+
+    monkeypatch.setattr(cli_mod, "wiener_closed", off_by_one)
+    code, out, _ = run(capsys, "compare", "Z(36)")
+    assert code == 3
+    mismatches = out.split("MISMATCH:\n")[1].splitlines()
+    assert [line.split(":")[0].strip() for line in mismatches] == [field]
 
 
 def test_table_zn_default_markdown(capsys):

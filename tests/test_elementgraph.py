@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from math import gcd, prod
 
@@ -376,3 +377,16 @@ def test_export_rejects_unknown_format():
 def test_compute_wiener_reuses_built_graph():
     g = build_graph(integers_mod(100))
     assert compute_wiener(g).wiener == 2954
+
+
+def test_wiener_brute_times_its_build(monkeypatch):
+    # compute_wiener times the search alone; wiener_brute's clock starts
+    # before the build, as the quotient and closed routes time theirs.
+    import cozero.elementgraph as eg
+
+    def slow_build(spec, limit=None):
+        time.sleep(0.05)
+        return build_graph(spec, limit)
+
+    monkeypatch.setattr(eg, "build_graph", slow_build)
+    assert wiener_brute(integers_mod(12)).elapsed >= 0.05
