@@ -199,8 +199,15 @@ def size_planes(sizes: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def weigh(mask: int, planes: Sequence[tuple[int, int]]) -> int:
-    """The sum of the sizes of the groups in `mask`, given the sizes' `size_planes`."""
-    return sum((mask & plane).bit_count() * weight for weight, plane in planes)
+    """The sum of the sizes of the groups in `mask`, given the sizes' `size_planes`.
+
+    A plain loop: it runs once per row of `group_wiener`, over a few planes,
+    where a generator's set-up costs as much as its steps.
+    """
+    total = 0
+    for weight, plane in planes:
+        total += (mask & plane).bit_count() * weight
+    return total
 
 
 def upper_edges(rows: Sequence[int]) -> list[tuple[int, int]]:

@@ -11,26 +11,30 @@ class-graph distance.  The Wiener index is therefore
 
     2 * sum_i C(size_i, 2)  +  sum_{i<j} size_i * size_j * d(i, j)
 
-whenever the element graph is connected.  The class graph is held as one
-bitmask row per class.  The rows come from per-chain order masks: a class
-carries an exponent vector with one coordinate per chain of
-`RingSpec.local_factors`, and one ANDs, per coordinate, the masks of the
-classes at most and at least as large, so no class pair is visited to
-build them.  The classes are groups of twins, as brute's label groups
-are, so `groupbfs.group_wiener` takes the sizes and rows to the Wiener
-index, the diameter and the component and edge counts: it builds no distance
-table, weighs each class's later non-neighbours as one bitmask, tests for
-distance 3 only the class pairs that no hub row covers, and searches only
-from the classes with a pair at distance 3 or more.  `groupbfs.group_report`
-makes the report, as it does for brute.
+whenever the element graph is connected.  `build_quotient_graph` builds
+only what that sum reads, the class sizes and one neighbour bitmask row
+per class, from per-chain order masks ANDed over whole columns of
+classes, so no class pair is visited.  The `ClassInfo` records of
+`enumerate_classes` are built only when `QuotientGraph.classes` is first
+read, as the `classes` CLI and the tests do.  The classes are
+groups of twins, as brute's label groups are, so `groupbfs.group_wiener`
+takes the sizes and rows to the Wiener index, the diameter and the
+component and edge counts: it builds no distance table, weighs each
+class's later non-neighbours as one bitmask, tests for distance 3 only
+the class pairs that no hub row covers, and searches only from the
+classes with a pair at distance 3 or more.  `groupbfs.group_report` makes
+the report, as it does for brute.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain, islice, product, repeat
+from math import prod
+from operator import and_, or_, xor
 
 from .groupbfs import group_report, members, sweep, upper_edges
 from .report import WienerReport
@@ -49,18 +53,24 @@ class ClassInfo:
 
 @dataclass
 class QuotientGraph:
-    """Classes of a ring plus adjacency between them, indexed positionally.
+    """Class sizes of a ring plus adjacency between the classes, indexed positionally.
 
-    `rows[i]` is the bitmask of the classes adjacent to class i.
+    `sizes[i]` is the element count of class i, and `rows[i]` the bitmask
+    of the classes adjacent to class i.  `classes`, the `ClassInfo` records
+    in the same order, is built on first read.
     """
 
     spec: RingSpec
-    classes: list[ClassInfo]
+    sizes: list[int]
     rows: list[int]
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
+        return len(self.sizes)
+
+    @cached_property
+    def classes(self) -> list[ClassInfo]:
+        return enumerate_classes(self.spec)
 
     @property
     def adjacency(self) -> list[list[int]]:
@@ -111,33 +121,60 @@ def class_adjacent(a: IdealLabel, b: IdealLabel) -> bool:
     return not labels_comparable(a, b)
 
 
-def _comparability_rows(spec: RingSpec, exponents: list[tuple[int, ...]]) -> list[int]:
-    """Bitmask rows of the incomparable (adjacent) classes, one per exponent vector.
-
-    Each chain of `spec.local_factors()` is one coordinate; one ideal
-    contains another exactly when its exponent is no larger in every
-    coordinate.  Per coordinate, `le[x]` (`ge[x]`) is the mask of classes
-    with exponent at most (at least) x, so ANDing them over all coordinates
-    gives the classes below (above) a class.
-    """
-    full = (1 << len(exponents)) - 1
-    below = [full] * len(exponents)
-    above = [full] * len(exponents)
-    for i, (_, a) in enumerate(spec.local_factors()):
-        at = [0] * (a + 1)
-        for j, xs in enumerate(exponents):
-            at[xs[i]] |= 1 << j
-        le = list(itertools.accumulate(at, operator.or_))
-        ge = list(itertools.accumulate(reversed(at), operator.or_))[::-1]
-        for j, xs in enumerate(exponents):
-            below[j] &= le[xs[i]]
-            above[j] &= ge[xs[i]]
-    return [full & ~(b | a) for b, a in zip(below, above)]
-
-
 def build_quotient_graph(spec: RingSpec) -> QuotientGraph:
-    classes = enumerate_classes(spec)
-    return QuotientGraph(spec, classes, _comparability_rows(spec, [c.exponents for c in classes]))
+    """The class sizes and neighbour rows of a ring, in `enumerate_classes`' order, built per chain.
+
+    Position p of the product of the components' `_component_ideals` is
+    class p - 1; the unit (first) and zero (last) positions are cut.  One
+    ideal contains another exactly when its exponent is no larger on every
+    chain of `spec.local_factors()`.  A chain's exponent column is its
+    per-ideal exponents, each repeated `block` times and the whole list
+    tiled.  The classes at exponent x are runs of `block` ones every
+    `width` bits, which one multiplication by `copies` lays down, and their
+    prefix ORs `le[x]` (`ge[x]`) hold the classes with exponent at most (at
+    least) x.  The columns of those masks, ANDed over the chains, give the
+    classes below (above) each class, itself among both, and its row is
+    every class in neither.  Python steps run per chain and per ideal of a
+    component; what runs per class is `map` over whole columns.
+    """
+    chains = [spec.chains(i) for i in range(len(spec.components))]
+    # Each component's ideal labels, sizes and exponent vectors, as three columns.
+    ideals = [list(zip(*_component_ideals(c))) for c in chains]
+    positions = prod(len(ideal_sizes) for _, ideal_sizes, _ in ideals)
+    n = positions - 2
+    full = (1 << n) - 1
+    below, above = [], []
+    width = positions
+    for (_, ideal_sizes, exponents), component_chains in zip(ideals, chains):
+        block = width // len(ideal_sizes)
+        copies = ((1 << positions) - 1) // ((1 << width) - 1)
+        run = (1 << block) - 1
+        for column, (_, a) in zip(zip(*exponents), component_chains):
+            at = [0] * (a + 1)
+            for j, x in enumerate(column):
+                at[x] |= run << j * block
+            at = [(mask * copies >> 1) & full for mask in at]
+            le = list(accumulate(at, or_))
+            ge = list(accumulate(reversed(at), or_))[::-1]
+            below.append(_tiled(le, column, block, positions // width, n))
+            above.append(_tiled(ge, column, block, positions // width, n))
+        width = block
+    meet = partial(map, and_)
+    rows = list(map(xor, repeat(full), map(or_, reduce(meet, below), reduce(meet, above))))
+    sizes = list(islice(map(prod, product(*(ideal_sizes for _, ideal_sizes, _ in ideals))), 1, n + 1))
+    return QuotientGraph(spec, sizes, rows)
+
+
+def _tiled(masks: list[int], column: tuple[int, ...], block: int, tiles: int, n: int) -> Iterator[int]:
+    """`masks[x]` for each class, x being the class's entry of an exponent column.
+
+    The column's entries are each repeated `block` times and the whole list
+    `tiles` times; positions 1..n are the classes.
+    """
+    entries = list(map(masks.__getitem__, column))
+    if block > 1:  # at block 1 this would copy `entries` unchanged
+        entries = list(chain.from_iterable(map(repeat, entries, repeat(block))))
+    return islice(entries * tiles, 1, n + 1)
 
 
 def quotient_distances(qg: QuotientGraph) -> tuple[list[list[int | None]], bool]:
@@ -157,4 +194,4 @@ def wiener_quotient(spec: RingSpec) -> WienerReport:
     """Wiener index from the class sizes and the class graph, by `groupbfs.group_report`."""
     t0 = time.perf_counter()
     qg = build_quotient_graph(spec)
-    return group_report("quotient", [c.size for c in qg.classes], qg.rows, t0)
+    return group_report("quotient", qg.sizes, qg.rows, t0)

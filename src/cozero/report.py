@@ -21,7 +21,8 @@ def graph_status(vertex_count: int, component_count: int) -> str:
 class WienerReport:
     """Result of one Wiener computation, by whichever method produced it.
 
-    `wiener` is present exactly when status is "value"; a disconnected
+    `status` is `graph_status(vertex_count, component_count)`.  `wiener`
+    is present exactly when status is "value"; a disconnected
     graph deliberately carries no value because shortest paths between
     components do not exist.  `diameter` is present only for connected
     graphs with two or more vertices.  All integers are exact.  Every route
@@ -42,8 +43,10 @@ class WienerReport:
     def __post_init__(self) -> None:
         if self.status not in (STATUS_VALUE, STATUS_EMPTY, STATUS_DISCONNECTED):
             raise ValueError(f"unknown status {self.status!r}")
-        if (self.status == STATUS_EMPTY) != (self.vertex_count == 0):
-            raise ValueError("empty_graph status must coincide with an empty vertex set")
+        if self.status != graph_status(self.vertex_count, self.component_count):
+            raise ValueError(
+                f"status {self.status!r} contradicts {self.vertex_count} vertices in {self.component_count} components"
+            )
         if (self.wiener is not None) != (self.status == STATUS_VALUE):
             raise ValueError("wiener value must be present exactly when status is 'value'")
         if self.wiener is not None and self.wiener < 0:

@@ -159,16 +159,25 @@ def test_compare_detects_mismatch(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
-@pytest.mark.parametrize("field", ["edge_count", "component_count"])
-def test_compare_checks_every_outcome_field(capsys, monkeypatch, field):
+@pytest.mark.parametrize(
+    "field, ring, step",
+    [
+        pytest.param("edge_count", "Z(36)", 1, id="edge_count"),
+        # A report's status must match its component count, so the planted
+        # count keeps the status: Z(27) has 8 isolated vertices, and 7
+        # components still read "disconnected".
+        pytest.param("component_count", "Z(27)", -1, id="component_count"),
+    ],
+)
+def test_compare_checks_every_outcome_field(capsys, monkeypatch, field, ring, step):
     import cozero.cli as cli_mod
 
     def off_by_one(spec):
         report = wiener_closed(spec)
-        return dataclasses.replace(report, **{field: getattr(report, field) + 1})
+        return dataclasses.replace(report, **{field: getattr(report, field) + step})
 
     monkeypatch.setattr(cli_mod, "wiener_closed", off_by_one)
-    code, out, _ = run(capsys, "compare", "Z(36)")
+    code, out, _ = run(capsys, "compare", ring)
     assert code == 3
     mismatches = out.split("MISMATCH:\n")[1].splitlines()
     assert [line.split(":")[0].strip() for line in mismatches] == [field]

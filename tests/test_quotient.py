@@ -195,6 +195,43 @@ def test_rows_match_class_adjacent_fields(orders):
     assert_rows_match_pairwise(product_of_fields(orders))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(2, 40), min_size=2, max_size=3))
+@example([12, 18])
+@example([4, 6, 9])
+def test_rows_match_brute_group_rows_on_composite_products(moduli):
+    # Composite moduli give components of several chains, whose exponent
+    # columns are tiled inside one component's block; brute builds its rows
+    # from residue label tables instead.
+    spec = product_of_integers_mod(moduli)
+    graph = build_graph(spec)
+    qg = build_quotient_graph(spec)
+    assert (qg.sizes, qg.rows) == (graph.group_sizes, graph.group_rows), moduli
+
+
+RINGS = st.one_of(
+    st.integers(2, 10**6).map(integers_mod),
+    st.lists(st.integers(2, 60), min_size=2, max_size=3).map(product_of_integers_mod),
+    st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27]), min_size=1, max_size=5).map(product_of_fields),
+)
+
+
+def test_classes_are_built_on_first_read():
+    qg = build_quotient_graph(product_of_integers_mod((12, 18)))
+    assert "classes" not in vars(qg)
+    assert qg.classes == enumerate_classes(qg.spec)
+    assert "classes" in vars(qg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RINGS)
+@example(integers_mod(2))
+def test_sizes_are_the_class_sizes(spec):
+    qg = build_quotient_graph(spec)
+    assert qg.sizes == [c.size for c in qg.classes], spec
+    assert qg.class_count == len(qg.sizes) == len(qg.rows), spec
+
+
 def test_quotient_graph_views_follow_rows():
     qg = build_quotient_graph(integers_mod(12))
     assert [c.key for c in qg.classes] == [(2,), (3,), (4,), (6,)]

@@ -1,6 +1,10 @@
+import dataclasses
+
 import pytest
 
+from cozero.closedform import wiener_closed
 from cozero.report import OUTCOME_FIELDS, WienerReport
+from cozero.ringspec import integers_mod
 
 
 def test_outcome_fields_are_every_field_but_method_and_elapsed():
@@ -30,3 +34,9 @@ def test_edge_count_outside_bounds_is_rejected(edges):
     # 22 is C(7, 2) + 1: more edges than vertex pairs.
     with pytest.raises(ValueError, match="edge count"):
         report(edges)
+
+
+def test_component_count_contradicting_the_status_is_rejected():
+    # Z(36) is connected, so its status "value" needs one component.
+    with pytest.raises(ValueError, match="contradicts"):
+        dataclasses.replace(wiener_closed(integers_mod(36)), component_count=2)
