@@ -8,18 +8,18 @@ brute and the quotient route hand `group_wiener` their graph as groups of
 twins, brute's label groups or the quotient's classes, with one row per
 group, and `group_wiener` counts every pair from the group sizes and
 searches only from the groups that have a pair at distance 3 or more.  To
-find those groups it takes the second level of each group's search from a
-few hub rows first, the rows of the groups of highest degree, and tests
-only the pairs the hubs leave; it weighs a set of groups by popcounts over
-masks of the sizes, such as their bit planes, and decodes no set of groups
-to sum its sizes.
+find those groups it covers each group's non-neighbours in three steps: a
+degree bound first (two non-adjacent groups whose degrees sum past k - 2
+share a neighbour), then a few hub rows, the rows of the groups of highest
+degree, and only the pairs both leave are tested by ANDing their rows; it
+weighs a set of groups by popcounts over masks of the sizes, such as their
+bit planes, and decodes no set of groups to sum its sizes.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from heapq import nlargest
 from itertools import repeat
 from math import comb
 from operator import and_
@@ -29,11 +29,18 @@ from .report import STATUS_VALUE, WienerReport, graph_status
 HUBS = 16
 """How many groups of highest degree `group_wiener` takes as hubs.
 
-Chosen from the hub curve in BENCH_hub_rows.json (0, 4, 8, 16 and 32 hubs):
-16 is the fastest on oracle_sweep's small rings, where every group of a
-graph of at most 16 is a hub with no ranking, and on Z(963761198400) and
-F(2)^14; 8 is up to 15% faster on class_graph(1) and F(2)^12, and 32 is
-faster than 16 on none.
+From the hub curve over 4, 8, 16 and 32 hubs, run on top of the degree
+bound (BENCH_degree_cover.json), 16 stays.  16 and 32 lead on
+oracle_sweep(7)'s small rings, where every group of a graph of at most
+HUBS is a hub with no ranking (18.2 and 18.3 ms a pass against 19.2 ms
+with 8 hubs and 20.3 ms with 4), and 16 leads on Z(963761198400) (0.129 s
+against 0.133 s with 8 and 0.140 s with 32).
+On class_graph, 8 beat 16 in all seven timings over two ring sets: by 11%
+and 24% in the first two, and by 0.6-3.5% in the five later ones of 15-25
+passes each.  That is about 1% of a class_graph ring, whose slow tail is
+the field products, where the degree bound leaves no pair to the hubs, as
+it does on F(2)^12-F(2)^14.  The curve before the degree bound is in
+BENCH_hub_rows.json.
 """
 
 
@@ -110,12 +117,24 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
       deep, so `sweep` runs from the deep groups only, and level d of the
       search from s weighs the frontier above s.
 
-    The deep test covers first.  The `HUBS` groups of highest degree are
-    hubs, and a hub in i's row meets the row of every group in its own, so
-    those groups are at distance 2 from i and drop out, hub by hub until
-    none is left.  Only the non-adjacent groups that no hub in i's row
-    reaches are tested, one row AND each.  A set of groups is weighed by
-    `weigh` over the `size_planes` of the sizes.
+    The deep test covers first, in three steps, each on what the one
+    before leaves of i's later non-neighbours:
+
+    * the degree bound: the rows of non-adjacent groups i and j lie within
+      the other k - 2 groups, so they meet when deg(i) + deg(j) > k - 2,
+      and only the groups in `partners[deg(i)]` (degree at most
+      k - 2 - deg(i)) are kept;
+    * the hubs: the `HUBS` groups of highest degree are hubs, and a hub in
+      i's row meets the row of every group in its own, so those groups are
+      at distance 2 from i and drop out, hub by hub until none is left;
+    * the pair AND: each group still left is tested by ANDing its row with
+      i's.
+
+    `rank_groups` gives the hubs and `partners` from one ranking by degree;
+    a graph of at most `HUBS` groups skips it, since with every group a hub
+    the second step alone leaves exactly the pairs whose rows do not meet.
+    A set of groups is weighed by `weigh` over the `size_planes` of the
+    sizes.
     """
     components = sum(1 if rows[r] else sizes[r] for r in component_roots(rows))
     connected = components == 1
@@ -125,11 +144,13 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
     everyone = (1 << k) - 1
     planes = size_planes(sizes)
     if k <= HUBS:
-        # Every group is a hub; on such small graphs ranking the groups and
+        # Every group is a hub, so the hubs alone leave exactly the pairs
+        # whose rows do not meet, and with no `partners` the degree bound
+        # keeps every group; on such small graphs ranking the groups and
         # summing the hub bits cost more than the rest of this set-up.
-        top, hub_mask = range(k), everyone
+        top, hub_mask, partners = range(k), everyone, {}
     else:
-        top = nlargest(HUBS, range(k), key=lambda h: rows[h].bit_count())
+        top, partners = rank_groups(rows)
         hub_mask = sum(1 << h for h in top)
     # Each hub's bit and the groups outside its row.
     hubs = [(1 << h, everyone & ~rows[h]) for h in top]
@@ -140,13 +161,14 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
         if apart:
             apart_pairs += sizes[i] * weigh(apart, planes)
             if connected:
-                need = apart
-                held = row & hub_mask
-                for bit, outside in hubs:
-                    if held & bit:
-                        need &= outside
-                        if not need:
-                            break
+                need = apart & partners.get(row.bit_count(), everyone)
+                if need:
+                    held = row & hub_mask
+                    for bit, outside in hubs:
+                        if held & bit:
+                            need &= outside
+                            if not need:
+                                break
                 if need and 0 in map(and_, repeat(row), map(rows.__getitem__, members(need))):
                     deep.append(i)
     edges = pairs - apart_pairs
@@ -159,6 +181,40 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
             wiener += (d - 2) * sizes[s] * weigh(frontier >> s + 1 << s + 1, planes)
             diameter = max(diameter, d)
     return wiener, diameter, components, edges
+
+
+def rank_groups(rows: Sequence[int]) -> tuple[list[int], dict[int, int]]:
+    """The `HUBS` groups of highest degree, and each degree's `partners` mask.
+
+    Groups are ranked by the popcounts of their rows, with ties to the lower
+    group.  `partners[d]` holds the groups of degree at most k - 2 - d, one
+    mask per distinct degree d: the rows of two non-adjacent groups lie
+    within the other k - 2 groups, so they meet unless the degrees sum to at
+    most k - 2.
+    """
+    by_degree: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << i
+    degrees = sorted(by_degree)
+    top: list[int] = []
+    for d in reversed(degrees):
+        mask = by_degree[d]
+        while mask and len(top) < HUBS:
+            low = mask & -mask
+            top.append(low.bit_length() - 1)
+            mask ^= low
+    # Walk the degrees down while the bound k - 2 - d walks up, ORing in
+    # the groups whose degree the bound has passed.
+    bound = len(rows) - 2
+    partners: dict[int, int] = {}
+    below = taken = 0
+    for d in reversed(degrees):
+        while taken < len(degrees) and degrees[taken] <= bound - d:
+            below |= by_degree[degrees[taken]]
+            taken += 1
+        partners[d] = below
+    return top, partners
 
 
 def group_report(method: str, sizes: Sequence[int], rows: Sequence[int], t0: float) -> WienerReport:

@@ -21,8 +21,9 @@ groups of twins, as brute's label groups are, so `groupbfs.group_wiener`
 takes the sizes and rows to the Wiener index, the diameter and the
 component and edge counts: it builds no distance table, weighs each
 class's later non-neighbours as one bitmask, tests for distance 3 only
-the class pairs that no hub row covers, and searches only from the
-classes with a pair at distance 3 or more.  `groupbfs.group_report` makes
+the class pairs that neither its degree bound nor a hub row covers (in
+that order), and searches only from the classes with a pair at distance
+3 or more.  `groupbfs.group_report` makes
 the report, as it does for brute.
 """
 

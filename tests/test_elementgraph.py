@@ -334,6 +334,7 @@ def test_brute_memory_on_f2_11():
         graph = build_graph(spec)
         build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
         report = compute_wiener(graph)
         search_peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -341,6 +342,9 @@ def test_brute_memory_on_f2_11():
     assert report.wiener == 2263041
     assert build_peak < 2 * 2**20, build_peak
     assert search_peak < 1 * 2**20, search_peak
+    # The search's own allocations, past the graph it reads (~930 KB): a
+    # list or table of one entry per group (~2 K of them) would show here.
+    assert search_peak - held < 64 * 2**10, search_peak - held
 
 
 def test_limit_resolution_order(monkeypatch):

@@ -216,11 +216,23 @@ def path_joined_to_clique(clique, path, path_first):
     return rows, on_path
 
 
+def groups_of_one_to_three(rows):
+    """`(groups, group_of)` for the group graph `rows` with groups of 1, 2, 3, 1, ... vertices."""
+    sizes = [1 + v % 3 for v in range(len(rows))]
+    group_of = [g for g, size in enumerate(sizes) for _ in range(size)]
+    bits = [sum(1 << v for v, g in enumerate(group_of) if g == h) for h in range(len(rows))]
+    groups = [(bits[g], sum(bits[h] for h in members(row))) for g, row in enumerate(rows)]
+    assert as_adjacency(groups) == (sizes, rows)
+    return groups, group_of
+
+
 @pytest.mark.parametrize("path_first", [False, True])
 def test_group_wiener_on_a_path_joined_to_a_clique(path_first):
-    # Every hub is a clique group, so no hub is in the row of a path group
-    # past the first, and every pair at distance 3 or more is left to the
-    # per-pair test.
+    # Every path group has a lower degree than every clique group, so the
+    # degree bound keeps the path groups among the partners of the far
+    # path groups, and every hub is a clique group, so no hub is in the row
+    # of a path group past the first: every pair at distance 3 or more is
+    # left to the per-pair test.
     clique, path = HUBS + 4, 9
     rows, on_path = path_joined_to_clique(clique, path, path_first)
     degrees = [row.bit_count() for row in rows]
@@ -229,13 +241,49 @@ def test_group_wiener_on_a_path_joined_to_a_clique(path_first):
     expected = reference_summary(groups, group_of)
     assert expected[1:3] == (path + 1, 1)
     assert_group_wiener_matches(groups, group_of, expected)
-    # The same graph with groups of 1-3 vertices.
-    sizes = [1 + v % 3 for v in range(len(rows))]
-    group_of = [g for g, size in enumerate(sizes) for _ in range(size)]
-    bits = [sum(1 << v for v, g in enumerate(group_of) if g == h) for h in range(len(rows))]
-    groups = [(bits[g], sum(bits[h] for h in members(row))) for g, row in enumerate(rows)]
-    assert as_adjacency(groups) == (sizes, rows)
+    groups, group_of = groups_of_one_to_three(rows)
     assert_group_wiener_matches(groups, group_of, reference_summary(groups, group_of))
+
+
+def two_groups_across_a_clique(k, low, high, shared):
+    """Rows of k groups: groups 0 and k - 1 are not adjacent, and groups 1..k-2 form a clique.
+
+    Group 0's row is the `low` clique groups from the bottom and group
+    k - 1's the `high` ones from the top; `shared` of them are in both.
+    """
+    clique = range(1, k - 1)
+    assert low + high - shared == len(clique)
+    rows = [0] * k
+    for a, b in itertools.combinations(clique, 2):
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    for end, neighbours in ((0, clique[:low]), (k - 1, clique[len(clique) - high :])):
+        for g in neighbours:
+            rows[end] |= 1 << g
+            rows[g] |= 1 << end
+    return rows
+
+
+@pytest.mark.parametrize("low", [1, 6])
+@pytest.mark.parametrize("one_vertex_groups", [True, False])
+@pytest.mark.parametrize(
+    "shared, diameter",
+    # Degrees summing to k - 2 leave room for disjoint rows, so group k - 1
+    # stays among group 0's partners and the pair AND finds it at distance
+    # 3; summing to k - 1, the rows must meet, at distance 2.
+    [(0, 3), (1, 2)],
+    ids=["degree_sum_k_minus_2", "degree_sum_k_minus_1"],
+)
+def test_group_wiener_at_the_degree_bound(low, one_vertex_groups, shared, diameter):
+    k = HUBS + 6
+    rows = two_groups_across_a_clique(k, low, k - 2 - low + shared, shared)
+    assert rows[0] & 1 << k - 1 == 0
+    assert rows[0].bit_count() + rows[k - 1].bit_count() == k - 2 + shared
+    # k > HUBS, so the groups are ranked, and every hub is a clique group.
+    groups, group_of = single_vertex_groups(rows) if one_vertex_groups else groups_of_one_to_three(rows)
+    expected = reference_summary(groups, group_of)
+    assert expected[1:3] == (diameter, 1)
+    assert_group_wiener_matches(groups, group_of, expected)
 
 
 @settings(max_examples=200, deadline=None)
