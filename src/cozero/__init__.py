@@ -12,9 +12,9 @@ mod n, products of integers-mod rings, products of finite fields):
 All three agree on every outcome field of their `WienerReport` on every
 supported ring, which the test suite enforces.
 Everything else is imported from its module: the per-family closed forms
-from `cozero.closedform`, the graphs and classifiers from
-`cozero.elementgraph`, `cozero.quotient` and `cozero.ringspec`, and the
-arithmetic from `cozero.numtheory`.
+and the pairwise classifiers from `cozero.closedform`, the graphs from
+`cozero.elementgraph` and `cozero.quotient`, the ring specs from
+`cozero.ringspec`, and the arithmetic from `cozero.numtheory`.
 """
 
 from .closedform import wiener_closed

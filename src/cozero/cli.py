@@ -262,7 +262,8 @@ def _cmd_classes(args) -> int:
     spec = parse_ring_spec(args.spec)
     qg = build_quotient_graph(spec)
     rows = [{"key": vertex_name(spec, c.key), "size": c.size, "degree": qg.degree(i)} for i, c in enumerate(qg.classes)]
-    edges = qg.edges()
+    # Only json and plain print the class edges, so only they list them.
+    edges = qg.edges() if args.format in ("json", "plain") else []
     if args.format == "json":
         payload = {
             "ring": str(spec),
@@ -404,6 +405,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:  # bad input, a limit hit, or an --out file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        ring = getattr(args, "spec", None) or " ".join([args.family, *args.params])
+        print(f"error: {args.command} {ring}: out of memory", file=sys.stderr)
         return 1
 
 

@@ -12,30 +12,50 @@ With at least two factors the graph is connected and every distance is 1,
 2 or 3, so the Wiener index is the diameter-2 identity W = 2*C(N, 2) - |E|
 (Plesník, "On the sum of all distances in a graph or digraph", 1984) plus
 one per distance-3 pair.  |E| follows from products over the factors of
-comparable-pair counts, and the distance-3 pairs are exactly the chain
-pattern of the paper's classification (`_chain_pattern`), counted per
-factor.  No class is enumerated and no class pair is visited.
+comparable-pair counts, and the distance-3 pairs of the paper's
+classification (`_pair_distance`) are counted per factor.  No class is
+enumerated and no class pair is visited.
 
 The pairwise classifiers `classify_divisor_pairs` and
-`classify_prime_power_distance` stay public: the test suite checks them
-against class-graph BFS.  The formula itself is cross-checked against the
-general quotient method and the element-level brute force.
+`classify_prime_power_distance` call `_pair_distance` on exponent
+vectors; the test suite checks them against class-graph BFS.  The formula
+itself is cross-checked against the general quotient method and the
+element-level brute force.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from math import prod
+from operator import ge, le
 
-from .numtheory import factorize, is_prime, prime_power_radical, proper_divisors
+from .numtheory import factorize, is_prime
 from .report import STATUS_VALUE, WienerReport, graph_status
 from .ringspec import RingSpec, chain_sizes, integers_mod, product_of_fields
 
 
 # --------------------------------------------------------------------------
-# Z(n): divisor-pair classification
+# The pairwise distance rule, and Z(n)'s divisor pairs
+
+
+def _pair_distance(x, y, tops) -> int:
+    """Distance (1, 2 or 3) between vertices with distinct exponent vectors x and y.
+
+    `tops[r]` is the zero ideal's exponent on chain r, one of two or more.
+    Incomparable vectors are adjacent.  A nested pair is at distance 3
+    exactly when the smaller ideal (the larger vector) is below its top on
+    a single chain r and the larger ideal is 0 off r; any other is 2.
+    """
+    if not all(map(le, x, y)):
+        if not all(map(ge, x, y)):
+            return 1
+        x, y = y, x
+    below = [r for r, (e, top) in enumerate(zip(y, tops)) if e < top]
+    if len(below) == 1 and not any(e for r, e in enumerate(x) if r != below[0]):
+        return 3
+    return 2
 
 
 @dataclass(frozen=True)
@@ -63,33 +83,29 @@ class DivisorPairSets:
 
 
 def classify_divisor_pairs(n: int) -> DivisorPairSets:
-    """Classify every unordered pair of proper divisors of n (needs >= 2 primes)."""
-    if len(factorize(n)) < 2:
+    """Classify every unordered pair of proper divisors of n (needs >= 2 primes).
+
+    Each divisor's exponent vector over the primes of n goes to
+    `_pair_distance`; ascending, a divisor precedes its multiples.
+    """
+    fac = factorize(n)
+    if len(fac) < 2:
         raise ValueError(f"divisor-pair classification needs >= 2 distinct primes, got n = {n}")
-    ds = proper_divisors(n)
-    radical = {d: prime_power_radical(d) for d in ds}
-    incomparable = []
-    composite = []
-    cross_prime = []
-    chain = []
-    for i, di in enumerate(ds):
-        for dj in ds[i + 1 :]:
-            if dj % di == 0:
-                small, big = di, dj
-            elif di % dj == 0:
-                small, big = dj, di
-            else:
+    tops = [e for _, e in fac]
+    vectors = product(*(range(e + 1) for e in tops))
+    ds = sorted((prod(p**x for (p, _), x in zip(fac, xs)), xs) for xs in vectors)[1:-1]
+    incomparable, composite, cross_prime, chain = [], [], [], []
+    for i, (di, xi) in enumerate(ds):
+        for dj, xj in ds[i + 1 :]:
+            distance = _pair_distance(xi, xj, tops)
+            if distance == 1:
                 incomparable.append((di, dj))
-                continue
-            rad = radical[small]
-            if rad is None:
-                composite.append((small, big))
-                continue
-            co_rad = prime_power_radical(n // big)
-            if co_rad is not None and co_rad[0] == rad[0]:
-                chain.append((small, big))
+            elif distance == 3:
+                chain.append((di, dj))
+            elif len(xi) - xi.count(0) >= 2:
+                composite.append((di, dj))
             else:
-                cross_prime.append((small, big))
+                cross_prime.append((di, dj))
     return DivisorPairSets(
         incomparable=tuple(incomparable),
         distance_two_composite=tuple(composite),
@@ -108,25 +124,6 @@ def _ideal_exponents(levels, prime_powers) -> tuple[int, ...]:
         m if j == 0 else 0 if j == 1 else j - 1
         for j, (_, m) in zip(levels, prime_powers)
     )
-
-
-def _chain_pattern(x, y, ex, ey) -> bool:
-    # x is zero outside a single zero-divisor coordinate r; y is a unit
-    # everywhere but r, where it carries a containing zero-divisor ideal.
-    r = -1
-    for i, j in enumerate(x):
-        if j >= 2:
-            if r >= 0:
-                return False
-            r = i
-        elif j != 0:
-            return False
-    if r < 0 or y[r] < 2:
-        return False
-    for i, j in enumerate(y):
-        if i != r and j != 1:
-            return False
-    return ex[r] >= ey[r]
 
 
 def _prime_power_pairs(prime_powers, too_few: str) -> tuple[tuple[int, int], ...]:
@@ -157,9 +154,8 @@ def classify_prime_power_distance(a, b, prime_powers) -> int:
 
     Classes are level tuples: level 0 marks the zero element of a component,
     1 its units, and j >= 2 the elements generating the ideal (p**(j-1)).
-    Incomparable ideal-exponent vectors mean adjacency.  Distance 3 occurs
-    exactly for the chain pattern of `_chain_pattern`, in either
-    orientation; every other non-adjacent pair is bridged in two steps.
+    The levels map to ideal exponents (`_ideal_exponents`), and
+    `_pair_distance` gives the distance.
     """
     a, b = tuple(a), tuple(b)
     prime_powers = _prime_power_pairs(prime_powers, "classify_prime_power_distance needs k >= 2 components")
@@ -167,15 +163,8 @@ def classify_prime_power_distance(a, b, prime_powers) -> int:
     _validate_levels(b, prime_powers, "class")
     if a == b:
         raise ValueError("classify_prime_power_distance needs two distinct classes")
-    ea = _ideal_exponents(a, prime_powers)
-    eb = _ideal_exponents(b, prime_powers)
-    a_in_b = all(x >= y for x, y in zip(ea, eb))
-    b_in_a = all(y >= x for x, y in zip(ea, eb))
-    if not a_in_b and not b_in_a:
-        return 1
-    if _chain_pattern(a, b, ea, eb) or _chain_pattern(b, a, eb, ea):
-        return 3
-    return 2
+    tops = [m for _, m in prime_powers]
+    return _pair_distance(_ideal_exponents(a, prime_powers), _ideal_exponents(b, prime_powers), tops)
 
 
 # --------------------------------------------------------------------------
@@ -215,8 +204,9 @@ def _wiener_local(factors, t0: float) -> WienerReport:
         prefix = list(accumulate(s))
         below *= sum(v * c for v, c in zip(s, prefix))
         same *= sum(v * v for v in s)
-        # Chain pattern in this factor r: one side is zero off r, the other a
-        # unit off r, and both carry zero-divisor exponents 1 <= y <= x < a at r.
+        # The pairs `_pair_distance` puts at distance 3 with r this factor:
+        # one side at the top (zero) off r, the other 0 (a unit) off r, and
+        # exponents 1 <= y <= x < a at r.
         distance3 += units // s[0] * sum(s[x] * (prefix[x] - s[0]) for x in range(1, len(s) - 1))
     edges = (cardinality * cardinality - (2 * below - same)) // 2
     ordered_pairs = vertices * (vertices - 1)

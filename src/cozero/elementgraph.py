@@ -22,8 +22,9 @@ every edge between vertices follows from the groups.  Everything per
 element is built on first read (see `ElementGraph`).  `compute_wiener` reads
 only the group sizes and rows, and hands them to `groupbfs.group_report`,
 the quotient route's report builder, which also counts the edges; no
-search runs per vertex.  `adjacent` reads one bit of a group row, and `edges`
-lists, for each group, the members of the groups in its row.
+search runs per vertex.  Vertices i and j are adjacent exactly when bit
+`group_of[j]` of `group_rows[group_of[i]]` is set, and `edges` lists, for
+each group, the members of the groups in its row.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class ElementGraph:
     label tables: `keep`, whose byte r is 1 when the element of
     lexicographic rank r is a vertex, `vertices` and `labels`,
     `group_of[i]`, the group of vertex i, and `group_members[g]`, the
-    vertex indices of group g.  `adjacent` and `edges` read the group rows
-    through `group_of` and `group_members`; no row is built per vertex.
+    vertex indices of group g.  `edges` reads the group rows through
+    `group_of` and `group_members`; no row is built per vertex.
     """
 
     def __init__(
@@ -136,10 +137,6 @@ class ElementGraph:
         for i, g in enumerate(self.group_of):
             groups[g].append(i)
         return groups
-
-    def adjacent(self, i: int, j: int) -> bool:
-        """True when vertices i and j share an edge (never when i == j)."""
-        return self.group_rows[self.group_of[i]] >> self.group_of[j] & 1 == 1
 
     def edge_count(self) -> int:
         sizes = self.group_sizes

@@ -39,7 +39,7 @@ from operator import and_, or_, xor
 
 from .groupbfs import group_report, members, sweep, upper_edges
 from .report import WienerReport
-from .ringspec import IdealLabel, RingSpec, chain_sizes, labels_comparable
+from .ringspec import IdealLabel, RingSpec, chain_sizes
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,6 @@ def _component_ideals(chains) -> list[tuple[int, int, tuple[int, ...]]]:
         steps = [(q**x, s, (x,)) for x, s in enumerate(chain_sizes(q, a))]
         ideals = [(label * qx, size * s, xs + x) for label, size, xs in ideals for qx, s, x in steps]
     return sorted(ideals)
-
-
-def class_adjacent(a: IdealLabel, b: IdealLabel) -> bool:
-    """True when classes with these labels are adjacent (mutual non-containment)."""
-    if a == b:
-        raise ValueError(f"class_adjacent needs two distinct labels, got {a} twice")
-    return not labels_comparable(a, b)
 
 
 def build_quotient_graph(spec: RingSpec) -> QuotientGraph:

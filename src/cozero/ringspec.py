@@ -16,8 +16,9 @@ label is prod(q**x): for Z(m) the divisor gcd(r, m) of each element r
 that generates it, and for a field 1 (nonzero) or q (zero).  Labels always
 divide the component cardinality, and the principal ideal of r contains
 the ideal of s exactly when every label of r divides the matching label
-of s.  That single divisibility test drives adjacency everywhere else in
-the library.
+of s, that is, when the exponent of r is no larger on every chain.  The
+brute route tests the labels (`elementgraph._group_rows`); the quotient
+route and the closed form compare the exponents.
 """
 
 from __future__ import annotations
@@ -133,13 +134,3 @@ def chain_sizes(q: int, a: int) -> list[int]:
     x = 0), and the zero element alone has x = a.
     """
     return [q ** (a - x) - q ** (a - x - 1) for x in range(a)] + [1]
-
-
-def ideal_contains(outer: IdealLabel, inner: IdealLabel) -> bool:
-    """True when the principal ideal labelled `outer` contains the one labelled `inner`."""
-    return all(i % o == 0 for o, i in zip(outer, inner))
-
-
-def labels_comparable(a: IdealLabel, b: IdealLabel) -> bool:
-    """True when one of the two labelled ideals contains the other."""
-    return ideal_contains(a, b) or ideal_contains(b, a)

@@ -62,6 +62,12 @@ def pytest_runtest_call(item):
     pytest.fail(f"test ran past {TEST_TIME_LIMIT_S} s; stopped at:\n{stack}", pytrace=False)
 
 
+def contains(a, b) -> bool:
+    """True when the principal ideal labelled `a` contains the one labelled `b`:
+    each label of `a` divides the matching label of `b`."""
+    return all(y % x == 0 for x, y in zip(a, b))
+
+
 def naive_adjacency(spec: RingSpec) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
     """Vertices, neighbour lists and edge count, from one element and one pair at a time.
 
@@ -86,10 +92,6 @@ def naive_adjacency(spec: RingSpec) -> tuple[list[tuple[int, ...]], list[list[in
         labels.append(lab)
 
     n = len(verts)
-
-    def contains(a, b):
-        return all(y % x == 0 for x, y in zip(a, b))
-
     adj = [[] for _ in range(n)]
     edge_count = 0
     for i in range(n):

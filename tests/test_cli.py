@@ -255,6 +255,44 @@ def test_classes_md_table(capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_classes_tables_list_no_edges(capsys, monkeypatch, fmt):
+    # csv and md print no class edge, so they never list them: on F(2)^14
+    # the list is 129 M pairs.
+    from cozero.quotient import QuotientGraph
+
+    code, expected, _ = run(capsys, "classes", "ZxZ(4,6)", "--format", fmt)
+    assert code == 0
+
+    def no_edges(self):
+        raise AssertionError("edges listed for a format that prints none")
+
+    monkeypatch.setattr(QuotientGraph, "edges", no_edges)
+    assert run(capsys, "classes", "ZxZ(4,6)", "--format", fmt) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv, route, named",
+    [
+        (["wiener", "F(2,2,2)", "--method", "quotient"], "wiener_quotient", "wiener F(2,2,2)"),
+        (["classes", "Z(12)"], "build_quotient_graph", "classes Z(12)"),
+        (["table", "zn", "100"], "wiener_closed", "table zn 100"),
+    ],
+)
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, argv, route, named):
+    # A route that runs out of memory exits 1 with one `error:` line naming
+    # the command and the ring, not a traceback.
+    import cozero.cli as cli_mod
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, route, exhausted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {named}: out of memory\n"
+
+
 def test_classes_md_without_classes_prints_the_header(capsys):
     code, out, _ = run(capsys, "classes", "Z(2)", "--format", "md")
     assert code == 0

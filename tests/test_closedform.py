@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cozero.closedform import (
+    _pair_distance,
     classify_divisor_pairs,
     classify_prime_power_distance,
     wiener_closed,
@@ -17,7 +18,7 @@ from cozero.closedform import (
 )
 from cozero.elementgraph import wiener_brute
 from cozero.numtheory import factorize
-from cozero.quotient import build_quotient_graph, quotient_distances, wiener_quotient
+from cozero.quotient import build_quotient_graph, enumerate_classes, quotient_distances, wiener_quotient
 from cozero.ringspec import integers_mod, parse_ring_spec, product_of_fields, product_of_integers_mod
 
 
@@ -143,6 +144,11 @@ def test_divisor_pair_sets_partition_comparable_pairs():
         ds = proper_divisors(n)
         assert len(buckets) == len(ds) * (len(ds) - 1) // 2
         assert len(set(map(frozenset, buckets))) == len(buckets)
+        # Each bucket as `DivisorPairSets` defines it.
+        assert all(b % a and a % b for a, b in pairs.incomparable)
+        assert all(b % a == 0 for a, b in pairs.nested)
+        assert all(len(factorize(a)) >= 2 for a, _ in pairs.distance_two_composite)
+        assert all(len(factorize(a)) == 1 for a, _ in pairs.distance_two_cross_prime + pairs.distance_three_chain)
 
 
 def test_squarefree_has_no_chain_pairs():
@@ -255,6 +261,43 @@ def test_classify_matches_quotient_bfs():
         for a, b in itertools.combinations(levels, 2):
             expected = table[index(a)][index(b)]
             assert classify_prime_power_distance(a, b, pps) == expected, (moduli, a, b)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        "Z(12)",
+        "Z(72)",
+        "Z(360)",
+        "Z(2700)",
+        "Z(5040)",
+        "ZxZ(4,9)",
+        "ZxZ(2,4,9)",
+        "ZxZ(8,9,16)",  # Table 4's erratum ring
+        "ZxZ(12,18)",
+        "ZxZ(36,60,14)",
+        "F(9,25)",
+        "F(4,8,9)",
+        "F(2,2,2,2)",
+    ],
+)
+def test_distance_three_count_is_the_pair_rule(ring):
+    # W = V(V - 1) - |E| + (pairs at distance 3), so the formula's
+    # distance-3 count is read back from its report and compared with the
+    # vertex pairs of the class pairs that `_pair_distance` puts at 3.
+    spec = parse_ring_spec(ring)
+    report = wiener_closed(spec)
+    vertices = report.vertex_count
+    distance3 = report.wiener - (vertices * (vertices - 1) - report.edge_count)
+    tops = [a for _, a in spec.local_factors()]
+    classes = enumerate_classes(spec)
+    chain = [(a, b) for a, b in itertools.combinations(classes, 2) if _pair_distance(a.exponents, b.exponents, tops) == 3]
+    assert distance3 == sum(a.size * b.size for a, b in chain)
+    assert (report.diameter == 3) == bool(chain)
+    if spec.family == "Z":
+        # Classes run in ascending key order, so the pairs come smaller-first, in the classifier's order.
+        n = spec.components[0]
+        assert classify_divisor_pairs(n).distance_three_chain == tuple((a.key[0], b.key[0]) for a, b in chain)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import time
 from math import comb, prod
 
 import pytest
-from conftest import naive_distances, outcome, reference_levels, single_bit_graphs
+from conftest import contains, naive_distances, outcome, reference_levels, single_bit_graphs
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from cozero.groupbfs import group_wiener
 from cozero.numtheory import divisors, euler_phi
 from cozero.quotient import (
     build_quotient_graph,
-    class_adjacent,
     enumerate_classes,
     quotient_distances,
     wiener_quotient,
@@ -58,12 +57,15 @@ def test_classes_are_sorted_and_distinct():
 
 
 def test_class_adjacent_examples():
-    assert class_adjacent((2,), (3,))
-    assert not class_adjacent((2,), (4,))
+    def adjacent(spec, a, b):
+        qg = build_quotient_graph(spec)
+        index = {c.key: i for i, c in enumerate(qg.classes)}
+        return bool(qg.rows[index[a]] >> index[b] & 1)
+
+    assert adjacent(integers_mod(6), (2,), (3,))
+    assert not adjacent(integers_mod(8), (2,), (4,))
     # Field supports {1} and {2,3} in a three-component product.
-    assert class_adjacent((1, 5, 7), (3, 1, 1))
-    with pytest.raises(ValueError):
-        class_adjacent((2,), (2,))
+    assert adjacent(product_of_fields((3, 5, 7)), (1, 5, 7), (3, 1, 1))
 
 
 def test_quotient_distances_z12():
@@ -168,7 +170,7 @@ def assert_rows_match_pairwise(spec):
     for i, a in enumerate(keys):
         assert not qg.rows[i] >> i & 1, (spec, a)
         for j in range(i + 1, len(keys)):
-            adjacent = class_adjacent(a, keys[j])
+            adjacent = not contains(a, keys[j]) and not contains(keys[j], a)
             assert bool(qg.rows[i] >> j & 1) == adjacent, (spec, a, keys[j])
             assert bool(qg.rows[j] >> i & 1) == adjacent, (spec, keys[j], a)
         assert qg.rows[i] < 1 << len(keys), (spec, a)

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from cozero.elementgraph import build_graph
@@ -11,9 +9,7 @@ from cozero.ringspec import (
     RingSpec,
     chain_sizes,
     crt_normalize,
-    ideal_contains,
     integers_mod,
-    labels_comparable,
     parse_ring_spec,
     product_of_fields,
     product_of_integers_mod,
@@ -104,28 +100,3 @@ def test_vertex_label_count_is_tau_minus_2():
     # Labels read off the actual elements: every divisor but n (zero) and 1 (units).
     for n in range(2, 80):
         assert len(build_graph(integers_mod(n)).group_keys) == len(divisors(n)) - 2
-
-
-def test_containment_is_a_partial_order():
-    # Exhaustive check over two moderately rich label lattices.
-    for spec in (product_of_integers_mod((12, 8)), product_of_fields((4, 9, 5))):
-        if spec.is_field_product:
-            sets = [(1, q) for q in spec.components]
-        else:
-            sets = [divisors(c) for c in spec.components]
-        labels = list(itertools.product(*sets))
-        for x in labels:
-            assert ideal_contains(x, x)
-        for x in labels:
-            for y in labels:
-                if ideal_contains(x, y) and ideal_contains(y, x):
-                    assert x == y
-                for z in labels:
-                    if ideal_contains(x, y) and ideal_contains(y, z):
-                        assert ideal_contains(x, z)
-
-
-def test_labels_comparable_symmetry():
-    a, b = (2, 1), (1, 3)
-    assert not labels_comparable(a, b)
-    assert labels_comparable((2, 3), (2, 1)) == labels_comparable((2, 1), (2, 3))
