@@ -13,8 +13,10 @@ With at least two factors the graph is connected and every distance is 1,
 (Plesník, "On the sum of all distances in a graph or digraph", 1984) plus
 one per distance-3 pair.  |E| follows from products over the factors of
 comparable-pair counts, and the distance-3 pairs of the paper's
-classification (`_pair_distance`) are counted per factor.  No class is
-enumerated and no class pair is visited.
+classification (`_pair_distance`) are counted per factor.  One factor,
+Z(p**a) or a field, runs the same body with no distance-3 term, and
+`report.make_report` sets the status and which fields a report holds.
+No class is enumerated and no class pair is visited.
 
 The pairwise classifiers `classify_divisor_pairs` and
 `classify_prime_power_distance` call `_pair_distance` on exponent
@@ -32,7 +34,7 @@ from math import prod
 from operator import ge, le
 
 from .numtheory import factorize, is_prime
-from .report import STATUS_VALUE, WienerReport, graph_status
+from .report import WienerReport, make_report
 from .ringspec import RingSpec, chain_sizes, integers_mod, product_of_fields
 
 
@@ -178,49 +180,31 @@ def _wiener_local(factors, t0: float) -> WienerReport:
     (`chain_sizes`).  Over all C elements, units and zero included, the
     ordered pairs with comparable exponent vectors number
     L = 2*prod(#{x <= y}) - prod(#{x = y}), and units and zero are
-    comparable with everything, so 2|E| = C**2 - L.
+    comparable with everything, so 2|E| = C**2 - L.  On one chain every
+    pair is comparable: |E| = 0, and each vertex is its own component.
     """
     levels = [chain_sizes(q, a) for q, a in factors]
     cardinality = prod(q**a for q, a in factors)
     units = prod(s[0] for s in levels)
     vertices = cardinality - units - 1
     classes = prod(len(s) for s in levels) - 2
-    if len(factors) == 1:
-        # A single chain: all vertices are comparable, so there are no edges.
-        return WienerReport(
-            status=graph_status(vertices, vertices),
-            method="closed",
-            vertex_count=vertices,
-            class_count=classes,
-            component_count=vertices,
-            wiener=0 if vertices == 1 else None,
-            edge_count=0,
-            elapsed=time.perf_counter() - t0,
-        )
-
+    connected = len(levels) > 1
     below = same = 1
     distance3 = 0
     for s in levels:
         prefix = list(accumulate(s))
         below *= sum(v * c for v, c in zip(s, prefix))
         same *= sum(v * v for v in s)
-        # The pairs `_pair_distance` puts at distance 3 with r this factor:
-        # one side at the top (zero) off r, the other 0 (a unit) off r, and
-        # exponents 1 <= y <= x < a at r.
-        distance3 += units // s[0] * sum(s[x] * (prefix[x] - s[0]) for x in range(1, len(s) - 1))
+        if connected:
+            # The pairs `_pair_distance` puts at distance 3 with r this
+            # factor: one side at the top (zero) off r, the other 0 (a
+            # unit) off r, and exponents 1 <= y <= x < a at r.
+            distance3 += units // s[0] * sum(s[x] * (prefix[x] - s[0]) for x in range(1, len(s) - 1))
     edges = (cardinality * cardinality - (2 * below - same)) // 2
     ordered_pairs = vertices * (vertices - 1)
-    return WienerReport(
-        status=STATUS_VALUE,
-        method="closed",
-        vertex_count=vertices,
-        class_count=classes,
-        component_count=1,
-        wiener=ordered_pairs - edges + distance3,
-        edge_count=edges,
-        diameter=3 if distance3 else 2 if 2 * edges < ordered_pairs else 1,
-        elapsed=time.perf_counter() - t0,
-    )
+    diameter = 3 if distance3 else 2 if 2 * edges < ordered_pairs else 1
+    components = 1 if connected else vertices
+    return make_report("closed", vertices, classes, components, ordered_pairs - edges + distance3, edges, diameter, t0)
 
 
 def wiener_zn(n: int) -> WienerReport:

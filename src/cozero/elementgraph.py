@@ -2,8 +2,8 @@
 
 The graph of a ring has one vertex per element that is neither zero nor a
 unit; two distinct vertices are adjacent exactly when neither one's
-principal ideal contains the other's.  This module materializes that graph
-from the actual elements, independently of the quotient route's class
+principal ideal contains the other's.  This module builds that graph from
+per-component residue tables, independently of the quotient route's class
 enumeration, making it the ground-truth oracle the arithmetic routes are
 checked against.
 

@@ -18,13 +18,12 @@ bit planes, and decodes no set of groups to sum its sizes.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from math import comb
 from operator import and_
 
-from .report import STATUS_VALUE, WienerReport, graph_status
+from .report import WienerReport, make_report
 
 HUBS = 16
 """How many groups of highest degree `group_wiener` takes as hubs.
@@ -218,21 +217,12 @@ def rank_groups(rows: Sequence[int]) -> tuple[list[int], dict[int, int]]:
 
 
 def group_report(method: str, sizes: Sequence[int], rows: Sequence[int], t0: float) -> WienerReport:
-    """The `method` route's report on the graph of `group_wiener(sizes, rows)`, timed from `t0`."""
+    """The `method` route's report on the graph of `group_wiener(sizes, rows)`, timed from `t0`.
+
+    `report.make_report` sets the status and which fields are present.
+    """
     wiener, diameter, components, edges = group_wiener(sizes, rows)
-    vertex_count = sum(sizes)
-    status = graph_status(vertex_count, components)
-    return WienerReport(
-        status=status,
-        method=method,
-        vertex_count=vertex_count,
-        class_count=len(sizes),
-        component_count=components,
-        wiener=wiener if status == STATUS_VALUE else None,
-        edge_count=edges,
-        diameter=diameter or None,
-        elapsed=time.perf_counter() - t0,
-    )
+    return make_report(method, sum(sizes), len(sizes), components, wiener, edges, diameter, t0)
 
 
 def size_planes(sizes: Sequence[int]) -> list[tuple[int, int]]:

@@ -1,7 +1,12 @@
-"""Shared outcome record for the Wiener index engines."""
+"""Shared outcome record for the Wiener index engines, and its one constructor.
+
+Every route hands `make_report` its counts; the status and which of the
+Wiener index and the diameter a report holds are decided here only.
+"""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, fields
 from math import comb
 
@@ -24,10 +29,11 @@ class WienerReport:
     `status` is `graph_status(vertex_count, component_count)`.  `wiener`
     is present exactly when status is "value"; a disconnected
     graph deliberately carries no value because shortest paths between
-    components do not exist.  `diameter` is present only for connected
+    components do not exist.  `diameter` is present exactly for connected
     graphs with two or more vertices.  All integers are exact.  Every route
-    fills every field, and two routes agree on a ring exactly when their
-    `OUTCOME_FIELDS`, all but `method` and `elapsed`, are equal.
+    builds its report through `make_report`, which applies these rules to
+    its counts, and fills every field; two routes agree on a ring exactly
+    when their `OUTCOME_FIELDS`, all but `method` and `elapsed`, are equal.
     """
 
     status: str
@@ -53,10 +59,28 @@ class WienerReport:
             raise ValueError("wiener value cannot be negative")
         if self.status == STATUS_VALUE and self.vertex_count == 1 and self.wiener != 0:
             raise ValueError("a single-vertex graph has Wiener index 0")
-        if self.diameter is not None and (self.status != STATUS_VALUE or self.vertex_count < 2):
-            raise ValueError("diameter applies to connected graphs with >= 2 vertices only")
+        if (self.diameter is not None) != (self.status == STATUS_VALUE and self.vertex_count >= 2):
+            raise ValueError("diameter must be present exactly for connected graphs with >= 2 vertices")
         if self.edge_count is not None and not 0 <= self.edge_count <= comb(self.vertex_count, 2):
             raise ValueError(f"edge count {self.edge_count} is outside 0..C({self.vertex_count}, 2)")
 
 
 OUTCOME_FIELDS = tuple(f.name for f in fields(WienerReport) if f.name not in ("method", "elapsed"))
+
+
+def make_report(method: str, vertex_count: int, class_count: int, component_count: int,
+                wiener: int, edge_count: int, diameter: int, t0: float) -> WienerReport:
+    """The `method` route's report on a graph of these counts, timed from `t0`.
+
+    The status is `graph_status`'s; `wiener` is kept only when it is
+    "value", and `diameter` only then and with two or more vertices.
+    """
+    status = graph_status(vertex_count, component_count)
+    connected = status == STATUS_VALUE
+    return WienerReport(
+        status, method, vertex_count, class_count, component_count,
+        wiener=wiener if connected else None,
+        edge_count=edge_count,
+        diameter=diameter if connected and vertex_count >= 2 else None,
+        elapsed=time.perf_counter() - t0,
+    )

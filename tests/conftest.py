@@ -14,6 +14,7 @@ from math import gcd
 import pytest
 from hypothesis import strategies as st
 
+from cozero.report import OUTCOME_FIELDS
 from cozero.ringspec import RingSpec
 
 # Above twice the largest time bound any test asserts (120 s), so a test
@@ -68,29 +69,33 @@ def contains(a, b) -> bool:
     return all(y % x == 0 for x, y in zip(a, b))
 
 
-def naive_adjacency(spec: RingSpec) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
-    """Vertices, neighbour lists and edge count, from one element and one pair at a time.
+def naive_labels(spec: RingSpec) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Vertices and their ideal labels, worked out one element at a time.
 
-    Enumerates elements, labels them with its own gcd logic, and builds an
-    explicit pairwise adjacency from mutual ideal non-containment.
+    Enumerates the elements with its own gcd and field rule, independent of
+    the package internals, and drops zero and the units.
     """
     comps = spec.components
-    is_field = spec.is_field_product
-
-    verts = []
-    labels = []
+    verts, labels = [], []
     for e in iter_product(*(range(c) for c in comps)):
-        if is_field:
+        if spec.is_field_product:
             lab = tuple(c if x == 0 else 1 for x, c in zip(e, comps))
         else:
             lab = tuple(gcd(x, c) for x, c in zip(e, comps))
-        if all(x == 0 for x in e):
-            continue
-        if all(d == 1 for d in lab):
+        if all(x == 0 for x in e) or all(d == 1 for d in lab):
             continue
         verts.append(e)
         labels.append(lab)
+    return verts, labels
 
+
+def naive_adjacency(spec: RingSpec) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
+    """Vertices, neighbour lists and edge count, from one element and one pair at a time.
+
+    Takes the vertices and labels of `naive_labels`, and builds an explicit
+    pairwise adjacency from mutual ideal non-containment.
+    """
+    verts, labels = naive_labels(spec)
     n = len(verts)
     adj = [[] for _ in range(n)]
     edge_count = 0
@@ -209,14 +214,7 @@ def prime_power_multisets(k: int, bound: int) -> list[tuple[int, ...]]:
 
 def outcome(report) -> tuple:
     """The fields two routes must agree on, bit for bit."""
-    return (
-        report.status,
-        report.wiener,
-        report.vertex_count,
-        report.class_count,
-        report.component_count,
-        report.diameter,
-    )
+    return tuple(getattr(report, f) for f in OUTCOME_FIELDS)
 
 
 def reference_levels(rows, sources):

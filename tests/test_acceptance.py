@@ -9,22 +9,20 @@ and arithmetic constructions.  Timed assertions use the stated budgets.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
 
 import pytest
 
-from conftest import contains, naive_distances, prime_power_multisets
+from conftest import contains, naive_distances, naive_labels, outcome, prime_power_multisets
 from cozero.cli import main as cli_main
 from cozero.closedform import wiener_prime_power_product, wiener_reduced, wiener_zn
 from cozero.elementgraph import ElementGraph, build_graph, compute_wiener
 from cozero.numtheory import divisors, factorize
 from cozero.quotient import build_quotient_graph, wiener_quotient
-from cozero.report import OUTCOME_FIELDS, WienerReport
+from cozero.report import WienerReport
 from cozero.ringspec import (
     RingSpec,
     crt_normalize,
@@ -97,21 +95,6 @@ class Sweep:
     compute_seconds: float
 
 
-def _independent_labels(spec: RingSpec) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    # Recomputed from raw elements, independent of the package internals.
-    verts, labels = [], []
-    for e in itertools.product(*(range(c) for c in spec.components)):
-        if spec.is_field_product:
-            lab = tuple(c if x == 0 else 1 for x, c in zip(e, spec.components))
-        else:
-            lab = tuple(gcd(x, c) for x, c in zip(e, spec.components))
-        if all(x == 0 for x in e) or all(d == 1 for d in lab):
-            continue
-        verts.append(e)
-        labels.append(lab)
-    return verts, labels
-
-
 def _check_structure(spec: RingSpec, graph: ElementGraph) -> tuple[bool, bool, bool | None]:
     qg = build_quotient_graph(spec)
     class_keys = [c.key for c in qg.classes]
@@ -137,7 +120,7 @@ def _check_structure(spec: RingSpec, graph: ElementGraph) -> tuple[bool, bool, b
     pairwise_ok: bool | None = None
     if graph.vertex_count <= PAIRWISE_CAP:
         pairwise_ok = True
-        verts, labels = _independent_labels(spec)
+        verts, labels = naive_labels(spec)
         if verts != graph.vertices or labels != graph.labels:
             pairwise_ok = False
         else:
@@ -203,10 +186,6 @@ def sweep() -> Sweep:
             Instance(kind, spec, brute, quot, closed, crt, partition_ok, adjacency_ok, pairwise_ok)
         )
     return Sweep(instances, compute_seconds)
-
-
-def _outcome(report: WienerReport) -> tuple:
-    return tuple(getattr(report, field) for field in OUTCOME_FIELDS)
 
 
 # --------------------------------------------------------------------------
@@ -301,8 +280,8 @@ def test_criterion_06_oracle_equivalence_sweep(sweep):
     assert len(sweep.instances) > 4900
     for inst in sweep.instances:
         # Every outcome field, |E| and the component count included.
-        assert _outcome(inst.brute) == _outcome(inst.quotient), inst.spec
-        assert _outcome(inst.brute) == _outcome(inst.closed), inst.spec
+        assert outcome(inst.brute) == outcome(inst.quotient), inst.spec
+        assert outcome(inst.brute) == outcome(inst.closed), inst.spec
         assert inst.brute.edge_count is not None, inst.spec
     assert sweep.compute_seconds < 120.0, f"sweep took {sweep.compute_seconds:.1f} s"
 
@@ -366,7 +345,7 @@ def test_criterion_09_crt_invariance(sweep):
         n = inst.spec.components[0]
         if len(factorize(n)) >= 2:
             checked += 1
-        assert _outcome(inst.quotient) == _outcome(inst.crt), inst.spec
+        assert outcome(inst.quotient) == outcome(inst.crt), inst.spec
     assert checked > 300
     assert wiener_quotient(integers_mod(36)).wiener == 420
     assert wiener_quotient(product_of_integers_mod((4, 9))).wiener == 420

@@ -347,3 +347,15 @@ def test_wiener_closed_splits_composite_moduli():
     closed = outcome(wiener_closed(spec))
     assert closed == outcome(wiener_brute(spec))
     assert closed == outcome(wiener_quotient(spec))
+
+
+@pytest.mark.parametrize("ring", ["Z(2)", "Z(4)", "Z(8)", "Z(1024)", "ZxZ(27)", "F(2)", "F(9)"])
+def test_single_chain_agrees_with_quotient_and_brute(ring):
+    # One local factor: the formula's one body with |E| = 0 and no distance-3
+    # term, one vertex per component; Z(4) has a single vertex, Z(2) and the
+    # fields none.
+    spec = parse_ring_spec(ring)
+    assert len(spec.local_factors()) == 1
+    closed = outcome(wiener_closed(spec))
+    assert closed == outcome(wiener_brute(spec))
+    assert closed == outcome(wiener_quotient(spec))

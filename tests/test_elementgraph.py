@@ -1,13 +1,13 @@
 import itertools
 import time
 import tracemalloc
-from math import gcd, prod
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import contains, naive_distances, naive_reference
+from conftest import contains, naive_distances, naive_labels, naive_reference
 from cozero.closedform import wiener_closed
 from cozero.elementgraph import (
     BruteForceLimitError,
@@ -188,16 +188,7 @@ def test_negative_explicit_limit_is_rejected():
 
 def _elementwise_graph(spec: RingSpec):
     """Vertices, labels, label groups and group rows from one element and one pair at a time."""
-    vertices, labels = [], []
-    for element in itertools.product(*(range(c) for c in spec.components)):
-        if spec.is_field_product:
-            label = tuple(1 if x else c for x, c in zip(element, spec.components))
-        else:
-            label = tuple(gcd(x, c) for x, c in zip(element, spec.components))
-        if not any(element) or set(label) == {1}:
-            continue  # zero or a unit
-        vertices.append(element)
-        labels.append(label)
+    vertices, labels = naive_labels(spec)
     keys = sorted(set(labels))
     groups = [[i for i, label in enumerate(labels) if label == key] for key in keys]
     rows = [
