@@ -9,14 +9,12 @@ zero), and two vertices are adjacent exactly when their exponent vectors
 are incomparable.
 
 With at least two factors the graph is connected and every distance is 1,
-2 or 3, so the Wiener index is the diameter-2 identity W = 2*C(N, 2) - |E|
-(Plesník, "On the sum of all distances in a graph or digraph", 1984) plus
-one per distance-3 pair.  |E| follows from products over the factors of
-comparable-pair counts, and the distance-3 pairs of the paper's
+2 or 3, so `report.make_report` takes the Wiener index and the diameter
+from |E| and the distance-3 pairs.  |E| follows from products over the
+factors of comparable-pair counts, and the distance-3 pairs of the paper's
 classification (`_pair_distance`) are counted per factor.  One factor,
-Z(p**a) or a field, runs the same body with no distance-3 term, and
-`report.make_report` sets the status and which fields a report holds.
-No class is enumerated and no class pair is visited.
+Z(p**a) or a field, runs the same body with no distance-3 term.  No class
+is enumerated and no class pair is visited.
 
 The pairwise classifiers `classify_divisor_pairs` and
 `classify_prime_power_distance` call `_pair_distance` on exponent
@@ -201,10 +199,8 @@ def _wiener_local(factors, t0: float) -> WienerReport:
             # unit) off r, and exponents 1 <= y <= x < a at r.
             distance3 += units // s[0] * sum(s[x] * (prefix[x] - s[0]) for x in range(1, len(s) - 1))
     edges = (cardinality * cardinality - (2 * below - same)) // 2
-    ordered_pairs = vertices * (vertices - 1)
-    diameter = 3 if distance3 else 2 if 2 * edges < ordered_pairs else 1
     components = 1 if connected else vertices
-    return make_report("closed", vertices, classes, components, ordered_pairs - edges + distance3, edges, diameter, t0)
+    return make_report("closed", vertices, classes, components, edges, distance3, 3 if distance3 else 0, t0)
 
 
 def wiener_zn(n: int) -> WienerReport:

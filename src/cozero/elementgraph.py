@@ -106,10 +106,8 @@ class ElementGraph:
         self.group_rows = group_rows
 
     def __repr__(self) -> str:
-        return (
-            f"ElementGraph({self.spec}, vertices={self.vertex_count}, "
-            f"groups={len(self.group_keys)}, edges={self.edge_count()})"
-        )
+        # Counting edges decodes every row: seconds on F(2)^12, minutes past it.
+        return f"ElementGraph({self.spec}, vertices={self.vertex_count}, groups={len(self.group_keys)})"
 
     @cached_property
     def keep(self) -> bytes:

@@ -1,4 +1,4 @@
-"""Breadth-first search and the Wiener sum over a graph held as bitmask rows.
+"""Breadth-first search and the Wiener index's pair counts over a graph held as bitmask rows.
 
 `sweep` searches neighbour rows, one bitmask per vertex, from one source
 after another; a level steps bottom-up when fewer vertices are unseen than
@@ -6,7 +6,7 @@ are in the frontier, and top-down otherwise (direction-optimizing BFS,
 Beamer, Asanovic and Patterson, SC 2012).  It is the one search: both the
 brute and the quotient route hand `group_wiener` their graph as groups of
 twins, brute's label groups or the quotient's classes, with one row per
-group, and `group_wiener` counts every pair from the group sizes and
+group, and `group_wiener` counts the edges from the group sizes and
 searches only from the groups that have a pair at distance 3 or more.  To
 find those groups it covers each group's non-neighbours in three steps: a
 degree bound first (two non-adjacent groups whose degrees sum past k - 2
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
-from math import comb
 from operator import and_
 
 from .report import WienerReport, make_report
@@ -28,18 +27,10 @@ from .report import WienerReport, make_report
 HUBS = 16
 """How many groups of highest degree `group_wiener` takes as hubs.
 
-From the hub curve over 4, 8, 16 and 32 hubs, run on top of the degree
-bound (BENCH_degree_cover.json), 16 stays.  16 and 32 lead on
-oracle_sweep(7)'s small rings, where every group of a graph of at most
-HUBS is a hub with no ranking (18.2 and 18.3 ms a pass against 19.2 ms
-with 8 hubs and 20.3 ms with 4), and 16 leads on Z(963761198400) (0.129 s
-against 0.133 s with 8 and 0.140 s with 32).
-On class_graph, 8 beat 16 in all seven timings over two ring sets: by 11%
-and 24% in the first two, and by 0.6-3.5% in the five later ones of 15-25
-passes each.  That is about 1% of a class_graph ring, whose slow tail is
-the field products, where the degree bound leaves no pair to the hubs, as
-it does on F(2)^12-F(2)^14.  The curve before the degree bound is in
-BENCH_hub_rows.json.
+On the hub curve over 4, 8, 16 and 32, 16 leads on oracle_sweep's small
+rings (level with 32) and on Z(963761198400); 8 beat it by 0.6-3.5% on
+class_graph, whose slow tail, the field products, the degree bound clears
+before any hub is read (BENCH_degree_cover.json).
 """
 
 
@@ -92,7 +83,7 @@ def component_roots(rows: Sequence[int]) -> list[int]:
 
 
 def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, int, int]:
-    """`(wiener, diameter, components, edges)` of a graph given as groups of twins.
+    """`(excess, deepest, components, edges)` of a graph given as groups of twins.
 
     Group i has `sizes[i]` vertices, and `rows[i]` is the bitmask of its
     neighbour groups, the shape of `QuotientGraph.rows`: a vertex is
@@ -100,21 +91,18 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
     of its own group, so no row holds its own bit.  No vertex number is
     read.  A group without neighbours scatters into `sizes[i]` isolated
     vertices, and any other component of the group graph is one component
-    of the vertices.  `wiener` and `diameter` are 0 unless there is exactly
-    one component.
+    of the vertices.  `excess` is the sum of d - 2 over the vertex pairs at
+    distance d >= 3, and `deepest` the largest such d; both are 0 unless
+    there is exactly one component.  `report.make_report` takes these
+    counts to the Wiener index and the diameter.
 
-    Two members of one group are at distance 2 through any neighbour,
-    which gives `2 * sum_i C(sizes[i], 2)`.  Vertices in groups i < j are
-    at the groups' distance d(i, j), which splits along
-    d = 1 + [d >= 2] + sum_{t >= 3} [d >= t]:
-
-    * every pair counts once, `(V^2 - sum s^2) / 2` for V = sum s;
-    * every non-adjacent pair of groups i < j counts once more, and the
-      pairs it weighs are not edges; it is at distance 2 when the rows of
-      i and j meet, and at 3 or more otherwise, which makes i *deep*;
-    * each pair at distance d >= 3 counts d - 2 more.  Its lower group is
-      deep, so `sweep` runs from the deep groups only, and level d of the
-      search from s weighs the frontier above s.
+    Two members of one group are at distance 2 through any neighbour, and
+    vertices in groups i < j are at the groups' distance d(i, j): their
+    `sizes[i] * sizes[j]` pairs are edges exactly when i and j are
+    adjacent.  A non-adjacent pair is at distance 2 when the rows of i and
+    j meet, and at 3 or more otherwise, which makes i *deep*; `sweep` runs
+    from the deep groups only, and level d >= 3 of the search from s weighs
+    the frontier above s.
 
     The deep test covers first, in three steps, each on what the one
     before leaves of i's later non-neighbours:
@@ -170,16 +158,12 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
                                 break
                 if need and 0 in map(and_, repeat(row), map(rows.__getitem__, members(need))):
                     deep.append(i)
-    edges = pairs - apart_pairs
-    if not connected:
-        return 0, 0, components, edges
-    wiener = pairs + apart_pairs + 2 * sum(comb(s, 2) for s in sizes)
-    diameter = 0 if vertex_count == 1 else 2 if apart_pairs or max(sizes) > 1 else 1
+    excess = deepest = 0
     for s, d, frontier in sweep(rows, deep):
         if d >= 3:
-            wiener += (d - 2) * sizes[s] * weigh(frontier >> s + 1 << s + 1, planes)
-            diameter = max(diameter, d)
-    return wiener, diameter, components, edges
+            excess += (d - 2) * sizes[s] * weigh(frontier >> s + 1 << s + 1, planes)
+            deepest = max(deepest, d)
+    return excess, deepest, components, pairs - apart_pairs
 
 
 def rank_groups(rows: Sequence[int]) -> tuple[list[int], dict[int, int]]:
@@ -219,10 +203,11 @@ def rank_groups(rows: Sequence[int]) -> tuple[list[int], dict[int, int]]:
 def group_report(method: str, sizes: Sequence[int], rows: Sequence[int], t0: float) -> WienerReport:
     """The `method` route's report on the graph of `group_wiener(sizes, rows)`, timed from `t0`.
 
-    `report.make_report` sets the status and which fields are present.
+    `report.make_report` derives the Wiener index and the diameter from
+    these counts, and sets the status and which fields are present.
     """
-    wiener, diameter, components, edges = group_wiener(sizes, rows)
-    return make_report(method, sum(sizes), len(sizes), components, wiener, edges, diameter, t0)
+    excess, deepest, components, edges = group_wiener(sizes, rows)
+    return make_report(method, sum(sizes), len(sizes), components, edges, excess, deepest, t0)
 
 
 def size_planes(sizes: Sequence[int]) -> list[tuple[int, int]]:

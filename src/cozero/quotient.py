@@ -17,14 +17,9 @@ per class, from per-chain order masks ANDed over whole columns of
 classes, so no class pair is visited.  The `ClassInfo` records of
 `enumerate_classes` are built only when `QuotientGraph.classes` is first
 read, as the `classes` CLI and the tests do.  The classes are
-groups of twins, as brute's label groups are, so `groupbfs.group_wiener`
-takes the sizes and rows to the Wiener index, the diameter and the
-component and edge counts: it builds no distance table, weighs each
-class's later non-neighbours as one bitmask, tests for distance 3 only
-the class pairs that neither its degree bound nor a hub row covers (in
-that order), and searches only from the classes with a pair at distance
-3 or more.  `groupbfs.group_report` makes
-the report, as it does for brute.
+groups of twins, as brute's label groups are, so `groupbfs.group_report`
+takes the sizes and rows to the report, as it does for brute; how
+`groupbfs.group_wiener` finds the pairs at distance 3 is told there.
 """
 
 from __future__ import annotations

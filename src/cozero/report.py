@@ -1,7 +1,7 @@
 """Shared outcome record for the Wiener index engines, and its one constructor.
 
-Every route hands `make_report` its counts; the status and which of the
-Wiener index and the diameter a report holds are decided here only.
+Every route hands `make_report` its counts; the Wiener index, the
+diameter, the status and which fields a report holds are decided here only.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ class WienerReport:
     """Result of one Wiener computation, by whichever method produced it.
 
     `status` is `graph_status(vertex_count, component_count)`.  `wiener`
-    is present exactly when status is "value"; a disconnected
+    and `excess`, the sum of d - 2 over the vertex pairs at distance
+    d >= 3, are present exactly when status is "value"; a disconnected
     graph deliberately carries no value because shortest paths between
     components do not exist.  `diameter` is present exactly for connected
     graphs with two or more vertices.  All integers are exact.  Every route
@@ -44,6 +45,7 @@ class WienerReport:
     wiener: int | None = None
     edge_count: int | None = None
     diameter: int | None = None
+    excess: int | None = None
     elapsed: float = 0.0
 
     def __post_init__(self) -> None:
@@ -53,8 +55,8 @@ class WienerReport:
             raise ValueError(
                 f"status {self.status!r} contradicts {self.vertex_count} vertices in {self.component_count} components"
             )
-        if (self.wiener is not None) != (self.status == STATUS_VALUE):
-            raise ValueError("wiener value must be present exactly when status is 'value'")
+        if (self.wiener is not None) != (self.status == STATUS_VALUE) or (self.excess is None) != (self.wiener is None):
+            raise ValueError("wiener value and excess must be present exactly when status is 'value'")
         if self.wiener is not None and self.wiener < 0:
             raise ValueError("wiener value cannot be negative")
         if self.status == STATUS_VALUE and self.vertex_count == 1 and self.wiener != 0:
@@ -69,18 +71,29 @@ OUTCOME_FIELDS = tuple(f.name for f in fields(WienerReport) if f.name not in ("m
 
 
 def make_report(method: str, vertex_count: int, class_count: int, component_count: int,
-                wiener: int, edge_count: int, diameter: int, t0: float) -> WienerReport:
+                edge_count: int, excess: int, deepest: int, t0: float) -> WienerReport:
     """The `method` route's report on a graph of these counts, timed from `t0`.
 
-    The status is `graph_status`'s; `wiener` is kept only when it is
-    "value", and `diameter` only then and with two or more vertices.
+    `excess` is the sum of d - 2 over the vertex pairs at distance d >= 3,
+    and `deepest` the largest such d, or 0 if there is none.  In a connected
+    graph on V vertices every pair counts 1, every non-adjacent pair 1 more,
+    and a pair at distance d >= 3 another d - 2, so the Wiener index is
+    V(V - 1) - |E| + excess (Plesník, "On the sum of all distances in a
+    graph or digraph", 1984), and the diameter is `deepest`, or else 2 if
+    some pair is not adjacent and 1 if none is.  On every supported ring the
+    diameter is at most 3, so the excess counts the pairs at distance 3.
+    The status is `graph_status`'s; `wiener` and `excess` are kept only
+    when it is "value", and `diameter` only then and with two or more
+    vertices.
     """
     status = graph_status(vertex_count, component_count)
     connected = status == STATUS_VALUE
+    ordered_pairs = vertex_count * (vertex_count - 1)
     return WienerReport(
         status, method, vertex_count, class_count, component_count,
-        wiener=wiener if connected else None,
+        wiener=ordered_pairs - edge_count + excess if connected else None,
         edge_count=edge_count,
-        diameter=diameter if connected and vertex_count >= 2 else None,
+        diameter=max(deepest, 2 if 2 * edge_count < ordered_pairs else 1) if connected and vertex_count >= 2 else None,
+        excess=excess if connected else None,
         elapsed=time.perf_counter() - t0,
     )

@@ -135,7 +135,7 @@ def naive_reference(spec: RingSpec) -> dict:
     n = len(verts)
 
     if n == 0:
-        return {"status": "empty_graph", "wiener": None, "diameter": None,
+        return {"status": "empty_graph", "wiener": None, "diameter": None, "excess": None,
                 "components": 0, "vertices": 0, "edges": 0}
 
     seen_global = [False] * n
@@ -154,10 +154,10 @@ def naive_reference(spec: RingSpec) -> dict:
                     queue.append(v)
 
     if components > 1:
-        return {"status": "disconnected", "wiener": None, "diameter": None,
+        return {"status": "disconnected", "wiener": None, "diameter": None, "excess": None,
                 "components": components, "vertices": n, "edges": edge_count}
 
-    total = 0
+    total = excess = 0
     diameter = 0
     for s in range(n):
         dist = [-1] * n
@@ -170,9 +170,10 @@ def naive_reference(spec: RingSpec) -> dict:
                     dist[v] = dist[u] + 1
                     queue.append(v)
         total += sum(dist)
+        excess += sum(d - 2 for d in dist if d >= 3)
         diameter = max(diameter, max(dist))
     return {"status": "value", "wiener": total // 2,
-            "diameter": diameter if n >= 2 else None,
+            "diameter": diameter if n >= 2 else None, "excess": excess // 2,
             "components": 1, "vertices": n, "edges": edge_count}
 
 

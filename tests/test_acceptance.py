@@ -18,7 +18,7 @@ import pytest
 
 from conftest import contains, naive_distances, naive_labels, outcome, prime_power_multisets
 from cozero.cli import main as cli_main
-from cozero.closedform import wiener_prime_power_product, wiener_reduced, wiener_zn
+from cozero.closedform import wiener_closed, wiener_prime_power_product, wiener_reduced, wiener_zn
 from cozero.elementgraph import ElementGraph, build_graph, compute_wiener
 from cozero.numtheory import divisors, factorize
 from cozero.quotient import build_quotient_graph, wiener_quotient
@@ -251,6 +251,14 @@ def test_criterion_04_table4_prime_power_products():
     assert _triple_confirmed(TABLE4_ERRATUM_PRINTED_RING) == TABLE4_ERRATUM_TRUE_VALUE
     assert _triple_confirmed(TABLE4_ERRATUM_VALUE_SOURCE) == TABLE4_ERRATUM_PRINTED_VALUE
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_table4_erratum_ring_distance_three_pairs():
+    # Every route reports the same 1304 vertex pairs at distance 3 on the
+    # erratum ring, and the Wiener index they give with |E|.
+    spec = product_of_integers_mod(TABLE4_ERRATUM_PRINTED_RING)
+    reports = [compute_wiener(build_graph(spec)), wiener_quotient(spec), wiener_closed(spec)]
+    assert [(r.excess, r.wiener, r.diameter) for r in reports] == [(1304, TABLE4_ERRATUM_TRUE_VALUE, 3)] * 3
 
 
 def test_criterion_05_worked_product_example():

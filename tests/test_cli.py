@@ -151,6 +151,7 @@ def test_compare_detects_mismatch(capsys, monkeypatch):
             component_count=1,
             wiener=1,
             diameter=3,
+            excess=0,
         )
 
     monkeypatch.setattr(cli_mod, "wiener_quotient", bogus)
@@ -167,6 +168,8 @@ def test_compare_detects_mismatch(capsys, monkeypatch):
         # count keeps the status: Z(27) has 8 isolated vertices, and 7
         # components still read "disconnected".
         pytest.param("component_count", "Z(27)", -1, id="component_count"),
+        # ZxZ(8,9,16) has 1304 vertex pairs at distance 3.
+        pytest.param("excess", "ZxZ(8,9,16)", 1, id="excess"),
     ],
 )
 def test_compare_checks_every_outcome_field(capsys, monkeypatch, field, ring, step):

@@ -282,17 +282,14 @@ def test_classify_matches_quotient_bfs():
     ],
 )
 def test_distance_three_count_is_the_pair_rule(ring):
-    # W = V(V - 1) - |E| + (pairs at distance 3), so the formula's
-    # distance-3 count is read back from its report and compared with the
-    # vertex pairs of the class pairs that `_pair_distance` puts at 3.
+    # The formula's distance-3 count, its report's excess, is compared with
+    # the vertex pairs of the class pairs that `_pair_distance` puts at 3.
     spec = parse_ring_spec(ring)
     report = wiener_closed(spec)
-    vertices = report.vertex_count
-    distance3 = report.wiener - (vertices * (vertices - 1) - report.edge_count)
     tops = [a for _, a in spec.local_factors()]
     classes = enumerate_classes(spec)
     chain = [(a, b) for a, b in itertools.combinations(classes, 2) if _pair_distance(a.exponents, b.exponents, tops) == 3]
-    assert distance3 == sum(a.size * b.size for a, b in chain)
+    assert report.excess == sum(a.size * b.size for a, b in chain)
     assert (report.diameter == 3) == bool(chain)
     if spec.family == "Z":
         # Classes run in ascending key order, so the pairs come smaller-first, in the classifier's order.

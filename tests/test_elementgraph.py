@@ -114,6 +114,7 @@ def test_brute_matches_naive_reference():
         assert report.status == expected["status"], spec
         assert report.wiener == expected["wiener"], spec
         assert report.diameter == expected["diameter"], spec
+        assert report.excess == expected["excess"], spec
         assert report.component_count == expected["components"], spec
         assert report.vertex_count == expected["vertices"], spec
         assert report.edge_count == expected["edges"], spec
@@ -288,6 +289,20 @@ def test_wiener_reads_group_sizes_only():
         assert not {"group_of", "group_members", "keep"} & vars(g).keys(), spec
         assert report.edge_count == g.edge_count(), spec
         assert g.group_sizes == [len(m) for m in g.group_members], spec
+
+
+def test_repr_decodes_no_row(monkeypatch):
+    # Counting F(2)^8's edges would decode each of its 254 rows; repr shows
+    # only the vertex and group counts, which the graph holds.
+    import cozero.elementgraph as elementgraph_mod
+
+    g = build_graph(product_of_fields((2,) * 8))
+
+    def no_decoding(mask):
+        raise AssertionError("repr decoded a row")
+
+    monkeypatch.setattr(elementgraph_mod, "members", no_decoding)
+    assert repr(g) == "ElementGraph(F(2,2,2,2,2,2,2,2), vertices=254, groups=254)"
 
 
 def test_adjacent_reads_no_vertex_rows():

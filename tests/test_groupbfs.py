@@ -1,11 +1,12 @@
 import itertools
+import time
 
 import pytest
 from conftest import reference_levels, single_bit_graphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cozero.groupbfs import HUBS, component_roots, group_wiener, members, size_planes, sweep, weigh
+from cozero.groupbfs import HUBS, component_roots, group_report, group_wiener, members, size_planes, sweep, weigh
 
 # Six vertices in three label groups: {0, 1} ~ {2} form one component, and
 # the group {3, 4, 5} has no neighbours, so its vertices are isolated.
@@ -120,7 +121,11 @@ def as_adjacency(groups):
 
 
 def reference_summary(groups, group_of):
-    """`(total, eccentricity_max, components, edges)` from the per-vertex queue BFS."""
+    """`(total, eccentricity_max, components, edges, excess)` from the per-vertex queue BFS.
+
+    `total` and `excess`, the sum of d - 2 over the levels d >= 3, run over
+    ordered vertex pairs.
+    """
     n = len(group_of)
     levels = reference_levels(vertex_rows(groups, group_of), range(n))
     reached = [1 << v for v in range(n)]
@@ -132,20 +137,23 @@ def reference_summary(groups, group_of):
     components = sum(1 for v in range(n) if reached[v] & ((1 << v) - 1) == 0)
     # Level 1 from every source holds each edge once from either end.
     edges = sum(bits.bit_count() for _, d, bits in levels if d == 1) // 2
-    return total, eccentricity, components, edges
+    excess = sum((d - 2) * bits.bit_count() for _, d, bits in levels if d >= 3)
+    return total, eccentricity, components, edges, excess
 
 
 def assert_group_wiener_matches(groups, group_of, expected):
-    """`group_wiener` against `reference_summary`'s `(total, eccentricity, components, edges)`.
+    """`group_report` on `group_wiener`'s counts against `reference_summary`'s.
 
-    Components and edges are compared always; the Wiener index, half the
-    ordered-pair total, and the diameter only when the graph is connected.
+    Components and edges are compared always; the Wiener index and the
+    excess, half their ordered-pair totals, and the diameter only when the
+    graph is connected, and the diameter only with two or more vertices.
     """
-    total, eccentricity, components, edges = expected
-    wiener, diameter, *counts = group_wiener(*as_adjacency(groups))
-    assert counts == [components, edges]
+    total, eccentricity, components, edges, excess = expected
+    report = group_report("test", *as_adjacency(groups), time.perf_counter())
+    assert (report.component_count, report.edge_count) == (components, edges)
     if components == 1:
-        assert (wiener, diameter) == (total // 2, eccentricity)
+        diameter = eccentricity if len(group_of) > 1 else None
+        assert (report.wiener, report.diameter, report.excess) == (total // 2, diameter, excess // 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,12 +179,16 @@ def test_group_wiener_on_interleaved_groups():
     expected = reference_summary(groups, group_of)
     # The diameter, one component plus 11 isolated vertices, and 11 x 11
     # edges between each of the path's k - 2 pairs of consecutive groups.
-    assert expected[1:] == (k - 2, 12, (k - 2) * 11 * 11)
+    assert expected[1:4] == (k - 2, 12, (k - 2) * 11 * 11)
     assert_group_wiener_matches(groups, group_of, expected)
     # Without the isolated group the path is connected, and the isolated
     # vertices added no distance to the total.
     group_sizes, group_rows = as_adjacency(groups)
-    assert group_wiener(group_sizes[:-1], group_rows[:-1]) == (expected[0] // 2, k - 2, 1, expected[3])
+    report = group_report("test", group_sizes[:-1], group_rows[:-1], time.perf_counter())
+    assert (report.wiener, report.diameter, report.component_count, report.edge_count) == (
+        expected[0] // 2, k - 2, 1, expected[3]
+    )
+    assert group_wiener(group_sizes[:-1], group_rows[:-1]) == (expected[4] // 2, k - 2, 1, expected[3])
 
 
 def test_group_wiener_without_pairs():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cozero.closedform import wiener_closed
 from cozero.elementgraph import build_graph, wiener_brute
-from cozero.groupbfs import group_wiener
+from cozero.groupbfs import group_report
 from cozero.numtheory import divisors, euler_phi
 from cozero.quotient import (
     build_quotient_graph,
@@ -348,17 +348,27 @@ def test_classes_match_label_rule_fields(orders):
 
 
 def reference_group_wiener(rows, sizes):
-    """`group_wiener`'s `(wiener, diameter)` by a queue BFS from every group, each pair weighed from its lower end.
+    """`group_report`'s `(wiener, diameter, excess)` by a queue BFS from every group, each pair weighed from its lower end.
 
     Classmates sit at distance 2: `2 * sum C(s, 2)` of them, which makes
-    the diameter at least 2 when some size is 2 or more.
+    the diameter at least 2 when some size is 2 or more.  The excess weighs
+    d - 2 for each pair at distance d >= 3.
     """
     total = 2 * sum(comb(s, 2) for s in sizes)
+    excess = 0
     diameter = 2 if max(sizes) > 1 else 0
     for s, d, bits in reference_levels(rows, range(len(rows))):
-        total += d * sizes[s] * sum(sizes[j] for j in range(s + 1, len(rows)) if bits >> j & 1)
+        weight = sizes[s] * sum(sizes[j] for j in range(s + 1, len(rows)) if bits >> j & 1)
+        total += d * weight
+        excess += max(d - 2, 0) * weight
         diameter = max(diameter, d)
-    return total, diameter
+    return total, diameter, excess
+
+
+def group_outcome(sizes, rows):
+    """`(wiener, diameter, excess, components)` of `group_report` on these groups."""
+    report = group_report("test", sizes, rows, time.perf_counter())
+    return report.wiener, report.diameter, report.excess, report.component_count
 
 
 def is_connected(rows):
@@ -374,12 +384,11 @@ def positive_sizes(n):
 def test_group_wiener_matches_weighted_reference_bfs(rows, data):
     assume(is_connected(rows))
     sizes = data.draw(positive_sizes(len(rows)))
-    wiener, diameter, components, _ = group_wiener(sizes, rows)
     if len(rows) == 1:
         # One group without neighbours: its members are isolated vertices.
-        assert components == sizes[0]
+        assert group_outcome(sizes, rows)[3] == sizes[0]
     else:
-        assert (wiener, diameter, components) == (*reference_group_wiener(rows, sizes), 1)
+        assert group_outcome(sizes, rows) == (*reference_group_wiener(rows, sizes), 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -391,21 +400,22 @@ def test_group_wiener_on_paths_and_cycles(n, cycle, data):
         rows[0] |= 1 << n - 1
         rows[n - 1] |= 1
     sizes = data.draw(positive_sizes(n))
-    total, diameter, components, _ = group_wiener(sizes, rows)
-    assert (total, diameter, components) == (*reference_group_wiener(rows, sizes), 1)
-    assert diameter == (n // 2 if cycle else n - 1)
+    got = group_outcome(sizes, rows)
+    assert got == (*reference_group_wiener(rows, sizes), 1)
+    assert got[1] == (n // 2 if cycle else n - 1)
 
 
 def assert_group_wiener_matches_table(spec):
-    """On a connected class graph of two or more classes, `group_wiener` is the size-weighted sum over `quotient_distances`' table."""
+    """On a connected class graph of two or more classes, `group_report` is the size-weighted sum over `quotient_distances`' table."""
     qg = build_quotient_graph(spec)
     table, connected = quotient_distances(qg)
     sizes = [c.size for c in qg.classes]
     if connected and len(sizes) > 1:
         pairs = list(itertools.combinations(range(len(sizes)), 2))
         total = sum(sizes[i] * sizes[j] * table[i][j] for i, j in pairs) + 2 * sum(comb(s, 2) for s in sizes)
+        excess = sum(sizes[i] * sizes[j] * (table[i][j] - 2) for i, j in pairs if table[i][j] >= 3)
         diameter = max(max(table[i][j] for i, j in pairs), 2 if max(sizes) > 1 else 0)
-        assert group_wiener(sizes, qg.rows)[:3] == (total, diameter, 1), spec
+        assert group_outcome(sizes, qg.rows) == (total, diameter, excess, 1), spec
 
 
 def test_group_wiener_matches_distance_table_zn():
