@@ -61,11 +61,7 @@ _RECORD_FIELDS = ("ring", "method", "status", "wiener", "vertices", "edges", "cl
 def _run_method(spec: RingSpec, method: str, limit: int | None) -> WienerReport:
     if method == "brute":
         return wiener_brute(spec, limit)
-    if method == "quotient":
-        return wiener_quotient(spec)
-    if method == "closed":
-        return wiener_closed(spec)
-    raise ValueError(f"unknown method {method!r}")
+    return {"quotient": wiener_quotient, "closed": wiener_closed}[method](spec)
 
 
 def _run_routes(

@@ -31,7 +31,7 @@ from itertools import accumulate, product
 from math import prod
 from operator import ge, le
 
-from .numtheory import factorize, is_prime
+from .numtheory import factorize
 from .report import WienerReport, make_report
 from .ringspec import RingSpec, chain_sizes, integers_mod, product_of_fields
 
@@ -132,7 +132,7 @@ def _prime_power_pairs(prime_powers, too_few: str) -> tuple[tuple[int, int], ...
     if len(pps) < 2:
         raise ValueError(too_few)
     for p, m in pps:
-        if m < 1 or not is_prime(p):
+        if m < 1 or p < 2 or factorize(p) != [(p, 1)]:
             raise ValueError(f"({p}, {m}) is not a prime power")
     return pps
 

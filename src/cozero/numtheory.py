@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization, totient, divisor enumeration.
+"""Exact prime factorization, the one arithmetic step every route reads.
 
 Factorization runs in three stages on Python integers, which are arbitrary
 precision, so every count and sum in the library stays exact:
@@ -13,11 +13,16 @@ precision, so every count and sum in the library stays exact:
 
 A factorization never holds an unproven prime, and every one ends.  A
 piece at or above `PSI_13` that Miller-Rabin cannot prove composite, and a
-piece that rho has not split within `RHO_ITERATION_CAP` steps, both raise
-`FactorizationError`, a `ValueError` that names the limit it hit.  Rho
-takes on the order of sqrt(p) steps to split off a prime p, so the hardest
-n below `PSI_13` are products of two primes near 1.8 * 10**12; on 64 of
-them rho needed at most 3.9 * 10**6 steps, under half the cap.
+piece that rho has not split within its step budget, both raise
+`FactorizationError`, a `ValueError` that names the limit it hit.  The
+budget is `RHO_ITERATION_CAP` steps for a piece of up to 82 bits, the
+length of `PSI_13`, and (82/b)**2 of it for a piece of b > 82 bits, whose
+steps cost more: on a 2-CPU host a product of two primes that rho cannot
+split gives up after 1.8 s at 40 digits, and after 0.3 s at 300 or 1000
+(57 000 and 5 100 steps).  Rho takes on the order of sqrt(p) steps to
+split off a prime p, so the hardest n below `PSI_13` are products of two
+primes near 1.8 * 10**12; on 64 of them rho needed at most 3.9 * 10**6
+steps, under half the cap.
 """
 
 from __future__ import annotations
@@ -46,8 +51,10 @@ _SMALL_PRIMES = _primes_below(SMALL_PRIME_BOUND)
 PSI_13 = 3317044064679887385961981
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Steps of x -> x*x + c (mod n) that rho may take on one piece, over all c.
+# Steps of x -> x*x + c (mod n) that rho may take on one piece of up to
+# _CAP_BITS bits, over all c; a longer piece gets fewer (module docstring).
 RHO_ITERATION_CAP = 1 << 23
+_CAP_BITS = PSI_13.bit_length()
 _RHO_BATCH = 128
 
 
@@ -89,6 +96,7 @@ def _rho_divisor(n: int) -> int:
     batch that overshoots to gcd n is replayed one step at a time, and a
     polynomial whose cycle closes at n is dropped for the next c.
     """
+    cap = RHO_ITERATION_CAP * _CAP_BITS**2 // max(_CAP_BITS, n.bit_length()) ** 2
     steps = 0
     c = 0
     while True:
@@ -109,10 +117,8 @@ def _rho_divisor(n: int) -> int:
                 g = gcd(q, n)
                 k += batch
                 steps += batch
-                if g == 1 and steps >= RHO_ITERATION_CAP:
-                    raise FactorizationError(
-                        f"Pollard rho did not split {n} within {RHO_ITERATION_CAP} iterations"
-                    )
+                if g == 1 and steps >= cap:
+                    raise FactorizationError(f"Pollard rho did not split {n} within {cap} iterations")
             r *= 2
         if g == n:
             g = 1
@@ -153,61 +159,3 @@ def factorize(n: int) -> Factorization:
     if n < 2:
         raise ValueError(f"factorize requires an integer >= 2, got {n}")
     return list(_factor_pairs(n))
-
-
-def is_prime(n: int) -> bool:
-    """True when n is prime; FactorizationError for a probable prime >= PSI_13."""
-    if n < SMALL_PRIME_BOUND:
-        return n in _SMALL_PRIMES
-    if any(n % p == 0 for p in _SMALL_PRIMES):
-        return False
-    return n < SMALL_PRIME_BOUND**2 or _miller_rabin(n)
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient, the count of integers in [1, n] coprime to n.
-
-    No route uses it (class sizes come from `ringspec.chain_sizes`); the
-    tests keep it as an independent reference for those sizes.
-    """
-    if n < 1:
-        raise ValueError(f"euler_phi requires an integer >= 1, got {n}")
-    if n == 1:
-        return 1
-    result = n
-    for p, _ in _factor_pairs(n):
-        result -= result // p
-    return result
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n in ascending order."""
-    if n < 1:
-        raise ValueError(f"divisors requires an integer >= 1, got {n}")
-    if n == 1:
-        return [1]
-    divs = [1]
-    for p, e in _factor_pairs(n):
-        power = 1
-        extended = list(divs)
-        for _ in range(e):
-            power *= p
-            extended.extend(d * power for d in divs)
-        divs = extended
-    divs.sort()
-    return divs
-
-
-def proper_divisors(n: int) -> list[int]:
-    """Divisors of n excluding 1 and n itself, ascending."""
-    return [d for d in divisors(n) if d != 1 and d != n]
-
-
-def prime_power_radical(n: int) -> tuple[int, int] | None:
-    """(p, e) when n = p**e for a prime p, otherwise None."""
-    if n < 2:
-        raise ValueError(f"prime_power_radical requires an integer >= 2, got {n}")
-    pairs = _factor_pairs(n)
-    if len(pairs) == 1:
-        return pairs[0]
-    return None

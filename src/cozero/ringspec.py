@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from math import prod
 
-from .numtheory import factorize, prime_power_radical
+from .numtheory import factorize
 
 FAMILY_Z = "Z"
 FAMILY_PRODUCT = "ZxZ"
@@ -58,7 +58,7 @@ class RingSpec:
                 raise ValueError(f"component cardinality must be >= 2, got {c}")
         if self.family == FAMILY_FIELDS:
             for q in self.components:
-                if prime_power_radical(q) is None:
+                if len(factorize(q)) != 1:
                     raise ValueError(f"{q} is not a prime power")
 
     @property

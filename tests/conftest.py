@@ -1,5 +1,6 @@
 """Shared test helpers: an independent brute-force reference, a queue BFS
-over neighbour rows, ring sweeps, and a per-test time limit."""
+over neighbour rows, ring sweeps, totient and divisor references, and a
+per-test time limit."""
 
 from __future__ import annotations
 
@@ -9,11 +10,12 @@ import signal
 import traceback
 from collections import deque
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import strategies as st
 
+from cozero.numtheory import factorize
 from cozero.report import OUTCOME_FIELDS
 from cozero.ringspec import RingSpec
 
@@ -175,6 +177,28 @@ def naive_reference(spec: RingSpec) -> dict:
     return {"status": "value", "wiener": total // 2,
             "diameter": diameter if n >= 2 else None, "excess": excess // 2,
             "components": 1, "vertices": n, "edges": edge_count}
+
+
+# A 300-digit product of two primes of 150 and 151 digits: rho cannot
+# split it, and gives up after its step budget for that length.
+SEMIPRIME_300_DIGITS = (10**149 + 183) * (10**150 + 67)
+
+
+def phi(n: int) -> int:
+    """Euler's totient, n * prod(1 - 1/p) over the primes p of n from `factorize`."""
+    if n == 1:
+        return 1
+    for p, _ in factorize(n):
+        n -= n // p
+    return n
+
+
+def divisors(n: int) -> list[int]:
+    """Every positive divisor of n, ascending: the products of `factorize`'s prime powers."""
+    if n == 1:
+        return [1]
+    fac = factorize(n)
+    return sorted(prod(p**x for (p, _), x in zip(fac, xs)) for xs in iter_product(*(range(e + 1) for _, e in fac)))
 
 
 def prime_powers_upto(limit: int) -> list[int]:

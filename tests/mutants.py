@@ -1,4 +1,4 @@
-"""Mutation check for the shared pair counts, the row builders and the Wiener identity.
+"""Mutation check for the shared pair counts, the row builders, the edge list and the Wiener identity.
 
 Brute and quotient hand the same rows to `groupbfs.group_wiener`, and every
 route hands its counts to `report.make_report`, so a fault in either shows
@@ -149,6 +149,21 @@ MUTANTS = [
         SUM,
         "a bottom-up step reaches the unseen vertices with no neighbour in the frontier too",
     ),
+    # groupbfs.component_roots: one root per component, its lowest vertex.
+    Mutant(
+        "groupbfs.py",
+        "for _, _, frontier in sweep(rows, (root,)):",
+        "for _, _, frontier in [*sweep(rows, (root,))][:1]:",
+        SUM,
+        "only a root's neighbours count as reached, so a component of diameter 2 or more has several roots",
+    ),
+    Mutant(
+        "groupbfs.py",
+        "root = (unreached & -unreached).bit_length() - 1",
+        "root = unreached.bit_length() - 1",
+        SUM,
+        "each root is the highest unreached vertex, not the lowest",
+    ),
     # report.make_report: the identity and the diameter rule.
     Mutant(
         "report.py",
@@ -207,6 +222,21 @@ MUTANTS = [
         "return (sum(compress(cells, selected)) >> 1) & full",
         ("test_elementgraph.py",),
         "a label's runs are laid down in the first tile only",
+    ),
+    # elementgraph.ElementGraph.edges: each edge once, from its lower end.
+    Mutant(
+        "elementgraph.py",
+        "return [(i, j) for i, g in enumerate(self.group_of) for j in neighbours[g][bisect_right(neighbours[g], i) :]]",
+        "return [(i, j) for i, g in enumerate(self.group_of) for j in neighbours[g]]",
+        ("test_elementgraph.py",),
+        "every edge is listed from both ends",
+    ),
+    Mutant(
+        "elementgraph.py",
+        "neighbours = [sorted(chain.from_iterable(map(members_of.__getitem__, members(row)))) for row in self.group_rows]",
+        "neighbours = [list(chain.from_iterable(map(members_of.__getitem__, members(row)))) for row in self.group_rows]",
+        ("test_elementgraph.py",),
+        "a neighbour list is in group order, not vertex order, so the cut past i drops or keeps the wrong vertices",
     ),
     # closedform._wiener_local: |E| and the distance-3 pairs.
     Mutant(

@@ -16,11 +16,11 @@ from functools import cache
 
 import pytest
 
-from conftest import contains, naive_distances, naive_labels, outcome, prime_power_multisets
+from conftest import contains, divisors, naive_distances, naive_labels, outcome, prime_power_multisets
 from cozero.cli import main as cli_main
 from cozero.closedform import wiener_closed, wiener_prime_power_product, wiener_reduced, wiener_zn
 from cozero.elementgraph import ElementGraph, build_graph, compute_wiener
-from cozero.numtheory import divisors, factorize
+from cozero.numtheory import factorize
 from cozero.quotient import build_quotient_graph, wiener_quotient
 from cozero.report import WienerReport
 from cozero.ringspec import (

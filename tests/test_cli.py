@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import SEMIPRIME_300_DIGITS
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ import cozero
 from cozero import report as report_mod
 from cozero.cli import main
 from cozero.closedform import wiener_closed
+from cozero.numtheory import PSI_13
 from cozero.report import WienerReport
 from cozero.ringspec import parse_ring_spec
 
@@ -103,6 +105,10 @@ def test_negative_brute_limit_is_rejected(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "--brute-limit" in err and "non-negative" in err
+    code, out, err = run(capsys, "wiener", "Z(12)", "--method", "brute", "--brute-limit", "abc")
+    assert code == 1
+    assert out == ""
+    assert "--brute-limit" in err and "invalid int value: 'abc'" in err
     monkeypatch.setenv("COZERO_BRUTE_LIMIT", "-5")
     code, out, err = run(capsys, "wiener", "Z(12)", "--method", "brute")
     assert code == 1
@@ -158,6 +164,10 @@ def test_compare_detects_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, "compare", "Z(100)")
     assert code == 3
     assert "MISMATCH" in out
+    code, out, err = run(capsys, "bench", "zn", "100", "--format", "csv")
+    assert code == 3
+    assert out.count("Z(100),") == 3
+    assert err.startswith("MISMATCH on Z(100): ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -500,10 +510,25 @@ def test_missing_command_is_usage_error(capsys):
     assert code == 1
 
 
+def test_a_300_digit_modulus_fails_within_seconds(capsys):
+    # Rho's step budget shrinks with the square of the piece's length, so a
+    # modulus it cannot split fails in under a second, not a minute.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "wiener", f"Z({SEMIPRIME_300_DIGITS})")
+    elapsed = time.perf_counter() - t0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Pollard rho did not split ") and err.count("\n") == 1
+    assert elapsed < 5, f"took {elapsed:.1f} s"
+
+
 # Each number of components with the largest value it may take, so that no
 # drawn ring has more than 625 elements: every route stays fast, and the
-# numbers stay far below the range where factoring needs rho.
+# numbers stay far below the range where factoring needs rho.  The huge
+# values fail at once in Miller-Rabin: psi_13 and the prime 2**89 - 1 are
+# past the range where it proves primality.
 _FUZZ_VALUE_MAX = {1: 300, 2: 24, 3: 8, 4: 5}
+_HUGE = (str(PSI_13), str(2**89 - 1))
 _FORMATS = ("plain", "json", "csv", "md")
 # Arabic-Indic and fullwidth digits, which the spec grammar's `\d` and `int` accept.
 _ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
@@ -512,12 +537,12 @@ _FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 
 @st.composite
 def fuzz_tokens(draw, count):
-    """`count` parameter tokens: small integers, zero, negatives, Unicode digits or junk."""
+    """`count` parameter tokens: small integers, zero, negatives, Unicode digits, huge integers or junk."""
     tokens = []
     for _ in range(count):
         value = str(draw(st.integers(0, _FUZZ_VALUE_MAX[count])))
         junk = draw(st.text(st.characters(blacklist_categories=("Nd",)), max_size=3))  # no digits: no large values
-        odd = ["0", "-" + value, value.translate(_ARABIC), value.translate(_FULLWIDTH), value + ".5", junk]
+        odd = ["0", "-" + value, value.translate(_ARABIC), value.translate(_FULLWIDTH), value + ".5", junk, *_HUGE]
         tokens.append(draw(st.sampled_from([value] * 12 + odd)))
     return tokens
 
@@ -551,6 +576,8 @@ def fuzz_argv(draw):
 @example(["table", "fields2", "4,-9", "--format", "csv"])
 @example(["bench", "ppprod", "2,3,4,5", "--format", "plain"])
 @example(["export-graph", "F(4,5,5,3)", "--graph-format", "edgelist"])
+@example(["compare", f"ZxZ({SEMIPRIME_300_DIGITS},4)", "--format", "json"])
+@example(["classes", f"F({SEMIPRIME_300_DIGITS})", "--format", "plain"])
 def test_cli_fuzz_fails_cleanly(argv):
     # Whatever the input, main returns a documented exit code, prints no
     # traceback, and a failure (exit 1) prints exactly one `error:` line.

@@ -3,7 +3,7 @@ import time
 from math import comb
 
 import pytest
-from conftest import outcome
+from conftest import SEMIPRIME_300_DIGITS, outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,7 @@ from cozero.closedform import (
     wiener_zn,
 )
 from cozero.elementgraph import wiener_brute
-from cozero.numtheory import factorize
+from cozero.numtheory import FactorizationError, factorize
 from cozero.quotient import build_quotient_graph, enumerate_classes, quotient_distances, wiener_quotient
 from cozero.ringspec import integers_mod, parse_ring_spec, product_of_fields, product_of_integers_mod
 
@@ -123,6 +123,8 @@ def test_wiener_zn_reference_values(n, expected):
 
 
 def test_wiener_zn_chain_pairs_for_12():
+    with pytest.raises(ValueError, match="needs >= 2 distinct primes, got n = 8"):
+        classify_divisor_pairs(8)
     pairs = classify_divisor_pairs(12)
     assert pairs.distance_three_chain == ((2, 6),)
     assert set(pairs.incomparable) == {(2, 3), (3, 4), (4, 6)}
@@ -139,9 +141,7 @@ def test_divisor_pair_sets_partition_comparable_pairs():
             + pairs.distance_two_cross_prime
             + pairs.distance_three_chain
         )
-        from cozero.numtheory import proper_divisors
-
-        ds = proper_divisors(n)
+        ds = [d for d in range(2, n) if n % d == 0]
         assert len(buckets) == len(ds) * (len(ds) - 1) // 2
         assert len(set(map(frozenset, buckets))) == len(buckets)
         # Each bucket as `DivisorPairSets` defines it.
@@ -234,6 +234,8 @@ def test_classify_distance_validates_inputs():
         classify_prime_power_distance((0, 5), (1, 0), ((2, 1), (2, 2)))  # level range
     with pytest.raises(ValueError):
         classify_prime_power_distance((2,), (1,), ((4, 1),))  # k < 2 and 4 not prime
+    with pytest.raises(ValueError, match=r"class \(0, 1, 1\) does not match 2 components"):
+        classify_prime_power_distance((0, 1, 1), (1, 0), ((2, 1), (2, 1)))  # level tuple too long
 
 
 def test_classify_matches_quotient_bfs():
@@ -317,6 +319,31 @@ def test_wiener_prime_power_product_rejects_bad_input():
         wiener_prime_power_product([(2, 2)])
     with pytest.raises(ValueError):
         wiener_prime_power_product([(4, 1), (3, 1)])
+
+
+@pytest.mark.parametrize(
+    "make, arg, message",
+    [
+        pytest.param(parse_ring_spec, "F(6,25)", "6 is not a prime power", id="F(6,25)"),
+        pytest.param(parse_ring_spec, "F(12)", "12 is not a prime power", id="F(12)"),
+        pytest.param(wiener_prime_power_product, [(4, 1), (3, 1)], "(4, 1) is not a prime power", id="4,1"),
+        pytest.param(wiener_prime_power_product, [(1, 1), (3, 1)], "(1, 1) is not a prime power", id="1,1"),
+        pytest.param(wiener_prime_power_product, [(0, 1), (3, 1)], "(0, 1) is not a prime power", id="0,1"),
+        pytest.param(wiener_prime_power_product, [(3, 1), (6, 2)], "(6, 2) is not a prime power", id="6,2"),
+    ],
+)
+def test_prime_power_checks_keep_their_messages(make, arg, message):
+    # A field order and a (p, m) pair are checked through factorize.
+    with pytest.raises(ValueError) as exc_info:
+        make(arg)
+    assert str(exc_info.value) == message
+
+
+def test_unsplittable_composite_p_is_a_factorization_error():
+    # factorize decides whether p is prime, so a composite it cannot split
+    # fails with its budget rather than as "not a prime power".
+    with pytest.raises(FactorizationError, match="did not split"):
+        wiener_prime_power_product([(SEMIPRIME_300_DIGITS, 1), (3, 1)])
 
 
 @given(st.permutations([(2, 1), (2, 2), (3, 2), (5, 1)]))

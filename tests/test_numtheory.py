@@ -1,20 +1,12 @@
 from math import gcd, prod
 
 import pytest
+from conftest import divisors, phi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cozero import numtheory
-from cozero.numtheory import (
-    PSI_13,
-    FactorizationError,
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-    prime_power_radical,
-    proper_divisors,
-)
+from cozero.numtheory import PSI_13, FactorizationError, factorize
 
 
 def brute_phi(n: int) -> int:
@@ -130,12 +122,12 @@ def test_factorize_semiprimes(p, q):
 def test_factorize_large_prime_powers(pk, m):
     p, k = pk
     assert factorize(p**k) == [(p, k)]
-    assert prime_power_radical(p**k) == (p, k)
     assert factorize(m * p**k) == merged(trial_division(m), [(p, k)])
 
 
 def test_is_prime_agrees_with_sieve():
-    assert [n for n in range(10**5) if is_prime(n)] == SIEVE_PRIMES
+    # factorize decides primality: n is prime exactly when it is its own one factor.
+    assert [n for n in range(2, 10**5) if factorize(n) == [(n, 1)]] == SIEVE_PRIMES
 
 
 @pytest.mark.parametrize(
@@ -150,7 +142,6 @@ def test_is_prime_agrees_with_sieve():
     ],
 )
 def test_strong_pseudoprimes_are_composite(n, expected):
-    assert not is_prime(n)
     assert factorize(n) == expected
     assert all(trial_division(p) == [(p, 1)] for p, _ in expected)
 
@@ -160,10 +151,8 @@ def test_factorize_rejects_unprovable_primes():
     for n in (PSI_13, 2**89 - 1, 2 * (2**89 - 1)):
         with pytest.raises(FactorizationError, match=str(PSI_13)):
             factorize(n)
-    with pytest.raises(FactorizationError, match=str(PSI_13)):
-        is_prime(2**89 - 1)
     assert issubclass(FactorizationError, ValueError)
-    assert not is_prime(PSI_13 + 1)
+    assert factorize(PSI_13 + 1) == [(2, 1), (702809, 1), (1858007, 1), (1270096107457, 1)]
 
 
 def test_rho_gives_up_at_the_iteration_cap(monkeypatch):
@@ -172,36 +161,48 @@ def test_rho_gives_up_at_the_iteration_cap(monkeypatch):
         factorize(1000000007 * 1000000021)
 
 
+def test_rho_cap_shrinks_past_82_bits(monkeypatch):
+    # Two primes of 82 bits, the length of PSI_13, make a piece of 163 bits,
+    # whose steps cost about (163/82)**2 times as much: 1000 * 82**2 // 163**2 = 253.
+    p, q = 2**81 + 17, 2**81 + 2**79 + 121
+    assert p.bit_length() == q.bit_length() == PSI_13.bit_length() == 82
+    assert factorize(p) == [(p, 1)] and factorize(q) == [(q, 1)]
+    monkeypatch.setattr(numtheory, "RHO_ITERATION_CAP", 1000)
+    with pytest.raises(FactorizationError, match="within 253 iterations"):
+        factorize(p * q)
+
+
+# The totient and divisor references of the tests (conftest's `phi` and
+# `divisors`, both read off `factorize`) against brute counts and identities.
+
+
 @pytest.mark.parametrize("n,expected", [(1, 1), (9, 6), (100, 40), (2, 1), (97, 96)])
 def test_euler_phi_known(n, expected):
-    assert euler_phi(n) == expected
+    assert phi(n) == expected
 
 
 def test_euler_phi_matches_brute_count():
     for n in range(1, 300):
-        assert euler_phi(n) == brute_phi(n)
+        assert phi(n) == brute_phi(n)
 
 
 def test_euler_phi_rejects_nonpositive():
     with pytest.raises(ValueError):
-        euler_phi(0)
+        phi(0)
 
 
 @given(st.integers(min_value=1, max_value=2000), st.integers(min_value=1, max_value=2000))
 @settings(max_examples=100)
 def test_euler_phi_multiplicative_on_coprimes(a, b):
     if gcd(a, b) == 1:
-        assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
+        assert phi(a * b) == phi(a) * phi(b)
 
 
 def test_divisors_known():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert proper_divisors(12) == [2, 3, 4, 6]
     assert len(divisors(100)) == 9
-    assert len(proper_divisors(100)) == 7
-    assert proper_divisors(7) == []
+    assert divisors(7) == [1, 7]
     assert divisors(1) == [1]
-    assert proper_divisors(1) == []
 
 
 def test_divisors_match_enumeration():
@@ -218,7 +219,7 @@ def test_divisor_count_follows_exponents():
 def test_totient_sums_to_n_over_divisors():
     # Classical identity: the totients of the divisors of n partition [1, n].
     for n in range(2, 10_001):
-        assert sum(euler_phi(d) for d in divisors(n)) == n
+        assert sum(phi(d) for d in divisors(n)) == n
 
 
 @pytest.mark.parametrize(
@@ -226,10 +227,12 @@ def test_totient_sums_to_n_over_divisors():
     [(8, (2, 3)), (12, None), (121, (11, 2)), (2, (2, 1)), (97, (97, 1)), (36, None)],
 )
 def test_prime_power_radical(n, expected):
-    assert prime_power_radical(n) == expected
+    # n is a prime power exactly when factorize gives one pair, as RingSpec reads a field order.
+    pairs = factorize(n)
+    assert (pairs[0] if len(pairs) == 1 else None) == expected
 
 
 def test_prime_predicates():
-    primes_below_100 = [n for n in range(2, 100) if is_prime(n)]
+    primes_below_100 = [n for n in range(2, 100) if factorize(n) == [(n, 1)]]
     assert primes_below_100[:8] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert len(primes_below_100) == 25

@@ -46,6 +46,19 @@ def test_component_count_contradicting_the_status_is_rejected():
         dataclasses.replace(wiener_closed(integers_mod(36)), component_count=2)
 
 
+@pytest.mark.parametrize(
+    "status, vertices, wiener, diameter, excess, message",
+    [
+        pytest.param("finite", 7, 34, 3, 2, "unknown status 'finite'", id="unknown_status"),
+        pytest.param("value", 7, -1, 3, 2, "cannot be negative", id="negative_wiener"),
+        pytest.param("value", 1, 5, None, 0, "single-vertex graph has Wiener index 0", id="single_vertex_wiener"),
+    ],
+)
+def test_impossible_report_is_rejected(status, vertices, wiener, diameter, excess, message):
+    with pytest.raises(ValueError, match=message):
+        WienerReport(status, "test", vertices, 4, 1, wiener=wiener, edge_count=0, diameter=diameter, excess=excess)
+
+
 def test_connected_report_without_diameter_is_rejected():
     # Z(12) is connected with 7 vertices, so it has a diameter.
     with pytest.raises(ValueError, match="diameter"):

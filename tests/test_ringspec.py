@@ -1,7 +1,6 @@
 import pytest
 
 from cozero.elementgraph import build_graph
-from cozero.numtheory import divisors
 from cozero.ringspec import (
     FAMILY_FIELDS,
     FAMILY_PRODUCT,
@@ -54,6 +53,13 @@ def test_parse_errors_name_the_offender(text, fragment):
     assert fragment in str(exc_info.value)
 
 
+def test_spec_needs_a_known_family_and_a_component():
+    with pytest.raises(ValueError, match="unknown ring family 'Q'"):
+        RingSpec("Q", (5,))
+    with pytest.raises(ValueError, match="at least one component"):
+        RingSpec(FAMILY_PRODUCT, ())
+
+
 def test_cardinality():
     assert integers_mod(72).cardinality == 72
     assert product_of_integers_mod((2, 4, 9)).cardinality == 72
@@ -99,4 +105,4 @@ def test_chain_sizes():
 def test_vertex_label_count_is_tau_minus_2():
     # Labels read off the actual elements: every divisor but n (zero) and 1 (units).
     for n in range(2, 80):
-        assert len(build_graph(integers_mod(n)).group_keys) == len(divisors(n)) - 2
+        assert len(build_graph(integers_mod(n)).group_keys) == sum(n % d == 0 for d in range(1, n + 1)) - 2
