@@ -6,21 +6,27 @@ are in the frontier, and top-down otherwise (direction-optimizing BFS,
 Beamer, Asanovic and Patterson, SC 2012).  It is the one search: both the
 brute and the quotient route hand `group_wiener` their graph as groups of
 twins, brute's label groups or the quotient's classes, with one row per
-group, and `group_wiener` counts the edges from the group sizes and
-searches only from the groups that have a pair at distance 3 or more.  To
-find those groups it covers each group's non-neighbours in three steps: a
-degree bound first (two non-adjacent groups whose degrees sum past k - 2
-share a neighbour), then a few hub rows, the rows of the groups of highest
-degree, and only the pairs both leave are tested by ANDing their rows; it
-weighs a set of groups by popcounts over masks of the sizes, such as their
-bit planes, and decodes no set of groups to sum its sizes.
+group, and `group_wiener` counts the edges from the group sizes.  It counts
+each non-adjacent pair of groups once, from the heavier group (the larger,
+or the lower of two of one size), so a group weighs only groups no larger
+than itself.  To find the pairs at distance 3 or more it covers each
+group's lighter non-neighbours in three steps: a degree bound first (two
+non-adjacent groups whose degrees sum past k - 2 share a neighbour), then
+a few hub rows, the rows of the groups of highest degree, and only the
+pairs both leave are tested by ANDing their rows.  A pair whose rows miss
+is at distance 3 when a hub in the heavier group's row reaches the other
+group's row; `sweep` searches only from the groups with a far partner that
+no hub certifies.  A set of groups is weighed by popcounts over masks of
+the sizes, such as their bit planes, which ascend in weight so that the
+weighing stops past the heavier group's size; no set of groups is decoded
+to sum its sizes, except the few far partners the pair AND lists.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
-from operator import and_
+from operator import mul
 
 from .report import WienerReport, make_report
 
@@ -97,15 +103,17 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
     counts to the Wiener index and the diameter.
 
     Two members of one group are at distance 2 through any neighbour, and
-    vertices in groups i < j are at the groups' distance d(i, j): their
-    `sizes[i] * sizes[j]` pairs are edges exactly when i and j are
-    adjacent.  A non-adjacent pair is at distance 2 when the rows of i and
-    j meet, and at 3 or more otherwise, which makes i *deep*; `sweep` runs
-    from the deep groups only, and level d >= 3 of the search from s weighs
-    the frontier above s.
+    vertices in distinct groups i and j are at the groups' distance
+    d(i, j): their `sizes[i] * sizes[j]` pairs are edges exactly when i and
+    j are adjacent.  Each pair of groups is counted from its heavier group:
+    the larger, or the lower of two of one size.  So group i counts its
+    *lighter* groups, `smaller | same >> i + 1 << i + 1` from the `classes`
+    of `size_planes`, and weighs them by `weigh` capped at `sizes[i]`.  A
+    non-adjacent pair is at distance 2 when the rows of i and j meet, and
+    at 3 or more otherwise, which makes j a *far* partner of i.
 
-    The deep test covers first, in three steps, each on what the one
-    before leaves of i's later non-neighbours:
+    The far partners are found in three steps, each on what the one before
+    leaves of i's lighter non-neighbours:
 
     * the degree bound: the rows of non-adjacent groups i and j lie within
       the other k - 2 groups, so they meet when deg(i) + deg(j) > k - 2,
@@ -115,21 +123,26 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
       i's row meets the row of every group in its own, so those groups are
       at distance 2 from i and drop out, hub by hub until none is left;
     * the pair AND: each group still left is tested by ANDing its row with
-      i's.
+      i's, and those whose rows miss are the far partners.
+
+    The hubs in i's row then certify the far partners: when every far
+    partner's row meets the OR of those hubs' rows, each is at distance 3
+    through a hub, and i adds `sizes[i]` times their sizes to the excess.
+    Otherwise `sweep` runs from i, and level d >= 3 of its search adds
+    d - 2 for each pair of i with a lighter group on that level.
 
     `rank_groups` gives the hubs and `partners` from one ranking by degree;
     a graph of at most `HUBS` groups skips it, since with every group a hub
-    the second step alone leaves exactly the pairs whose rows do not meet.
-    A set of groups is weighed by `weigh` over the `size_planes` of the
-    sizes.
+    the second step alone leaves exactly the pairs whose rows do not meet,
+    and the certificate decides distance 3 exactly.
     """
     components = sum(1 if rows[r] else sizes[r] for r in component_roots(rows))
     connected = components == 1
     vertex_count = sum(sizes)
-    pairs = (vertex_count * vertex_count - sum(s * s for s in sizes)) // 2
+    pairs = (vertex_count * vertex_count - sum(map(mul, sizes, sizes))) // 2
     k = len(rows)
     everyone = (1 << k) - 1
-    planes = size_planes(sizes)
+    planes, classes = size_planes(sizes)
     if k <= HUBS:
         # Every group is a hub, so the hubs alone leave exactly the pairs
         # whose rows do not meet, and with no `partners` the degree bound
@@ -140,28 +153,40 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
         top, partners = rank_groups(rows)
         hub_mask = sum(1 << h for h in top)
     # Each hub's bit and the groups outside its row.
-    hubs = [(1 << h, everyone & ~rows[h]) for h in top]
-    apart_pairs = 0
-    deep = []
-    for i, row in enumerate(rows):
-        apart = everyone >> i + 1 << i + 1 & ~row
-        if apart:
-            apart_pairs += sizes[i] * weigh(apart, planes)
-            if connected:
-                need = apart & partners.get(row.bit_count(), everyone)
-                if need:
-                    held = row & hub_mask
-                    for bit, outside in hubs:
-                        if held & bit:
-                            need &= outside
-                            if not need:
-                                break
-                if need and 0 in map(and_, repeat(row), map(rows.__getitem__, members(need))):
-                    deep.append(i)
-    excess = deepest = 0
+    hubs = [(1 << h, everyone ^ rows[h]) for h in top]
+    apart_pairs = excess = deepest = 0
+    deep: dict[int, int] = {}
+    for i, (row, size) in enumerate(zip(rows, sizes)):
+        smaller, same = classes[size]
+        lighter = smaller | same >> i + 1 << i + 1
+        apart = lighter & ~row
+        if not apart:
+            continue
+        apart_pairs += size * weigh(apart, planes, size)
+        need = apart & partners.get(row.bit_count(), everyone) if connected else 0
+        if not need:
+            continue
+        held = row & hub_mask
+        for bit, outside in hubs:
+            if held & bit:
+                need &= outside
+                if not need:
+                    break
+        far = [j for j in members(need) if not rows[j] & row] if need else None
+        if far:
+            # Each far group is at distance 3 when its row meets the row of
+            # a hub in i's row.
+            reach = 0
+            for h in members(held):
+                reach |= rows[h]
+            if all(rows[j] & reach for j in far):
+                excess += size * sum(map(sizes.__getitem__, far))
+                deepest = 3
+            else:
+                deep[i] = lighter
     for s, d, frontier in sweep(rows, deep):
         if d >= 3:
-            excess += (d - 2) * sizes[s] * weigh(frontier >> s + 1 << s + 1, planes)
+            excess += (d - 2) * sizes[s] * weigh(frontier & deep[s], planes, sizes[s])
             deepest = max(deepest, d)
     return excess, deepest, components, pairs - apart_pairs
 
@@ -210,33 +235,50 @@ def group_report(method: str, sizes: Sequence[int], rows: Sequence[int], t0: flo
     return make_report(method, sum(sizes), len(sizes), components, edges, excess, deepest, t0)
 
 
-def size_planes(sizes: Sequence[int]) -> list[tuple[int, int]]:
-    """`(weight, mask)` pairs such that `sizes[i]` is the sum of the weights whose mask holds bit i.
+def size_planes(sizes: Sequence[int]) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int]]]:
+    """`(planes, classes)`: the masks that weigh the sizes, and the groups of each distinct size.
 
-    The bit planes of the sizes, weight 2^b over the groups whose size has
-    bit b set, or one mask per distinct size when that takes fewer masks,
-    as on small graphs whose sizes repeat.
+    `planes` holds `(weight, mask)` pairs, ascending in weight, such that
+    `sizes[i]` is the sum of the weights whose mask holds bit i: one mask
+    per distinct size when there are fewer than twice as many distinct
+    sizes as bit planes, as on small graphs, and otherwise the bit planes
+    of the sizes, weight 2^b over the groups whose size has bit b set.  A
+    weighing capped at a group's size reads the masks of the sizes up to
+    it, about half of them, but nearly every plane of a heavy group, and
+    the size masks cost no set-up (BENCH_heavier_side.json).  `classes`
+    maps each distinct size, ascending, to `(smaller, same)`, the masks of
+    the groups of smaller size and of that size.
     """
-    width = max(sizes, default=0).bit_length()
-    if len(set(sizes)) < width:
-        by_size: dict[int, int] = {}
-        for i, size in enumerate(sizes):
-            by_size[size] = by_size.get(size, 0) | 1 << i
-        return list(by_size.items())
+    by_size: dict[int, int] = {}
+    for i, size in enumerate(sizes):
+        by_size[size] = by_size.get(size, 0) | 1 << i
+    planes = sorted(by_size.items())
+    classes = {}
+    smaller = 0
+    for size, same in planes:
+        classes[size] = smaller, same
+        smaller |= same
+    width = max(by_size, default=0).bit_length()
+    if len(planes) < 2 * width:
+        return planes, classes
     # One fixed-width binary string per size, the last group first; every
     # width-th digit of the joined string is then one plane, top group first.
     digits = "".join(map(format, reversed(sizes), repeat(f"0{width}b")))
-    return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width)]
+    return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width)], classes
 
 
-def weigh(mask: int, planes: Sequence[tuple[int, int]]) -> int:
-    """The sum of the sizes of the groups in `mask`, given the sizes' `size_planes`.
+def weigh(mask: int, planes: Sequence[tuple[int, int]], cap: int) -> int:
+    """The sum of the sizes of the groups in `mask`, none larger than `cap`, given the sizes' `size_planes`.
 
-    A plain loop: it runs once per row of `group_wiener`, over a few planes,
-    where a generator's set-up costs as much as its steps.
+    The planes ascend in weight, and a group no larger than `cap` is in no
+    plane heavier than `cap`, so the weighing stops at the first such
+    plane.  A plain loop: it runs once per row of `group_wiener`, over a
+    few planes, where a generator's set-up costs as much as its steps.
     """
     total = 0
     for weight, plane in planes:
+        if weight > cap:
+            break
         total += (mask & plane).bit_count() * weight
     return total
 

@@ -6,8 +6,11 @@ in all routes alike and agreement between routes cannot catch it.  Each
 entry of `MUTANTS` changes one line of a module of `src/cozero` in a fresh
 temporary copy of `src/` and `tests/`, and runs the entry's test files on
 that copy with `pytest -x`; the mutant is killed when they fail.  Every
-entry changes a value, and says which; a mutant that changes no value (a
-looser degree bound, say, which only adds exact tests) does not belong here.
+entry changes a value, and says which, except one that turns off
+`group_wiener`'s hub certificate: it changes which path counts the pairs at
+distance 3 and what they cost, and a guard test pins that path.  Any other
+mutant that changes no value (a looser degree bound, say, which only adds
+exact tests) does not belong here.
 
 Run it from anywhere, with pytest and hypothesis installed:
 
@@ -57,29 +60,43 @@ MUTANTS = [
     ),
     Mutant(
         "groupbfs.py",
-        "pairs = (vertex_count * vertex_count - sum(s * s for s in sizes)) // 2",
+        "pairs = (vertex_count * vertex_count - sum(map(mul, sizes, sizes))) // 2",
         "pairs = (vertex_count * vertex_count - sum(sizes)) // 2",
         SUM,
         "the pairs within a group count as cross-group pairs, so |E| grows by sum C(s, 2)",
     ),
     Mutant(
         "groupbfs.py",
-        "apart = everyone >> i + 1 << i + 1 & ~row",
-        "apart = everyone >> i + 1 << i + 1",
+        "lighter = smaller | same >> i + 1 << i + 1",
+        "lighter = smaller | same",
         SUM,
-        "adjacent later groups count as non-adjacent, so |E| shrinks",
+        "a pair of groups of equal size is counted from both ends, and each group is its own partner",
     ),
     Mutant(
         "groupbfs.py",
-        "apart_pairs += sizes[i] * weigh(apart, planes)",
-        "apart_pairs += weigh(apart, planes)",
+        "apart = lighter & ~row",
+        "apart = lighter",
+        SUM,
+        "adjacent lighter groups count as non-adjacent, so |E| shrinks",
+    ),
+    Mutant(
+        "groupbfs.py",
+        "apart_pairs += size * weigh(apart, planes, size)",
+        "apart_pairs += weigh(apart, planes, size)",
         SUM,
         "the non-adjacent pairs lose the factor of group i's size",
     ),
     Mutant(
         "groupbfs.py",
-        "return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width)]",
-        "return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width - 1)]",
+        "if weight > cap:",
+        "if weight >= cap:",
+        SUM,
+        "the weighing stops before the plane of the cap's own weight, so groups as heavy as the cap are lost",
+    ),
+    Mutant(
+        "groupbfs.py",
+        "return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width)], classes",
+        "return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width - 1)], classes",
         SUM,
         "the top bit plane of the sizes is left out of every weighing",
     ),
@@ -88,7 +105,7 @@ MUTANTS = [
         "by_size[size] = by_size.get(size, 0) | 1 << i",
         "by_size[size] = 1 << i",
         SUM,
-        "a size's mask keeps only its last group, so the others weigh 0",
+        "a size's mask keeps only its last group, so the others weigh 0 and drop out of the lighter masks",
     ),
     # groupbfs.group_wiener: the deep test's three covers.
     Mutant(
@@ -107,10 +124,39 @@ MUTANTS = [
     ),
     Mutant(
         "groupbfs.py",
-        "if need and 0 in map(and_, repeat(row), map(rows.__getitem__, members(need))):",
-        "if need and 0 in map(and_, repeat(row), map(rows.__getitem__, members(need & need - 1))):",
+        "far = [j for j in members(need) if not rows[j] & row] if need else None",
+        "far = [j for j in members(need & need - 1) if not rows[j] & row] if need else None",
         SUM,
-        "the pair AND skips the lowest candidate, so a group whose one far partner it is is not deep",
+        "the pair AND skips the lowest candidate, so a far partner that is the only one is not counted",
+    ),
+    Mutant(
+        "groupbfs.py",
+        "far = [j for j in members(need) if not rows[j] & row] if need else None",
+        "far = list(members(need)) if need else None",
+        SUM,
+        "candidates whose rows meet i's row, at distance 2, count as far pairs",
+    ),
+    # groupbfs.group_wiener: the hub certificate of the far pairs.
+    Mutant(
+        "groupbfs.py",
+        "for h in members(held):",
+        "for h in members(hub_mask):",
+        SUM,
+        "hubs outside i's row reach far groups too, so a pair at distance 4 is certified at 3",
+    ),
+    Mutant(
+        "groupbfs.py",
+        "excess += size * sum(map(sizes.__getitem__, far))",
+        "excess += sum(map(sizes.__getitem__, far))",
+        SUM,
+        "the certified pairs lose the factor of group i's size",
+    ),
+    Mutant(
+        "groupbfs.py",
+        "if all(rows[j] & reach for j in far):",
+        "if not far:",
+        SUM,
+        "no value: every group with a far partner goes to the sweep, which the certificate guard test catches",
     ),
     # groupbfs.group_wiener: the excess and the deepest level.
     Mutant(
@@ -122,10 +168,17 @@ MUTANTS = [
     ),
     Mutant(
         "groupbfs.py",
-        "excess += (d - 2) * sizes[s] * weigh(frontier >> s + 1 << s + 1, planes)",
-        "excess += (d - 2) * sizes[s] * weigh(frontier, planes)",
+        "excess += (d - 2) * sizes[s] * weigh(frontier & deep[s], planes, sizes[s])",
+        "excess += (d - 2) * sizes[s] * weigh(frontier, planes, sizes[s])",
         SUM,
-        "a far pair of two deep groups is counted from both ends",
+        "the sweep weighs every group of a level, not only s's lighter ones, so far pairs are counted twice or cut",
+    ),
+    Mutant(
+        "groupbfs.py",
+        "excess += (d - 2) * sizes[s] * weigh(frontier & deep[s], planes, sizes[s])",
+        "excess += sizes[s] * weigh(frontier & deep[s], planes, sizes[s])",
+        SUM,
+        "a pair at distance 4 or more adds 1 to the excess, not d - 2",
     ),
     Mutant(
         "groupbfs.py",

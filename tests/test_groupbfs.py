@@ -1,12 +1,25 @@
 import itertools
 import time
+from unittest.mock import ANY
 
 import pytest
 from conftest import reference_levels, single_bit_graphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cozero.groupbfs import HUBS, component_roots, group_report, group_wiener, members, size_planes, sweep, weigh
+from cozero import groupbfs
+from cozero.groupbfs import (
+    HUBS,
+    component_roots,
+    group_report,
+    group_wiener,
+    members,
+    size_planes,
+    sweep,
+    weigh,
+)
+from cozero.quotient import build_quotient_graph
+from cozero.ringspec import integers_mod, product_of_integers_mod
 
 # Six vertices in three label groups: {0, 1} ~ {2} form one component, and
 # the group {3, 4, 5} has no neighbours, so its vertices are isolated.
@@ -228,9 +241,9 @@ def path_joined_to_clique(clique, path, path_first):
     return rows, on_path
 
 
-def groups_of_one_to_three(rows):
-    """`(groups, group_of)` for the group graph `rows` with groups of 1, 2, 3, 1, ... vertices."""
-    sizes = [1 + v % 3 for v in range(len(rows))]
+def groups_of_sizes(rows, cycle):
+    """`(groups, group_of)` for the group graph `rows` with group g of `cycle[g % len(cycle)]` vertices."""
+    sizes = [cycle[g % len(cycle)] for g in range(len(rows))]
     group_of = [g for g, size in enumerate(sizes) for _ in range(size)]
     bits = [sum(1 << v for v, g in enumerate(group_of) if g == h) for h in range(len(rows))]
     groups = [(bits[g], sum(bits[h] for h in members(row))) for g, row in enumerate(rows)]
@@ -253,7 +266,7 @@ def test_group_wiener_on_a_path_joined_to_a_clique(path_first):
     expected = reference_summary(groups, group_of)
     assert expected[1:3] == (path + 1, 1)
     assert_group_wiener_matches(groups, group_of, expected)
-    groups, group_of = groups_of_one_to_three(rows)
+    groups, group_of = groups_of_sizes(rows, (1, 2, 3))
     assert_group_wiener_matches(groups, group_of, reference_summary(groups, group_of))
 
 
@@ -292,19 +305,129 @@ def test_group_wiener_at_the_degree_bound(low, one_vertex_groups, shared, diamet
     assert rows[0] & 1 << k - 1 == 0
     assert rows[0].bit_count() + rows[k - 1].bit_count() == k - 2 + shared
     # k > HUBS, so the groups are ranked, and every hub is a clique group.
-    groups, group_of = single_vertex_groups(rows) if one_vertex_groups else groups_of_one_to_three(rows)
+    groups, group_of = single_vertex_groups(rows) if one_vertex_groups else groups_of_sizes(rows, (1, 2, 3))
     expected = reference_summary(groups, group_of)
     assert expected[1:3] == (diameter, 1)
     assert_group_wiener_matches(groups, group_of, expected)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**70), max_size=20), st.integers(0, 2**20 - 1), st.booleans())
-def test_weigh_sums_the_sizes_in_a_mask(sizes, mask, repeated):
-    # Few distinct sizes take one mask per size; many, the bit planes.
+@given(st.lists(st.integers(0, 2**70), max_size=20), st.integers(0, 2**20 - 1), st.booleans(), st.data())
+def test_weigh_sums_the_sizes_in_a_mask(sizes, mask, repeated, data):
+    # Fewer distinct sizes than twice the bit planes take one mask per
+    # size; more, the bit planes.  Capped at a size, the weighing is still
+    # exact on the groups no larger than the cap, as every lighter group
+    # of a group is.
     if repeated:
         sizes = [size % 3 + 100 for size in sizes]
     mask &= (1 << len(sizes)) - 1
-    planes = size_planes(sizes)
-    assert weigh(mask, planes) == sum(sizes[i] for i in members(mask))
-    assert len(planes) <= max(sizes, default=0).bit_length()
+    planes, classes = size_planes(sizes)
+    assert weigh(mask, planes, max(sizes, default=0)) == sum(sizes[i] for i in members(mask))
+    distinct, width = len(set(sizes)), max(sizes, default=0).bit_length()
+    assert len(planes) == (distinct if distinct < 2 * width else width)
+    cap = data.draw(st.sampled_from(sizes)) if sizes else 0
+    mask &= sum(1 << i for i, size in enumerate(sizes) if size <= cap)
+    assert weigh(mask, planes, cap) == sum(sizes[i] for i in members(mask))
+    for size, (smaller, same) in classes.items():
+        assert smaller == sum(1 << i for i, s in enumerate(sizes) if s < size)
+        assert same == sum(1 << i for i, s in enumerate(sizes) if s == size)
+
+
+def test_size_planes_ascend_in_both_shapes():
+    # Few distinct sizes take one mask per size, many the bit planes; both
+    # ascend in weight, which is what lets `weigh` stop at its cap.
+    for sizes, shape in (([9, 2, 9, 5, 2], [2, 5, 9]), ([6, 1, 3, 2, 5, 4], [1, 2, 4])):
+        planes, classes = size_planes(sizes)
+        assert [weight for weight, _ in planes] == shape
+        assert list(classes) == sorted(set(sizes))
+    assert size_planes([9, 2, 9, 5, 2])[1] == {2: (0, 0b10010), 5: (0b10010, 0b01000), 9: (0b11010, 0b00101)}
+
+
+def spy_on_sweep(monkeypatch):
+    """The sources that `groupbfs.sweep` searches from, in order, from here on."""
+    sources_read = []
+    sweep_itself = groupbfs.sweep
+
+    def recorded(rows, sources):
+        def read():
+            for s in sources:
+                sources_read.append(s)
+                yield s
+
+        return sweep_itself(rows, read())
+
+    monkeypatch.setattr(groupbfs, "sweep", recorded)
+    return sources_read
+
+
+def far_pair_past_the_hubs(pendant):
+    """Rows of `HUBS` hubs and four groups i < a < b < j, with `pendant` a fifth group z hung from j.
+
+    The hubs are a clique, adjacent to j, a and b, and the path i - a - b - j
+    joins the far pair: i's one neighbour a ties the hubs' degree but ranks
+    after them, so i's row holds no hub and the hub certificate cannot
+    clear i's far partner j, and `sweep` counts it from i, the heavier of
+    the two.  z's one neighbour j is no hub either, and z is at distance 4
+    from i.
+    """
+    i, a, b, j = HUBS, HUBS + 1, HUBS + 2, HUBS + 3
+    k = HUBS + 4 + pendant
+    edges = list(itertools.combinations(range(HUBS), 2))
+    edges += [(h, g) for h in range(HUBS) for g in (j, a, b)] + [(a, b), (a, i), (b, j)]
+    if pendant:
+        edges.append((j, k - 1))
+    rows = [0] * k
+    for x, y in edges:
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    return rows, i, j
+
+
+@pytest.mark.parametrize("pendant", [False, True], ids=["distance_3", "distance_4"])
+@pytest.mark.parametrize("cycle", [(1,), (1, 2, 3)], ids=["sizes_1", "sizes_1_2_3"])
+def test_group_wiener_sweeps_a_far_pair_the_hubs_cannot_certify(pendant, cycle, monkeypatch):
+    rows, i, j = far_pair_past_the_hubs(pendant)
+    degrees = [row.bit_count() for row in rows]
+    assert rows[i] == 1 << i + 1 and degrees[i + 1] == max(degrees)
+    groups, group_of = groups_of_sizes(rows, cycle)
+    expected = reference_summary(groups, group_of)
+    sizes = as_adjacency(groups)[0]
+    # Without z the one far pair is (i, j), each vertex pair of it at distance 3.
+    assert expected[1:3] == (4 if pendant else 3, 1)
+    assert pendant or expected[4] == 2 * sizes[i] * sizes[j]
+    sources = spy_on_sweep(monkeypatch)
+    assert_group_wiener_matches(groups, group_of, expected)
+    assert sources[0] == 0 and i in sources[1:]
+
+
+@pytest.mark.parametrize("cycle", [(1, 2, 3, 4, 5, 6, 7, 8, 8, 4, 1), (8, 8, 1)], ids=["bit_planes", "size_masks"])
+@pytest.mark.parametrize("path_first", [False, True])
+def test_group_wiener_with_equal_and_mixed_sizes(cycle, path_first):
+    # Pairs of groups of equal size are counted from the lower group, and
+    # groups of sizes 4 and 8 stop the weighing on their own plane, whether
+    # the sizes take bit planes (8 distinct sizes over 4 bits) or one mask
+    # per size.
+    rows, _ = path_joined_to_clique(HUBS + 4, 9, path_first)
+    groups, group_of = groups_of_sizes(rows, cycle)
+    sizes = as_adjacency(groups)[0]
+    assert len(size_planes(sizes)[0]) == (4 if len(cycle) > 3 else 2)
+    expected = reference_summary(groups, group_of)
+    assert expected[1:3] == (10, 1)
+    assert_group_wiener_matches(groups, group_of, expected)
+
+
+@pytest.mark.parametrize(
+    "spec, excess",
+    [(product_of_integers_mod((8, 9, 16)), 1304), (integers_mod(95760), 104544)],
+    ids=str,
+)
+def test_hubs_certify_every_deep_group(spec, excess, monkeypatch):
+    # Every pair at distance 3 of these rings is certified through a hub in
+    # its heavier group's row, so `sweep` runs only to count the component.
+    # A pair sum that stopped certifying would keep every value and lose
+    # the time that the certificate saves.
+    qg = build_quotient_graph(spec)
+    assert component_roots(qg.rows) == [0]
+    sources = spy_on_sweep(monkeypatch)
+    assert group_wiener(qg.sizes, qg.rows) == (excess, 3, 1, ANY)
+    assert sources == [0]
