@@ -17,9 +17,11 @@ pairs both leave are tested by ANDing their rows.  A pair whose rows miss
 is at distance 3 when a hub in the heavier group's row reaches the other
 group's row; `sweep` searches only from the groups with a far partner that
 no hub certifies.  A set of groups is weighed by popcounts over masks of
-the sizes, such as their bit planes, which ascend in weight so that the
-weighing stops past the heavier group's size; no set of groups is decoded
-to sum its sizes, except the few far partners the pair AND lists.
+the sizes, one per distinct size or their bit planes, which are cut from
+one integer that packs every size; each distinct size keeps its own list
+of the masks no heavier than itself, and a group weighs its lighter groups
+with its size's list.  No set of groups is decoded to sum its sizes, except
+the few far partners the pair AND lists.
 """
 
 from __future__ import annotations
@@ -108,9 +110,9 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
     j are adjacent.  Each pair of groups is counted from its heavier group:
     the larger, or the lower of two of one size.  So group i counts its
     *lighter* groups, `smaller | same >> i + 1 << i + 1` from the `classes`
-    of `size_planes`, and weighs them by `weigh` capped at `sizes[i]`.  A
-    non-adjacent pair is at distance 2 when the rows of i and j meet, and
-    at 3 or more otherwise, which makes j a *far* partner of i.
+    of `size_planes`, and weighs them by `weigh` with the planes of its own
+    size.  A non-adjacent pair is at distance 2 when the rows of i and j
+    meet, and at 3 or more otherwise, which makes j a *far* partner of i.
 
     The far partners are found in three steps, each on what the one before
     leaves of i's lighter non-neighbours:
@@ -142,7 +144,7 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
     pairs = (vertex_count * vertex_count - sum(map(mul, sizes, sizes))) // 2
     k = len(rows)
     everyone = (1 << k) - 1
-    planes, classes = size_planes(sizes)
+    classes = size_planes(sizes)
     if k <= HUBS:
         # Every group is a hub, so the hubs alone leave exactly the pairs
         # whose rows do not meet, and with no `partners` the degree bound
@@ -157,12 +159,12 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
     apart_pairs = excess = deepest = 0
     deep: dict[int, int] = {}
     for i, (row, size) in enumerate(zip(rows, sizes)):
-        smaller, same = classes[size]
+        smaller, same, planes = classes[size]
         lighter = smaller | same >> i + 1 << i + 1
         apart = lighter & ~row
         if not apart:
             continue
-        apart_pairs += size * weigh(apart, planes, size)
+        apart_pairs += size * weigh(apart, planes)
         need = apart & partners.get(row.bit_count(), everyone) if connected else 0
         if not need:
             continue
@@ -186,7 +188,8 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
                 deep[i] = lighter
     for s, d, frontier in sweep(rows, deep):
         if d >= 3:
-            excess += (d - 2) * sizes[s] * weigh(frontier & deep[s], planes, sizes[s])
+            size = sizes[s]
+            excess += (d - 2) * size * weigh(frontier & deep[s], classes[size][2])
             deepest = max(deepest, d)
     return excess, deepest, components, pairs - apart_pairs
 
@@ -235,50 +238,65 @@ def group_report(method: str, sizes: Sequence[int], rows: Sequence[int], t0: flo
     return make_report(method, sum(sizes), len(sizes), components, edges, excess, deepest, t0)
 
 
-def size_planes(sizes: Sequence[int]) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int]]]:
-    """`(planes, classes)`: the masks that weigh the sizes, and the groups of each distinct size.
+def size_planes(sizes: Sequence[int]) -> dict[int, tuple[int, int, list[tuple[int, int]]]]:
+    """`{size: (smaller, same, planes)}` for each distinct size, ascending.
 
-    `planes` holds `(weight, mask)` pairs, ascending in weight, such that
-    `sizes[i]` is the sum of the weights whose mask holds bit i: one mask
-    per distinct size when there are fewer than twice as many distinct
-    sizes as bit planes, as on small graphs, and otherwise the bit planes
-    of the sizes, weight 2^b over the groups whose size has bit b set.  A
-    weighing capped at a group's size reads the masks of the sizes up to
-    it, about half of them, but nearly every plane of a heavy group, and
-    the size masks cost no set-up (BENCH_heavier_side.json).  `classes`
-    maps each distinct size, ascending, to `(smaller, same)`, the masks of
-    the groups of smaller size and of that size.
+    `smaller` and `same` are the masks of the groups of smaller size and of
+    that size.  All sizes are weighed by one list of `(weight, mask)`
+    pairs, ascending in weight, such that `sizes[i]` is the sum of the
+    weights whose mask holds bit i: one mask per distinct size when there
+    are fewer than twice as many distinct sizes as bit planes, as on small
+    graphs, and otherwise the `bit_planes` of the sizes.  `planes` is the
+    slice of that list of weight at most the size, cut in the same
+    ascending pass as `smaller`.  A group no larger than the size is in no
+    heavier mask, so `weigh` with the size's planes is exact on any set of
+    such groups, as a group's lighter groups are, and reads no mask that
+    could only add 0: about half the masks of the sizes, but nearly every
+    bit plane of a heavy group, and the size masks cost no set-up
+    (BENCH_heavier_side.json).
     """
     by_size: dict[int, int] = {}
     for i, size in enumerate(sizes):
         by_size[size] = by_size.get(size, 0) | 1 << i
-    planes = sorted(by_size.items())
+    distinct = sorted(by_size.items())
+    width = distinct[-1][0].bit_length() if distinct else 0
+    planes = distinct if len(distinct) < 2 * width else bit_planes(sizes, width)
     classes = {}
-    smaller = 0
-    for size, same in planes:
-        classes[size] = smaller, same
+    smaller = n = 0
+    count = len(planes)
+    for size, same in distinct:
+        while n < count and planes[n][0] <= size:
+            n += 1
+        classes[size] = smaller, same, planes[:n]
         smaller |= same
-    width = max(by_size, default=0).bit_length()
-    if len(planes) < 2 * width:
-        return planes, classes
-    # One fixed-width binary string per size, the last group first; every
-    # width-th digit of the joined string is then one plane, top group first.
-    digits = "".join(map(format, reversed(sizes), repeat(f"0{width}b")))
-    return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width)], classes
+    return classes
 
 
-def weigh(mask: int, planes: Sequence[tuple[int, int]], cap: int) -> int:
-    """The sum of the sizes of the groups in `mask`, none larger than `cap`, given the sizes' `size_planes`.
+def bit_planes(sizes: Sequence[int], width: int) -> list[tuple[int, int]]:
+    """`(2^b, mask)` for each b below `width`: mask b holds the groups whose size has bit b set.
 
-    The planes ascend in weight, and a group no larger than `cap` is in no
-    plane heavier than `cap`, so the weighing stops at the first such
-    plane.  A plain loop: it runs once per row of `group_wiener`, over a
-    few planes, where a generator's set-up costs as much as its steps.
+    `width` is the bit length of the largest size.  The sizes are packed
+    into one integer, group i in the i-th slot of ceil(width / 8) bytes, by
+    one `int.to_bytes` per size, of any length, and one `int.from_bytes`.
+    That integer is written once in binary, the last group's slot first, so
+    that every 8 * slot-th digit is one plane, top group first.
+    """
+    slot = (width + 7) // 8
+    bits = 8 * slot
+    packed = int.from_bytes(b"".join(map(int.to_bytes, sizes, repeat(slot), repeat("little"))), "little")
+    digits = f"{packed:0{bits * len(sizes)}b}"
+    return [(1 << b, int(digits[bits - 1 - b :: bits], 2)) for b in range(width)]
+
+
+def weigh(mask: int, planes: Sequence[tuple[int, int]]) -> int:
+    """The sum of the sizes of the groups in `mask`, given a size's plane list from `size_planes`.
+
+    Exact when no group in `mask` is larger than that size.  A plain loop:
+    it runs once per row of `group_wiener`, over a few planes, where a
+    generator's set-up costs as much as its steps.
     """
     total = 0
     for weight, plane in planes:
-        if weight > cap:
-            break
         total += (mask & plane).bit_count() * weight
     return total
 

@@ -62,6 +62,14 @@ class FactorizationError(ValueError):
     """n cannot be factored within the proven or budgeted limits."""
 
 
+def abbreviate(n: int) -> str:
+    """n in decimal for a message: whole up to 40 digits, past that its first and last six digits and its length."""
+    digits = str(n)
+    if len(digits) <= 40:
+        return digits
+    return f"{digits[:6]}...{digits[-6:]} ({len(digits)} digits)"
+
+
 def _miller_rabin(n: int) -> bool:
     """True when odd n > SMALL_PRIME_BOUND passes all 13 bases.
 
@@ -83,7 +91,7 @@ def _miller_rabin(n: int) -> bool:
             return False
     if n >= PSI_13:
         raise FactorizationError(
-            f"{n} passes Miller-Rabin over bases 2..41, which proves primality "
+            f"{abbreviate(n)} passes Miller-Rabin over bases 2..41, which proves primality "
             f"only below psi_13 = {PSI_13}"
         )
     return True
@@ -118,7 +126,7 @@ def _rho_divisor(n: int) -> int:
                 k += batch
                 steps += batch
                 if g == 1 and steps >= cap:
-                    raise FactorizationError(f"Pollard rho did not split {n} within {cap} iterations")
+                    raise FactorizationError(f"Pollard rho did not split {abbreviate(n)} within {cap} iterations")
             r *= 2
         if g == n:
             g = 1

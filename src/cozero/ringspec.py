@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from math import prod
 
-from .numtheory import factorize
+from .numtheory import abbreviate, factorize
 
 FAMILY_Z = "Z"
 FAMILY_PRODUCT = "ZxZ"
@@ -59,7 +59,7 @@ class RingSpec:
         if self.family == FAMILY_FIELDS:
             for q in self.components:
                 if len(factorize(q)) != 1:
-                    raise ValueError(f"{q} is not a prime power")
+                    raise ValueError(f"{abbreviate(q)} is not a prime power")
 
     @property
     def cardinality(self) -> int:

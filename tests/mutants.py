@@ -81,24 +81,38 @@ MUTANTS = [
     ),
     Mutant(
         "groupbfs.py",
-        "apart_pairs += size * weigh(apart, planes, size)",
-        "apart_pairs += weigh(apart, planes, size)",
+        "apart_pairs += size * weigh(apart, planes)",
+        "apart_pairs += weigh(apart, planes)",
         SUM,
         "the non-adjacent pairs lose the factor of group i's size",
     ),
     Mutant(
         "groupbfs.py",
-        "if weight > cap:",
-        "if weight >= cap:",
+        "while n < count and planes[n][0] <= size:",
+        "while n < count and planes[n][0] < size:",
         SUM,
-        "the weighing stops before the plane of the cap's own weight, so groups as heavy as the cap are lost",
+        "a size's planes stop below its own weight, so groups as heavy as it are lost",
     ),
     Mutant(
         "groupbfs.py",
-        "return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width)], classes",
-        "return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width - 1)], classes",
+        "return [(1 << b, int(digits[bits - 1 - b :: bits], 2)) for b in range(width)]",
+        "return [(1 << b, int(digits[bits - 1 - b :: bits], 2)) for b in range(width - 1)]",
         SUM,
         "the top bit plane of the sizes is left out of every weighing",
+    ),
+    Mutant(
+        "groupbfs.py",
+        "return [(1 << b, int(digits[bits - 1 - b :: bits], 2)) for b in range(width)]",
+        "return [(1 << b, int(digits[width - 1 - b :: bits], 2)) for b in range(width)]",
+        SUM,
+        "each plane is read at the size's width into its slot, not the slot's, so a width that is not whole bytes shifts the bits",
+    ),
+    Mutant(
+        "groupbfs.py",
+        "slot = (width + 7) // 8",
+        "slot = width // 8",
+        SUM,
+        "a slot is a byte short when the width is not whole bytes, so packing a size past it overflows",
     ),
     Mutant(
         "groupbfs.py",
@@ -168,15 +182,15 @@ MUTANTS = [
     ),
     Mutant(
         "groupbfs.py",
-        "excess += (d - 2) * sizes[s] * weigh(frontier & deep[s], planes, sizes[s])",
-        "excess += (d - 2) * sizes[s] * weigh(frontier, planes, sizes[s])",
+        "excess += (d - 2) * size * weigh(frontier & deep[s], classes[size][2])",
+        "excess += (d - 2) * size * weigh(frontier, classes[size][2])",
         SUM,
         "the sweep weighs every group of a level, not only s's lighter ones, so far pairs are counted twice or cut",
     ),
     Mutant(
         "groupbfs.py",
-        "excess += (d - 2) * sizes[s] * weigh(frontier & deep[s], planes, sizes[s])",
-        "excess += sizes[s] * weigh(frontier & deep[s], planes, sizes[s])",
+        "excess += (d - 2) * size * weigh(frontier & deep[s], classes[size][2])",
+        "excess += size * weigh(frontier & deep[s], classes[size][2])",
         SUM,
         "a pair at distance 4 or more adds 1 to the excess, not d - 2",
     ),

@@ -519,7 +519,21 @@ def test_a_300_digit_modulus_fails_within_seconds(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: Pollard rho did not split ") and err.count("\n") == 1
+    assert len(err) < 200 and "(300 digits)" in err, err
     assert elapsed < 5, f"took {elapsed:.1f} s"
+
+
+def test_an_unprovable_prime_of_386_digits_fails_on_one_short_line(capsys):
+    # The Mersenne prime 2**1279 - 1 passes Miller-Rabin far above psi_13;
+    # the message names it by its ends and its length, not all its digits.
+    code, out, err = run(capsys, "wiener", f"Z({2**1279 - 1})")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: 104079...729087 (386 digits) passes Miller-Rabin over bases 2..41, "
+        f"which proves primality only below psi_13 = {PSI_13}\n"
+    )
+    assert len(err) < 200
 
 
 # Each number of components with the largest value it may take, so that no

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cozero import groupbfs
 from cozero.groupbfs import (
     HUBS,
+    bit_planes,
     component_roots,
     group_report,
     group_wiener,
@@ -312,35 +313,70 @@ def test_group_wiener_at_the_degree_bound(low, one_vertex_groups, shared, diamet
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**70), max_size=20), st.integers(0, 2**20 - 1), st.booleans(), st.data())
-def test_weigh_sums_the_sizes_in_a_mask(sizes, mask, repeated, data):
+@given(st.lists(st.integers(0, 2**70), max_size=20), st.integers(0, 2**20 - 1), st.booleans())
+def test_weigh_sums_the_sizes_in_a_mask(sizes, mask, repeated):
     # Fewer distinct sizes than twice the bit planes take one mask per
-    # size; more, the bit planes.  Capped at a size, the weighing is still
-    # exact on the groups no larger than the cap, as every lighter group
-    # of a group is.
+    # size; more, the bit planes.  The largest size's list holds them all.
     if repeated:
         sizes = [size % 3 + 100 for size in sizes]
     mask &= (1 << len(sizes)) - 1
-    planes, classes = size_planes(sizes)
-    assert weigh(mask, planes, max(sizes, default=0)) == sum(sizes[i] for i in members(mask))
+    classes = size_planes(sizes)
+    planes = classes[max(sizes)][2] if sizes else []
+    assert weigh(mask, planes) == sum(sizes[i] for i in members(mask))
     distinct, width = len(set(sizes)), max(sizes, default=0).bit_length()
     assert len(planes) == (distinct if distinct < 2 * width else width)
-    cap = data.draw(st.sampled_from(sizes)) if sizes else 0
-    mask &= sum(1 << i for i, size in enumerate(sizes) if size <= cap)
-    assert weigh(mask, planes, cap) == sum(sizes[i] for i in members(mask))
-    for size, (smaller, same) in classes.items():
+    for size, (smaller, same, _) in classes.items():
         assert smaller == sum(1 << i for i, s in enumerate(sizes) if s < size)
         assert same == sum(1 << i for i, s in enumerate(sizes) if s == size)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**70), max_size=20), st.booleans(), st.data())
+def test_each_size_weighs_its_lighter_groups_with_its_own_planes(sizes, repeated, data):
+    # A group's lighter groups are no larger than it, so its size's list
+    # needs no plane heavier than that size, and holds none.
+    if repeated:
+        sizes = [size % 3 + 100 for size in sizes]
+    for size, (_, _, planes) in size_planes(sizes).items():
+        assert all(weight <= size for weight, _ in planes)
+        mask = data.draw(st.integers(0, 2 ** len(sizes) - 1))
+        mask &= sum(1 << i for i, s in enumerate(sizes) if s <= size)
+        assert weigh(mask, planes) == sum(sizes[i] for i in members(mask))
+
+
+def formatted_planes(sizes, width):
+    """`bit_planes` from one fixed-width `format` per size: the reference for the packed integer."""
+    digits = "".join(format(size, f"0{width}b") for size in reversed(sizes))
+    return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width)]
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 64, 65, 70])
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_packed_bit_planes_match_one_format_per_size(width, data):
+    # The slots are whole bytes, so a width just below, at and just past a
+    # byte or a 64-bit word reads each plane at its own offset in the slot.
+    top = data.draw(st.integers(2 ** (width - 1), 2**width - 1))
+    rest = data.draw(st.lists(st.integers(0, top), max_size=30))
+    for sizes in ([top], [*rest, top, *rest]):
+        assert bit_planes(sizes, width) == formatted_planes(sizes, width)
+    assert bit_planes([], 0) == formatted_planes([], 0) == []
+
+
 def test_size_planes_ascend_in_both_shapes():
     # Few distinct sizes take one mask per size, many the bit planes; both
-    # ascend in weight, which is what lets `weigh` stop at its cap.
+    # ascend in weight, and each size's list holds those no heavier than it.
     for sizes, shape in (([9, 2, 9, 5, 2], [2, 5, 9]), ([6, 1, 3, 2, 5, 4], [1, 2, 4])):
-        planes, classes = size_planes(sizes)
-        assert [weight for weight, _ in planes] == shape
+        classes = size_planes(sizes)
         assert list(classes) == sorted(set(sizes))
-    assert size_planes([9, 2, 9, 5, 2])[1] == {2: (0, 0b10010), 5: (0b10010, 0b01000), 9: (0b11010, 0b00101)}
+        for size, (_, _, planes) in classes.items():
+            assert [weight for weight, _ in planes] == [weight for weight in shape if weight <= size]
+    assert size_planes([9, 2, 9, 5, 2]) == {
+        2: (0, 0b10010, [(2, 0b10010)]),
+        5: (0b10010, 0b01000, [(2, 0b10010), (5, 0b01000)]),
+        9: (0b11010, 0b00101, [(2, 0b10010), (5, 0b01000), (9, 0b00101)]),
+    }
+    assert size_planes([]) == {}
 
 
 def spy_on_sweep(monkeypatch):
@@ -410,7 +446,7 @@ def test_group_wiener_with_equal_and_mixed_sizes(cycle, path_first):
     rows, _ = path_joined_to_clique(HUBS + 4, 9, path_first)
     groups, group_of = groups_of_sizes(rows, cycle)
     sizes = as_adjacency(groups)[0]
-    assert len(size_planes(sizes)[0]) == (4 if len(cycle) > 3 else 2)
+    assert len(size_planes(sizes)[max(sizes)][2]) == (4 if len(cycle) > 3 else 2)
     expected = reference_summary(groups, group_of)
     assert expected[1:3] == (10, 1)
     assert_group_wiener_matches(groups, group_of, expected)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cozero import numtheory
-from cozero.numtheory import PSI_13, FactorizationError, factorize
+from cozero.numtheory import PSI_13, FactorizationError, abbreviate, factorize
 
 
 def brute_phi(n: int) -> int:
@@ -147,12 +147,21 @@ def test_strong_pseudoprimes_are_composite(n, expected):
 
 
 def test_factorize_rejects_unprovable_primes():
-    # psi_13 is itself a strong pseudoprime to bases 2..41; 2**89 - 1 is prime.
-    for n in (PSI_13, 2**89 - 1, 2 * (2**89 - 1)):
-        with pytest.raises(FactorizationError, match=str(PSI_13)):
+    # psi_13 is itself a strong pseudoprime to bases 2..41; 2**89 - 1 is
+    # prime.  Both are under 41 digits, so the message quotes them whole.
+    for n, piece in ((PSI_13, PSI_13), (2**89 - 1, 2**89 - 1), (2 * (2**89 - 1), 2**89 - 1)):
+        with pytest.raises(FactorizationError, match=str(PSI_13)) as exc_info:
             factorize(n)
+        assert str(exc_info.value).startswith(f"{piece} passes Miller-Rabin")
     assert issubclass(FactorizationError, ValueError)
     assert factorize(PSI_13 + 1) == [(2, 1), (702809, 1), (1858007, 1), (1270096107457, 1)]
+
+
+def test_abbreviate_keeps_40_digits_and_cuts_past_them():
+    assert abbreviate(10**39) == "1" + "0" * 39
+    assert abbreviate(PSI_13) == str(PSI_13)
+    assert abbreviate(10**40 + 123456) == "100000...123456 (41 digits)"
+    assert abbreviate(2**1279 - 1) == "104079...729087 (386 digits)"
 
 
 def test_rho_gives_up_at_the_iteration_cap(monkeypatch):

@@ -37,6 +37,8 @@ def test_parse_roundtrips_through_str():
     [
         ("F(6,25)", "6 is not a prime power"),
         ("F(12)", "12 is not a prime power"),
+        # Past 40 digits the number is cut to its ends and its length.
+        (f"F({3 * 2**200})", "482081...904128 (61 digits) is not a prime power"),
         ("Q(5)", "malformed"),
         ("Z()", "no parameters"),
         ("Z(abc)", "'abc'"),
