@@ -14,7 +14,10 @@ from |E| and the distance-3 pairs.  |E| follows from products over the
 factors of comparable-pair counts, and the distance-3 pairs of the paper's
 classification (`_pair_distance`) are counted per factor.  One factor,
 Z(p**a) or a field, runs the same body with no distance-3 term.  No class
-is enumerated and no class pair is visited.
+is enumerated and no class pair is visited.  `_wiener_local` is that
+formula; `wiener_closed` runs it on any spec, and the per-family entry
+points `wiener_zn`, `wiener_reduced` and `wiener_prime_power_product`
+validate their input and run the same formula.
 
 The pairwise classifiers `classify_divisor_pairs` and
 `classify_prime_power_distance` call `_pair_distance` on exponent

@@ -1,4 +1,4 @@
-"""Element-level construction of the cozero-divisor graph, plus its Wiener index.
+"""Element-level construction of the cozero-divisor graph: the brute route.
 
 The graph of a ring has one vertex per element that is neither zero nor a
 unit; two distinct vertices are adjacent exactly when neither one's
@@ -7,24 +7,14 @@ per-component residue tables, independently of the quotient route's class
 enumeration, making it the ground-truth oracle the arithmetic routes are
 checked against.
 
-Because adjacency between two elements depends only on their ideal labels,
-vertices sharing a label have identical neighbor sets, so the graph is
-kept as label groups rather than as explicit adjacency lists.
-`build_graph` makes the groups from per-component label tables: a group
-takes one label per component, its size is the product of those labels'
-residue counts, and its neighbours are one bitmask row over the groups,
-the shape of the quotient route's `QuotientGraph.rows`, ANDed from
-per-component divisibility masks.  Only the label tables take a step per
-residue of a component; nothing is built per element of the ring or per
-pair of groups.  The group rows are the one graph: the members of a group
-share their neighbours and are never adjacent, so every distance and
-every edge between vertices follows from the groups.  Everything per
-element is built on first read (see `ElementGraph`).  `compute_wiener` reads
-only the group sizes and rows, and hands them to `groupbfs.group_report`,
-the quotient route's report builder, which also counts the edges; no
-search runs per vertex.  Vertices i and j are adjacent exactly when bit
-`group_of[j]` of `group_rows[group_of[i]]` is set, and `edges` lists, for
-each group, the members of the groups in its row.
+* `build_graph` splits the elements into label groups and builds each
+  group's neighbour row (`_group_rows`), within the element cap of
+  `resolve_brute_limit`;
+* `ElementGraph` holds the groups, and builds what is per element on first
+  read;
+* `compute_wiener` and `wiener_brute` hand the group sizes and rows to
+  `groupbfs.group_report`;
+* `graph_export` writes the graph as DOT or an edge list.
 """
 
 from __future__ import annotations
@@ -77,19 +67,22 @@ class ElementGraph:
     """The graph on all non-zero non-unit elements of a ring.
 
     Vertices are element tuples in lexicographic order.  Adjacency is kept
-    per label group: `group_keys[g]` lists the distinct ideal labels,
-    `group_sizes[g]` the number of vertices carrying each label, and bit h
-    of `group_rows[g]` is set when groups g and h have mutually
-    non-containing labels.  The groups are the quotient route's classes, in
-    the same order, and `group_rows` has the shape of `QuotientGraph.rows`.
-    Two vertices are adjacent exactly when their groups are, and never
-    within one group.  The search reads only the group sizes and rows.
-    What is per element is built on first read from the per-component
-    label tables: `keep`, whose byte r is 1 when the element of
-    lexicographic rank r is a vertex, `vertices` and `labels`,
-    `group_of[i]`, the group of vertex i, and `group_members[g]`, the
-    vertex indices of group g.  `edges` reads the group rows through
-    `group_of` and `group_members`; no row is built per vertex.
+    per label group (see `build_graph`): `group_keys[g]` lists the distinct
+    ideal labels, `group_sizes[g]` the number of vertices carrying each
+    label, and bit h of `group_rows[g]` is set when groups g and h have
+    mutually non-containing labels.  The group rows are the one graph: two
+    vertices are adjacent exactly when their groups are, and never within
+    one group, so every distance and every edge between vertices follows
+    from the groups, and the search reads only the group sizes and rows.
+
+    What is per element is built from the per-component label tables on
+    first read, and the Wiener search reads none of it: `keep`, whose byte
+    r is 1 when the element of lexicographic rank r is a vertex (its label
+    is a group key), `vertices` and `labels`, `group_of[i]`, the group of
+    vertex i, and `group_members[g]`, the vertex indices of group g.
+    Vertices i and j are adjacent exactly when bit `group_of[j]` of
+    `group_rows[group_of[i]]` is set, and `edges` reads the group rows
+    through `group_of` and `group_members`; no row is built per vertex.
     """
 
     def __init__(
@@ -162,16 +155,21 @@ def _label_tables(spec: RingSpec) -> list[list[int]]:
 def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
     """Split the ring's elements into label groups and assemble its cozero-divisor graph.
 
-    Each component's label table (`_label_tables`) is counted by label: its
-    distinct labels ascending, each with the number of residues carrying
-    it.  A label group takes one label per component, so the product of
-    the label lists gives `group_keys` in sorted order, with the unit key
-    first and the zero key last (both skipped), and the product of the
-    count lists gives each group's size.  `_group_rows` gives each group's
-    neighbour row.  Python steps run per component, per label or per
-    group, and only the tables and their C-level counts take a step per
-    residue; `keep`, `group_members`, `vertices` and `labels` are left to
-    be built on first read.
+    Adjacency between two elements depends only on their ideal labels, so
+    vertices sharing a label have identical neighbour sets and are never
+    adjacent: the graph is kept as label groups, which are the quotient
+    route's classes, in the same order.  Each component's label table
+    (`_label_tables`) is counted by label: its distinct labels ascending,
+    each with the number of residues carrying it.  A label group takes one
+    label per component, so the product of the label lists gives
+    `group_keys` in sorted order, with the unit key first and the zero key
+    last (both skipped), and the product of the count lists gives each
+    group's size.  `_group_rows` gives each group's neighbour row, in the
+    shape of `QuotientGraph.rows`; the acceptance sweep checks that both
+    routes build the same rows.  Python steps run per component, per
+    label or per group, and only the tables and their C-level counts take
+    a step per residue; nothing is built per element of the ring or per
+    pair of groups, and what is per element is left to `ElementGraph`.
 
     Refuses rings with more elements than the brute-force limit (argument,
     COZERO_BRUTE_LIMIT environment variable, or the built-in default).
@@ -227,7 +225,8 @@ def _group_rows(labels_by_component: list[tuple[int, ...]]) -> list[int]:
 def compute_wiener(graph: ElementGraph) -> WienerReport:
     """Wiener index, diameter, components and edges of a built graph, by `groupbfs.group_report`.
 
-    Reads only the groups' sizes and rows, nothing per element; `elapsed` times this search alone.
+    Reads only the groups' sizes and rows, nothing per element, and runs no search per vertex;
+    `elapsed` times this search alone.
     """
     return group_report("brute", graph.group_sizes, graph.group_rows, time.perf_counter())
 

@@ -1,27 +1,18 @@
 """Breadth-first search and the Wiener index's pair counts over a graph held as bitmask rows.
 
-`sweep` searches neighbour rows, one bitmask per vertex, from one source
-after another; a level steps bottom-up when fewer vertices are unseen than
-are in the frontier, and top-down otherwise (direction-optimizing BFS,
-Beamer, Asanovic and Patterson, SC 2012).  It is the one search: both the
-brute and the quotient route hand `group_wiener` their graph as groups of
-twins, brute's label groups or the quotient's classes, with one row per
-group, and `group_wiener` counts the edges from the group sizes.  It counts
-each non-adjacent pair of groups once, from the heavier group (the larger,
-or the lower of two of one size), so a group weighs only groups no larger
-than itself.  To find the pairs at distance 3 or more it covers each
-group's lighter non-neighbours in three steps: a degree bound first (two
-non-adjacent groups whose degrees sum past k - 2 share a neighbour), then
-a few hub rows, the rows of the groups of highest degree, and only the
-pairs both leave are tested by ANDing their rows.  A pair whose rows miss
-is at distance 3 when a hub in the heavier group's row reaches the other
-group's row; `sweep` searches only from the groups with a far partner that
-no hub certifies.  A set of groups is weighed by popcounts over masks of
-the sizes, one per distinct size or their bit planes, which are cut from
-one integer that packs every size; each distinct size keeps its own list
-of the masks no heavier than itself, and a group weighs its lighter groups
-with its size's list.  No set of groups is decoded to sum its sizes, except
-the few far partners the pair AND lists.
+Both graph routes hand this module their graph as groups of twins, brute's
+label groups or the quotient's classes, with one neighbour bitmask row per
+group, the shape of `QuotientGraph.rows`.
+
+* `sweep` is the one search, and `component_roots` finds the components
+  with it;
+* `group_wiener` is the one pair sum: the edges, the components and the
+  pairs at distance 3 or more, which `group_report` takes to a report;
+* `rank_groups` ranks the groups by degree for `group_wiener`'s hubs and
+  degree bound;
+* `size_planes`, `bit_planes` and `weigh` sum the sizes of a set of groups
+  without decoding it;
+* `upper_edges` and `members` decode rows.
 """
 
 from __future__ import annotations
@@ -50,6 +41,13 @@ def sweep(rows: Sequence[int], sources: Iterable[int]) -> Iterator[tuple[int, in
     vertices first reached at d; a source with no neighbours yields nothing.
     `sources` is read lazily: the next source is taken only after the
     consumer has resumed past the last level of the one before.
+
+    A level steps bottom-up, testing each unseen vertex's row against the
+    frontier, when fewer vertices are unseen than are in the frontier, and
+    top-down, ORing the rows of the frontier's vertices, otherwise
+    (direction-optimizing BFS, Beamer, Asanovic and Patterson, SC 2012), and
+    the search stops once no vertex is unseen.  Dense class graphs step
+    bottom-up after the first level.
     """
     everyone = (1 << len(rows)) - 1
     for s in sources:
@@ -99,19 +97,23 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
     of its own group, so no row holds its own bit.  No vertex number is
     read.  A group without neighbours scatters into `sizes[i]` isolated
     vertices, and any other component of the group graph is one component
-    of the vertices.  `excess` is the sum of d - 2 over the vertex pairs at
-    distance d >= 3, and `deepest` the largest such d; both are 0 unless
-    there is exactly one component.  `report.make_report` takes these
-    counts to the Wiener index and the diameter.
+    of the vertices; `component_roots` runs one `sweep` per component.
+    `excess` is the sum of d - 2 over the vertex pairs at distance d >= 3,
+    and `deepest` the largest such d; both are 0 unless there is exactly
+    one component.  `report.make_report` takes these counts to the Wiener
+    index and the diameter.  No distance table is built.
 
     Two members of one group are at distance 2 through any neighbour, and
     vertices in distinct groups i and j are at the groups' distance
-    d(i, j): their `sizes[i] * sizes[j]` pairs are edges exactly when i and
-    j are adjacent.  Each pair of groups is counted from its heavier group:
+    d(i, j), so the Wiener index of a connected graph is
+    2 * sum_i C(size_i, 2) + sum_{i<j} size_i * size_j * d(i, j).  The
+    `sizes[i] * sizes[j]` pairs of i and j are edges exactly when i and j
+    are adjacent.  Each pair of groups is counted from its heavier group:
     the larger, or the lower of two of one size.  So group i counts its
     *lighter* groups, `smaller | same >> i + 1 << i + 1` from the `classes`
-    of `size_planes`, and weighs them by `weigh` with the planes of its own
-    size.  A non-adjacent pair is at distance 2 when the rows of i and j
+    of `size_planes`, and weighs its lighter non-neighbours by `weigh` with
+    the planes of its own size, and one pass over the rows gives the edge
+    count.  A non-adjacent pair is at distance 2 when the rows of i and j
     meet, and at 3 or more otherwise, which makes j a *far* partner of i.
 
     The far partners are found in three steps, each on what the one before
@@ -125,13 +127,21 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
       i's row meets the row of every group in its own, so those groups are
       at distance 2 from i and drop out, hub by hub until none is left;
     * the pair AND: each group still left is tested by ANDing its row with
-      i's, and those whose rows miss are the far partners.
+      i's, and those whose rows miss are the far partners.  These few are
+      the only set of groups decoded to sum its sizes.
+
+    On F(2)^14 the degree bound alone clears all 4.73 M non-adjacent pairs,
+    where the hubs alone would leave 108 k, and on products of 7 or 8
+    fields it clears every row (CHANGES.md).
 
     The hubs in i's row then certify the far partners: when every far
     partner's row meets the OR of those hubs' rows, each is at distance 3
     through a hub, and i adds `sizes[i]` times their sizes to the excess.
     Otherwise `sweep` runs from i, and level d >= 3 of its search adds
-    d - 2 for each pair of i with a lighter group on that level.
+    d - 2 for each pair of i with a lighter group on that level, and the
+    deepest such level is `deepest`.  On Z(963761198400), Z(95760),
+    ZxZ(8,9,16) and ZxZ(36,60,14) the hubs certify every far pair, so
+    `sweep` runs only in `component_roots`.
 
     `rank_groups` gives the hubs and `partners` from one ranking by degree;
     a graph of at most `HUBS` groups skips it, since with every group a hub
@@ -146,10 +156,9 @@ def group_wiener(sizes: Sequence[int], rows: Sequence[int]) -> tuple[int, int, i
     everyone = (1 << k) - 1
     classes = size_planes(sizes)
     if k <= HUBS:
-        # Every group is a hub, so the hubs alone leave exactly the pairs
-        # whose rows do not meet, and with no `partners` the degree bound
-        # keeps every group; on such small graphs ranking the groups and
-        # summing the hub bits cost more than the rest of this set-up.
+        # Every group is a hub, and with no `partners` the degree bound keeps
+        # every group; on such small graphs ranking the groups and summing
+        # the hub bits cost more than the rest of this set-up.
         top, hub_mask, partners = range(k), everyone, {}
     else:
         top, partners = rank_groups(rows)
@@ -199,9 +208,7 @@ def rank_groups(rows: Sequence[int]) -> tuple[list[int], dict[int, int]]:
 
     Groups are ranked by the popcounts of their rows, with ties to the lower
     group.  `partners[d]` holds the groups of degree at most k - 2 - d, one
-    mask per distinct degree d: the rows of two non-adjacent groups lie
-    within the other k - 2 groups, so they meet unless the degrees sum to at
-    most k - 2.
+    mask per distinct degree d, for `group_wiener`'s degree bound.
     """
     by_degree: dict[int, int] = {}
     for i, row in enumerate(rows):

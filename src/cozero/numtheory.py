@@ -1,28 +1,31 @@
 """Exact prime factorization, the one arithmetic step every route reads.
 
-Factorization runs in three stages on Python integers, which are arbitrary
-precision, so every count and sum in the library stays exact:
+`factorize` is the module's one job: every modulus, field order and prime
+of a (p, m) pair is factored by it, and the primality of the last two is
+checked by it.  It runs in three stages on Python integers, which are
+arbitrary precision, so every count and sum in the library stays exact:
 
 1. trial division strips every prime below `SMALL_PRIME_BOUND` (a cofactor
    below its square is then 1 or prime);
-2. Miller-Rabin over the first 13 prime bases (2..41) decides each
-   remaining piece.  These bases are a proof of primality for
+2. Miller-Rabin over the first 13 prime bases (2..41, `_miller_rabin`)
+   decides each remaining piece.  These bases are a proof of primality for
    n < `PSI_13` = 3317044064679887385961981 (Sorenson & Webster 2015);
-3. Brent's variant of Pollard's rho (Pollard 1975; Brent 1980), with
-   batched gcds, splits every composite piece.
+3. Brent's variant of Pollard's rho (Pollard 1975; Brent 1980, `_rho_divisor`),
+   with batched gcds, splits every composite piece.
 
 A factorization never holds an unproven prime, and every one ends.  A
 piece at or above `PSI_13` that Miller-Rabin cannot prove composite, and a
 piece that rho has not split within its step budget, both raise
-`FactorizationError`, a `ValueError` that names the limit it hit.  The
-budget is `RHO_ITERATION_CAP` steps for a piece of up to 82 bits, the
-length of `PSI_13`, and (82/b)**2 of it for a piece of b > 82 bits, whose
-steps cost more: on a 2-CPU host a product of two primes that rho cannot
-split gives up after 1.8 s at 40 digits, and after 0.3 s at 300 or 1000
-(57 000 and 5 100 steps).  Rho takes on the order of sqrt(p) steps to
-split off a prime p, so the hardest n below `PSI_13` are products of two
-primes near 1.8 * 10**12; on 64 of them rho needed at most 3.9 * 10**6
-steps, under half the cap.
+`FactorizationError`, a `ValueError` that names the limit it hit; numbers
+past 40 digits are written in messages by `abbreviate`.  The budget is
+`RHO_ITERATION_CAP` steps for a piece of up to 82 bits, the length of
+`PSI_13`, and (82/b)**2 of it for a piece of b > 82 bits, whose steps cost
+more: on a 2-CPU host a product of two primes that rho cannot split gives
+up after 1.8 s at 40 digits, and after 0.3 s at 300 or 1000 (57 000 and
+5 100 steps).  Rho takes on the order of sqrt(p) steps to split off a
+prime p, so the hardest n below `PSI_13` are products of two primes near
+1.8 * 10**12; on 64 of them rho needed at most 3.9 * 10**6 steps, under
+half the cap.  These measurements are recorded in CHANGES.md.
 """
 
 from __future__ import annotations

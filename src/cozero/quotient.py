@@ -1,25 +1,19 @@
-"""Quotient route: class enumeration, the class graph, and its Wiener aggregate.
+"""Quotient route: the class graph of a ring, with no element enumerated.
 
-Elements generating the same principal ideal form an equivalence class, so
-the class is identified by its ideal label and its size is a product of
-chain sizes (`ringspec.chain_sizes`); no element is ever enumerated here.
-Distinct classes are adjacent exactly when their labelled ideals are
-mutually non-containing, and all element-level distance information lives
-in that class graph: two classmates sit at distance 2 through any
-neighboring class, while vertices of different classes inherit the
-class-graph distance.  The Wiener index is therefore
+Elements generating the same principal ideal form an equivalence class,
+identified by its ideal label; its size is a product of chain sizes
+(`ringspec.chain_sizes`).  Distinct classes are adjacent exactly when their
+ideals are mutually non-containing, and the classes are groups of twins,
+as brute's label groups are.
 
-    2 * sum_i C(size_i, 2)  +  sum_{i<j} size_i * size_j * d(i, j)
-
-whenever the element graph is connected.  `build_quotient_graph` builds
-only what that sum reads, the class sizes and one neighbour bitmask row
-per class, from per-chain order masks ANDed over whole columns of
-classes, so no class pair is visited.  The `ClassInfo` records of
-`enumerate_classes` are built only when `QuotientGraph.classes` is first
-read, as the `classes` CLI and the tests do.  The classes are
-groups of twins, as brute's label groups are, so `groupbfs.group_report`
-takes the sizes and rows to the report, as it does for brute; how
-`groupbfs.group_wiener` finds the pairs at distance 3 is told there.
+* `build_quotient_graph` builds the class sizes and neighbour rows, a
+  `QuotientGraph`;
+* `enumerate_classes` lists the `ClassInfo` records, which
+  `QuotientGraph.classes` builds on first read, as the `classes` CLI and
+  the tests do;
+* `wiener_quotient` hands the sizes and rows to `groupbfs.group_report`;
+* `quotient_distances` is a BFS distance table over class pairs, which no
+  route reads.
 """
 
 from __future__ import annotations
@@ -52,8 +46,9 @@ class QuotientGraph:
     """Class sizes of a ring plus adjacency between the classes, indexed positionally.
 
     `sizes[i]` is the element count of class i, and `rows[i]` the bitmask
-    of the classes adjacent to class i.  `classes`, the `ClassInfo` records
-    in the same order, is built on first read.
+    of the classes adjacent to class i; `adjacency`, `degree` and `edges`
+    are read off the rows.  `classes`, the `ClassInfo` records in the same
+    order, is built on first read.
     """
 
     spec: RingSpec
@@ -124,7 +119,8 @@ def build_quotient_graph(spec: RingSpec) -> QuotientGraph:
     least) x.  The columns of those masks, ANDed over the chains, give the
     classes below (above) each class, itself among both, and its row is
     every class in neither.  Python steps run per chain and per ideal of a
-    component; what runs per class is `map` over whole columns.
+    component; what runs per class is `map` over whole columns, and no
+    class pair is visited.
     """
     chains = [spec.chains(i) for i in range(len(spec.components))]
     # Each component's ideal labels, sizes and exponent vectors, as three columns.

@@ -33,8 +33,9 @@ class WienerReport:
     components do not exist.  `diameter` is present exactly for connected
     graphs with two or more vertices.  All integers are exact.  Every route
     builds its report through `make_report`, which applies these rules to
-    its counts, and fills every field; two routes agree on a ring exactly
-    when their `OUTCOME_FIELDS`, all but `method` and `elapsed`, are equal.
+    its counts, and fills every field; the record checks the rules in both
+    directions when it is built.  Two routes agree on a ring exactly when
+    their `OUTCOME_FIELDS`, all but `method` and `elapsed`, are equal.
     """
 
     status: str
@@ -81,10 +82,9 @@ def make_report(method: str, vertex_count: int, class_count: int, component_coun
     V(V - 1) - |E| + excess (Plesník, "On the sum of all distances in a
     graph or digraph", 1984), and the diameter is `deepest`, or else 2 if
     some pair is not adjacent and 1 if none is.  On every supported ring the
-    diameter is at most 3, so the excess counts the pairs at distance 3.
-    The status is `graph_status`'s; `wiener` and `excess` are kept only
-    when it is "value", and `diameter` only then and with two or more
-    vertices.
+    diameter is at most 3, so the excess counts the pairs at distance 3,
+    the paper's chain pattern.  The status and the fields kept follow
+    `WienerReport`'s rules.
     """
     status = graph_status(vertex_count, component_count)
     connected = status == STATUS_VALUE

@@ -1,10 +1,13 @@
 """Acceptance criteria, one test per criterion.
 
-Criteria 6, 8 and 9 share one full sweep over every supported ring with at
-most 2000 elements (plus Z(n) for all n up to 500): each instance is solved
-by the element-level brute force, the quotient route, and the family's
-closed form, and its class structure is compared between the element-level
-and arithmetic constructions.  Timed assertions use the stated budgets.
+Criteria 6, 8 and 9 share one sweep (`_sweep_specs`) over Z(n) for every
+n <= 500, and over every product of 2 or 3 prime-power factors whose orders
+multiply to at most 2000, once as ZxZ and once as F.  Other supported rings,
+such as single fields, F(2,2,2,2), ZxZ(6,10) and Z(501) to Z(2000), are not
+swept.  Each instance is solved by the element-level brute force, the
+quotient route, and the family's closed form, and its class structure is
+compared between the element-level and arithmetic constructions.  Timed
+assertions use the stated budgets.
 """
 
 from __future__ import annotations
