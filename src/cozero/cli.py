@@ -26,6 +26,7 @@ from .ringspec import (
     RingSpec,
     crt_normalize,
     integers_mod,
+    parse_integer,
     parse_ring_spec,
     product_of_fields,
     product_of_integers_mod,
@@ -55,6 +56,8 @@ TABLE_PP_PRODUCTS = (
     (3, 4, 8, 8),
 )
 
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # before Python 3.10.7 there is no limit
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 _RECORD_FIELDS = ("ring", "method", "status", "wiener", "vertices", "edges", "classes", "diameter", "elapsed_ms")
 
 
@@ -151,7 +154,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_wiener(args) -> int:
-    spec = parse_ring_spec(args.spec)
+    spec = args.parsed
     # Every supported family has a closed form (products of integers-mod
     # rings are split into prime-power factors first), so auto always picks
     # it; quotient and brute run only when asked for by name.
@@ -162,7 +165,7 @@ def _cmd_wiener(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    spec = parse_ring_spec(args.spec)
+    spec = args.parsed
     routes = [(method, spec, method) for method in ("brute", "quotient", "closed")]
     if spec.family == FAMILY_Z:
         routes.append(("quotient[crt]", crt_normalize(spec), "quotient"))
@@ -193,17 +196,17 @@ def _parse_tuple(token: str, arity: int | None, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} expects {arity} comma-separated integers, got {token!r}")
     if arity is None and len(parts) < 2:
         raise ValueError(f"{what} expects at least 2 comma-separated integers, got {token!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"{what}: {token!r} is not a comma-separated integer tuple") from None
+    values = tuple(map(parse_integer, parts))
+    if None in values:
+        raise ValueError(f"{what}: {token!r} is not a comma-separated integer tuple")
+    return values
 
 
 def _parse_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{what}: {token!r} is not an integer") from None
+    value = parse_integer(token)
+    if value is None:
+        raise ValueError(f"{what}: {token!r} is not an integer")
+    return value
 
 
 def _family_rings(family: str, params: list[str]) -> list[tuple[int | tuple[int, ...], RingSpec]]:
@@ -220,7 +223,7 @@ def _family_rings(family: str, params: list[str]) -> list[tuple[int | tuple[int,
 
 def _cmd_table(args) -> int:
     family = args.family
-    rings = _family_rings(family, args.params)
+    rings = args.parsed
     # Each row names its ring in the `head` cell, which json, plain and md
     # show; the csv shows `columns` instead, which split the field orders.
     if family in ("fields2", "fields3"):
@@ -255,7 +258,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    spec = parse_ring_spec(args.spec)
+    spec = args.parsed
     qg = build_quotient_graph(spec)
     rows = [{"key": vertex_name(spec, c.key), "size": c.size, "degree": qg.degree(i)} for i, c in enumerate(qg.classes)]
     # Only json and plain print the class edges, so only they list them.
@@ -280,7 +283,7 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_export_graph(args) -> int:
-    spec = parse_ring_spec(args.spec)
+    spec = args.parsed
     graph = build_graph(spec, args.brute_limit)
     _emit(graph_export(graph, args.graph_format), args.out)
     return 0
@@ -290,7 +293,7 @@ def _cmd_bench(args) -> int:
     methods = [args.only] if args.only else ["brute", "quotient", "closed"]
     records: list[dict] = []
     mismatched = False
-    for _, spec in _family_rings(args.family, args.params):
+    for _, spec in args.parsed:
         runs, diffs, skipped = _run_routes([(method, spec, method) for method in methods], args.brute_limit)
         if skipped:
             print(f"note: brute skipped for {spec} ({skipped.elements} elements)", file=sys.stderr)
@@ -397,7 +400,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    limit = _get_digit_limit()
     try:
+        # The input is parsed under the interpreter's limit on decimal digits,
+        # and the command runs without it: W can pass the default 4300 digits.
+        args.parsed = parse_ring_spec(args.spec) if "spec" in args else _family_rings(args.family, args.params)
+        _set_digit_limit(0)
         return args.func(args)
     except ValueError as exc:  # bad input, a limit hit, or an --out file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
@@ -406,6 +414,8 @@ def main(argv: list[str] | None = None) -> int:
         ring = getattr(args, "spec", None) or " ".join([args.family, *args.params])
         print(f"error: {args.command} {ring}: out of memory", file=sys.stderr)
         return 1
+    finally:
+        _set_digit_limit(limit)
 
 
 def console_main() -> None:

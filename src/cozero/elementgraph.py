@@ -7,8 +7,8 @@ per-component residue tables, independently of the quotient route's class
 enumeration, making it the ground-truth oracle the arithmetic routes are
 checked against.
 
-* `build_graph` splits the elements into label groups and builds each
-  group's neighbour row (`_group_rows`), within the element cap of
+* `build_graph` splits the elements into label groups and builds their
+  rows by `groupbfs.product_rows`, within the element cap of
   `resolve_brute_limit`;
 * `ElementGraph` holds the groups, and builds what is per element on first
   read;
@@ -23,12 +23,11 @@ import os
 import time
 from bisect import bisect_right
 from collections import Counter
-from functools import cached_property, reduce
-from itertools import chain, compress, islice, product, repeat
-from math import gcd, prod
-from operator import and_, mod, not_
+from functools import cached_property
+from itertools import chain, compress, product, repeat
+from math import gcd
 
-from .groupbfs import group_report, members
+from .groupbfs import group_report, members, product_rows
 from .report import WienerReport
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec
 
@@ -163,13 +162,11 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
     each with the number of residues carrying it.  A label group takes one
     label per component, so the product of the label lists gives
     `group_keys` in sorted order, with the unit key first and the zero key
-    last (both skipped), and the product of the count lists gives each
-    group's size.  `_group_rows` gives each group's neighbour row, in the
-    shape of `QuotientGraph.rows`; the acceptance sweep checks that both
-    routes build the same rows.  Python steps run per component, per
-    label or per group, and only the tables and their C-level counts take
-    a step per residue; nothing is built per element of the ring or per
-    pair of groups, and what is per element is left to `ElementGraph`.
+    last (both skipped).  `groupbfs.product_rows` gives the groups' sizes
+    and rows from the counts and label divisibility (`_divisibility`); the
+    acceptance sweep checks that both routes build the same rows.  Only the
+    tables and their C-level counts take a step per residue, and what is
+    per element is left to `ElementGraph`.
 
     Refuses rings with more elements than the brute-force limit (argument,
     COZERO_BRUTE_LIMIT environment variable, or the built-in default).
@@ -178,48 +175,16 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
     if spec.cardinality > cap:
         raise BruteForceLimitError(spec, spec.cardinality, cap)
 
-    labels_by_component, counts_by_component = [], []
-    for table in _label_tables(spec):
-        labels, counts = zip(*sorted(Counter(table).items()))
-        labels_by_component.append(labels)
-        counts_by_component.append(counts)
-
-    group_keys = list(product(*labels_by_component))[1:-1]
-    group_sizes = list(map(prod, product(*counts_by_component)))[1:-1]
-    group_rows = _group_rows(labels_by_component)
-    return ElementGraph(spec, group_keys, group_sizes, group_rows)
+    counted = [zip(*sorted(Counter(table).items())) for table in _label_tables(spec)]
+    labels_by_component, counts_by_component = zip(*counted)
+    group_sizes, group_rows = product_rows(counts_by_component, _divisibility, labels_by_component)
+    return ElementGraph(spec, list(product(*labels_by_component))[1:-1], group_sizes, group_rows)
 
 
-def _group_rows(labels_by_component: list[tuple[int, ...]]) -> list[int]:
-    """Each label group's neighbour bitmask over the groups, from per-component divisibility masks.
-
-    Label combinations are numbered in product order, and position p is
-    group p - 1.  The positions whose label index at component i is j form
-    runs of `block` ones every `width` bits, which one multiplication by
-    `copies` lays down.  For each component and label, one mask holds the
-    groups whose label there is a multiple of it and one those whose label
-    divides it; ANDed over the components they give the groups a group's
-    ideal contains (`inside`) and those containing it (`outside`), itself
-    among both, and its row is every group in neither.
-    """
-    positions = prod(map(len, labels_by_component))
-    n = positions - 2
-    full = (1 << n) - 1
-    multiples_by_component, divisors_by_component = [], []
-    width = positions
-    for labels in labels_by_component:
-        block = width // len(labels)
-        copies = ((1 << positions) - 1) // ((1 << width) - 1)
-        cells = [((1 << block) - 1) << (j * block) for j in range(len(labels))]
-
-        def groups(selected) -> int:
-            return (sum(compress(cells, selected)) * copies >> 1) & full
-
-        multiples_by_component.append([groups(map(not_, map(mod, labels, repeat(a)))) for a in labels])
-        divisors_by_component.append([groups(map(not_, map(a.__mod__, labels))) for a in labels])
-        width = block
-    masks = islice(zip(product(*multiples_by_component), product(*divisors_by_component)), 1, n + 1)
-    return [full ^ (reduce(and_, inside) | reduce(and_, outside)) for inside, outside in masks]
+def _divisibility(labels: tuple[int, ...], cells: list[int], lay) -> list[tuple[int, int]]:
+    """Brute's rule for `groupbfs.product_rows`: label a's ideal contains label b's when a divides b."""
+    multiples = [lay(sum(compress(cells, [b % a == 0 for b in labels]))) for a in labels]
+    return list(zip(multiples, [lay(sum(compress(cells, [a % b == 0 for b in labels]))) for a in labels]))
 
 
 def compute_wiener(graph: ElementGraph) -> WienerReport:

@@ -1,9 +1,10 @@
 """Breadth-first search and the Wiener index's pair counts over a graph held as bitmask rows.
 
-Both graph routes hand this module their graph as groups of twins, brute's
-label groups or the quotient's classes, with one neighbour bitmask row per
-group, the shape of `QuotientGraph.rows`.
+Both graph routes hold their graph as groups of twins, brute's label groups
+or the quotient's classes, with one neighbour bitmask row per group, the
+shape of `QuotientGraph.rows`.
 
+* `product_rows` builds the sizes and rows from a route's containment rule;
 * `sweep` is the one search, and `component_roots` finds the components
   with it;
 * `group_wiener` is the one pair sum: the edges, the components and the
@@ -17,8 +18,10 @@ group, the shape of `QuotientGraph.rows`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import repeat
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import reduce
+from itertools import islice, product, repeat
+from math import prod
 from operator import mul
 
 from .report import WienerReport, make_report
@@ -306,6 +309,48 @@ def weigh(mask: int, planes: Sequence[tuple[int, int]]) -> int:
     for weight, plane in planes:
         total += (mask & plane).bit_count() * weight
     return total
+
+
+def product_rows(sizes: Sequence[Sequence[int]], rule: Callable, entries: Sequence) -> tuple[list[int], list[int]]:
+    """The group sizes and neighbour rows of a product ring, from a route's containment rule.
+
+    Component i has one entry per ideal: `sizes[i]` holds their element
+    counts and `entries[i]` what `rule` reads of them.  A group takes one
+    entry per component, its size the product of theirs, and position p of
+    the product order is group p - 1; the unit (first) and zero (last)
+    positions are cut.  An entry's positions form runs of `block` ones every
+    `width` bits: `cells[j]` is entry j's run in one tile, and `lay` lays a
+    tile down by one multiplication with `copies`.  `rule(entries[i], cells,
+    lay)` gives each entry's pair of masks, of the groups whose entry there
+    it contains (`inside`) and of those containing it (`outside`), itself
+    among both.  An ideal of the product contains another exactly when it
+    does at every component, so `_meet` ANDs those pairs over the
+    components, and a group's row is every group in neither.  No pair of
+    groups is visited.
+    """
+    positions = prod(map(len, sizes))
+    n = positions - 2
+    full = (1 << n) - 1
+    masks = []
+    width = positions
+    for count, component in zip(map(len, sizes), entries):
+        block = width // count
+        copies = ((1 << positions) - 1) // ((1 << width) - 1)
+        cells = list(map(((1 << block) - 1).__lshift__, range(0, width, block)))
+
+        def lay(tile: int) -> int:
+            return (tile * copies >> 1) & full
+
+        masks.append(rule(component, cells, lay))
+        width = block
+    rows = [full ^ (inside | outside) for inside, outside in islice(reduce(_meet, masks), 1, n + 1)]
+    return list(islice(map(prod, product(*sizes)), 1, n + 1)), rows
+
+
+def _meet(column: Iterable[tuple[int, int]], entries: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Each pair of `column` ANDed with each pair of `entries` in turn, the order of the positions."""
+    entries = tuple(entries)
+    return ((inside & inner, outside & outer) for inside, outside in column for inner, outer in entries)
 
 
 def upper_edges(rows: Sequence[int]) -> list[tuple[int, int]]:

@@ -65,8 +65,8 @@ class FactorizationError(ValueError):
     """n cannot be factored within the proven or budgeted limits."""
 
 
-def abbreviate(n: int) -> str:
-    """n in decimal for a message: whole up to 40 digits, past that its first and last six digits and its length."""
+def abbreviate(n: int | str) -> str:
+    """n, or a token of its digits, for a message: whole up to 40 digits, past that its ends and its length."""
     digits = str(n)
     if len(digits) <= 40:
         return digits

@@ -22,11 +22,10 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import accumulate, chain, islice, product, repeat
-from math import prod
-from operator import and_, or_, xor
+from itertools import accumulate
+from operator import and_, or_
 
-from .groupbfs import group_report, members, sweep, upper_edges
+from .groupbfs import group_report, members, product_rows, sweep, upper_edges
 from .report import WienerReport
 from .ringspec import IdealLabel, RingSpec, chain_sizes
 
@@ -87,9 +86,7 @@ def enumerate_classes(spec: RingSpec) -> list[ClassInfo]:
     for i in range(len(spec.components)):
         ideals = _component_ideals(spec.chains(i))
         classes = [(key + (label,), size * s, xs + ys) for key, size, xs in classes for label, s, ys in ideals]
-    zero_key = spec.components
-    unit_key = (1,) * len(zero_key)
-    return [ClassInfo(*c) for c in classes if c[0] != zero_key and c[0] != unit_key]
+    return [ClassInfo(*c) for c in classes[1:-1]]  # the unit key is first and the zero key last
 
 
 def _component_ideals(chains) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -106,60 +103,33 @@ def _component_ideals(chains) -> list[tuple[int, int, tuple[int, ...]]]:
 
 
 def build_quotient_graph(spec: RingSpec) -> QuotientGraph:
-    """The class sizes and neighbour rows of a ring, in `enumerate_classes`' order, built per chain.
+    """The class sizes and neighbour rows of a ring, in `enumerate_classes`' order, by `groupbfs.product_rows`."""
+    ideals = [list(zip(*_component_ideals(spec.chains(i)))) for i in range(len(spec.components))]
+    columns = [list(zip(*exponents)) for _, _, exponents in ideals]
+    return QuotientGraph(spec, *product_rows([sizes for _, sizes, _ in ideals], _exponent_order, columns))
 
-    Position p of the product of the components' `_component_ideals` is
-    class p - 1; the unit (first) and zero (last) positions are cut.  One
-    ideal contains another exactly when its exponent is no larger on every
-    chain of `spec.local_factors()`.  A chain's exponent column is its
-    per-ideal exponents, each repeated `block` times and the whole list
-    tiled.  The classes at exponent x are runs of `block` ones every
-    `width` bits, which one multiplication by `copies` lays down, and their
-    prefix ORs `le[x]` (`ge[x]`) hold the classes with exponent at most (at
-    least) x.  The columns of those masks, ANDed over the chains, give the
-    classes below (above) each class, itself among both, and its row is
-    every class in neither.  Python steps run per chain and per ideal of a
-    component; what runs per class is `map` over whole columns, and no
-    class pair is visited.
+
+def _exponent_order(columns: list[tuple[int, ...]], cells: list[int], lay) -> Iterator[tuple[int, int]]:
+    """The quotient's rule for `groupbfs.product_rows`: the exponent order, chain by chain.
+
+    One ideal contains another exactly when its exponent is no larger on
+    every chain.  `columns` holds each chain's exponent by ideal, and `at[x]`
+    the tile of the ideals at x there.  Laid down, its prefix ORs `le[x]` are
+    the classes at most x, and `ge[x]`, at least x, all but `le[x - 1]`; ANDed
+    over the chains, an ideal's `ge` gives the classes it contains, and its
+    `le` those that contain it.
     """
-    chains = [spec.chains(i) for i in range(len(spec.components))]
-    # Each component's ideal labels, sizes and exponent vectors, as three columns.
-    ideals = [list(zip(*_component_ideals(c))) for c in chains]
-    positions = prod(len(ideal_sizes) for _, ideal_sizes, _ in ideals)
-    n = positions - 2
-    full = (1 << n) - 1
     below, above = [], []
-    width = positions
-    for (_, ideal_sizes, exponents), component_chains in zip(ideals, chains):
-        block = width // len(ideal_sizes)
-        copies = ((1 << positions) - 1) // ((1 << width) - 1)
-        run = (1 << block) - 1
-        for column, (_, a) in zip(zip(*exponents), component_chains):
-            at = [0] * (a + 1)
-            for j, x in enumerate(column):
-                at[x] |= run << j * block
-            at = [(mask * copies >> 1) & full for mask in at]
-            le = list(accumulate(at, or_))
-            ge = list(accumulate(reversed(at), or_))[::-1]
-            below.append(_tiled(le, column, block, positions // width, n))
-            above.append(_tiled(ge, column, block, positions // width, n))
-        width = block
+    for column in columns:
+        at = [0] * (max(column) + 1)
+        for cell, x in zip(cells, column):
+            at[x] |= cell
+        le = list(accumulate(map(lay, at), or_))
+        ge = [le[-1] ^ mask for mask in [0, *le[:-1]]]
+        below.append(map(le.__getitem__, column))
+        above.append(map(ge.__getitem__, column))
     meet = partial(map, and_)
-    rows = list(map(xor, repeat(full), map(or_, reduce(meet, below), reduce(meet, above))))
-    sizes = list(islice(map(prod, product(*(ideal_sizes for _, ideal_sizes, _ in ideals))), 1, n + 1))
-    return QuotientGraph(spec, sizes, rows)
-
-
-def _tiled(masks: list[int], column: tuple[int, ...], block: int, tiles: int, n: int) -> Iterator[int]:
-    """`masks[x]` for each class, x being the class's entry of an exponent column.
-
-    The column's entries are each repeated `block` times and the whole list
-    `tiles` times; positions 1..n are the classes.
-    """
-    entries = list(map(masks.__getitem__, column))
-    if block > 1:  # at block 1 this would copy `entries` unchanged
-        entries = list(chain.from_iterable(map(repeat, entries, repeat(block))))
-    return islice(entries * tiles, 1, n + 1)
+    return zip(reduce(meet, above), reduce(meet, below))
 
 
 def quotient_distances(qg: QuotientGraph) -> tuple[list[list[int | None]], bool]:

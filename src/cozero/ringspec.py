@@ -16,9 +16,9 @@ label is prod(q**x): for Z(m) the divisor gcd(r, m) of each element r
 that generates it, and for a field 1 (nonzero) or q (zero).  Labels always
 divide the component cardinality, and the principal ideal of r contains
 the ideal of s exactly when every label of r divides the matching label
-of s, that is, when the exponent of r is no larger on every chain.  The
-brute route tests the labels (`elementgraph._group_rows`); the quotient
-route and the closed form compare the exponents.
+of s, that is, when the exponent of r is no larger on every chain.  Brute
+tests the labels (`elementgraph._divisibility`); the quotient route
+(`quotient._exponent_order`) and the closed form compare the exponents.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ IdealLabel = tuple[int, ...]
 
 _SPEC_RE = re.compile(r"^(zxz|z|f)\((.*)\)$", re.IGNORECASE)
 _FAMILY_BY_TOKEN = {"z": FAMILY_Z, "zxz": FAMILY_PRODUCT, "f": FAMILY_FIELDS}
+MAX_DIGITS = 4300
+"""The most digits a number in a spec or a parameter may have: Python's default limit on `int(str)`."""
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,20 @@ def parse_ring_spec(text: str) -> RingSpec:
     body = m.group(2)
     if not body:
         raise ValueError(f"malformed ring spec {text!r}: no parameters given")
-    values = []
-    for token in body.split(","):
-        if not re.fullmatch(r"\d+", token):
-            raise ValueError(f"malformed ring spec {text!r}: {token!r} is not a positive integer")
-        values.append(int(token))
-    return RingSpec(family, tuple(values))
+    tokens = body.split(",")
+    values = tuple(map(parse_integer, tokens))
+    if None in values:
+        raise ValueError(f"malformed ring spec {text!r}: {tokens[values.index(None)]!r} is not a positive integer")
+    return RingSpec(family, values)
+
+
+def parse_integer(token: str) -> int | None:
+    """A token's value when it is decimal digits alone, else None; past `MAX_DIGITS` of them it is refused unread."""
+    if not re.fullmatch(r"\d+", token):
+        return None
+    if len(token) > MAX_DIGITS:
+        raise ValueError(f"{abbreviate(token)} is over the limit of {MAX_DIGITS} digits")
+    return int(token)
 
 
 def crt_normalize(spec: RingSpec) -> RingSpec:

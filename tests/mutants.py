@@ -1,11 +1,13 @@
-"""Mutation check for the shared pair counts, the row builders, the edge list and the Wiener identity.
+"""Mutation check for the shared pair counts, the row layout, the edge list and the Wiener identity.
 
-Brute and quotient hand the same rows to `groupbfs.group_wiener`, and every
-route hands its counts to `report.make_report`, so a fault in either shows
-in all routes alike and agreement between routes cannot catch it.  Each
-entry of `MUTANTS` changes one line of a module of `src/cozero` in a fresh
-temporary copy of `src/` and `tests/`, and runs the entry's test files on
-that copy with `pytest -x`; the mutant is killed when they fail.  Every
+Brute and quotient build their rows through `groupbfs.product_rows` and hand
+them to `groupbfs.group_wiener`, and every route hands its counts to
+`report.make_report`, so a fault in any of these shows in all routes alike
+and agreement between routes cannot catch it.  Each layout mutant is listed
+once under each route's own test file.  Each entry of `MUTANTS` changes one
+line of a module of `src/cozero` in a fresh temporary copy of `src/` and
+`tests/`, and runs the entry's test files on that copy with `pytest -x`;
+the mutant is killed when they fail.  Every
 entry changes a value, and says which, except one that turns off
 `group_wiener`'s hub certificate: it changes which path counts the pairs at
 distance 3 and what they cost, and a guard test pins that path.  Any other
@@ -260,35 +262,44 @@ MUTANTS = [
         REPORT,
         "a graph with pairs at distance 3 or more reports diameter 2",
     ),
-    # quotient.build_quotient_graph: the tiling of the exponent columns.
-    Mutant(
-        "quotient.py",
-        "at = [(mask * copies >> 1) & full for mask in at]",
-        "at = [(mask >> 1) & full for mask in at]",
-        ("test_quotient.py",),
-        "an exponent's runs are laid down in the first tile only, so later classes lose their order masks",
+    # groupbfs.product_rows: the one product layout.  Brute and quotient build
+    # their rows through it alike, so each layout mutant is listed once per
+    # route, to show that each route's own rule tests catch it.
+    *(
+        Mutant("groupbfs.py", before, after, (tests,), why)
+        for before, after, why in (
+            (
+                "copies = ((1 << positions) - 1) // ((1 << width) - 1)",
+                "copies = ((1 << positions) - 1) // ((1 << block) - 1)",
+                "a component's runs repeat every block bits, not every tile, so later entries take earlier ones' groups",
+            ),
+            (
+                "return (tile * copies >> 1) & full",
+                "return tile * copies & full",
+                "a tile is laid down without cutting the unit position, so every mask is one group off",
+            ),
+            (
+                "return ((inside & inner, outside & outer) for inside, outside in column for inner, outer in entries)",
+                "return ((inside & outer, outside & inner) for inside, outside in column for inner, outer in entries)",
+                "one component's inside mask meets the next one's outside, so containment mixes its directions",
+            ),
+        )
+        for tests in ("test_elementgraph.py", "test_quotient.py")
     ),
+    # quotient._exponent_order and elementgraph._divisibility: each route's own rule.
     Mutant(
         "quotient.py",
-        "le = list(accumulate(at, or_))",
-        "le = at",
+        "le = list(accumulate(map(lay, at), or_))",
+        "le = list(map(lay, at))",
         ("test_quotient.py",),
         "a class is below only the classes of equal exponent, so nested classes become adjacent",
     ),
-    # elementgraph._group_rows: the divisibility masks.
     Mutant(
         "elementgraph.py",
-        "multiples_by_component.append([groups(map(not_, map(mod, labels, repeat(a)))) for a in labels])",
-        "multiples_by_component.append([groups(map(not_, map(mod, repeat(a), labels))) for a in labels])",
+        "multiples = [lay(sum(compress(cells, [b % a == 0 for b in labels]))) for a in labels]",
+        "multiples = [lay(sum(compress(cells, [a % b == 0 for b in labels]))) for a in labels]",
         ("test_elementgraph.py",),
         "the multiples mask holds the divisors, so a group's multiples become its neighbours",
-    ),
-    Mutant(
-        "elementgraph.py",
-        "return (sum(compress(cells, selected)) * copies >> 1) & full",
-        "return (sum(compress(cells, selected)) >> 1) & full",
-        ("test_elementgraph.py",),
-        "a label's runs are laid down in the first tile only",
     ),
     # elementgraph.ElementGraph.edges: each edge once, from its lower end.
     Mutant(
@@ -408,7 +419,7 @@ def main() -> int:
             if not killed:
                 survivors.append(n)
             verdict = "killed  " if killed else "SURVIVED"
-            print(f"{n:2d} {verdict} {time.perf_counter() - t0:5.1f}s  {mutant.module}: {mutant.why}", flush=True)
+            print(f"{n:2d} {verdict} {time.perf_counter() - t0:5.1f}s  {mutant.module}: {mutant.why} ({', '.join(mutant.tests)})", flush=True)
     wall = time.perf_counter() - start
     print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed in {wall:.1f} s")
     if survivors:

@@ -238,6 +238,75 @@ def test_table_zn_rejects_non_integer(capsys):
     assert "invalid literal" not in err
 
 
+# A spec's body and a table or bench param follow one integer rule: decimal
+# digits only, and at most 4300 of them (`ringspec.MAX_DIGITS`), refused at
+# once by the length of the text with the number cut to its ends.
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["table", "zn", "1_000"], "zn: '1_000' is not an integer"),
+        (["table", "zn", "+12"], "zn: '+12' is not an integer"),
+        (["table", "zn", " 12"], "zn: ' 12' is not an integer"),
+        (["table", "fields2", "9,+25"], "fields2: '9,+25' is not a comma-separated integer tuple"),
+        (["bench", "ppprod", "2,1_0"], "ppprod: '2,1_0' is not a comma-separated integer tuple"),
+        (["wiener", "Z(1_000)"], "'1_000' is not a positive integer"),
+        (["table", "zn", "1" + "0" * 4400], "error: 100000...000000 (4401 digits) is over the limit of 4300 digits"),
+        (["bench", "fields2", "9," + "1" * 4301], "error: 111111...111111 (4301 digits) is over the limit of 4300 digits"),
+        (["wiener", "Z(" + "7" * 5000 + ")"], "error: 777777...777777 (5000 digits) is over the limit of 4300 digits"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_specs_and_params_share_one_integer_rule(capsys, argv, message):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert message in err and err.count("\n") == 1 and len(err) < 200, err
+    assert time.perf_counter() - t0 < 1
+
+
+@contextlib.contextmanager
+def _digit_limit(limit):
+    """The interpreter's limit on the decimal digits of an int set to `limit` (0: none), then restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"Z({3 * 2**14000})", "F(" + ",".join(["2"] * 8000) + ")"],
+    ids=["Z(3*2^14000)", "F(2)^8000"],
+)
+def test_a_wiener_index_past_the_digit_limit_is_printed_whole(capsys, spec):
+    # W has more than the 4300 digits Python writes by default; the spec does not.
+    expected = wiener_closed(parse_ring_spec(spec))
+    limit = sys.get_int_max_str_digits()
+    plain = run(capsys, "wiener", spec)
+    as_json = run(capsys, "wiener", spec, "--format", "json")
+    assert sys.get_int_max_str_digits() == limit
+    with _digit_limit(0):
+        assert len(str(expected.wiener)) > 4300
+        assert plain[0] == 0 and f"wiener={expected.wiener} " in plain[1], plain[2]
+        record = json.loads(as_json[1])[0]
+        assert (record["wiener"], record["vertices"]) == (str(expected.wiener), expected.vertex_count)
+
+
+def test_every_format_renders_past_a_lowered_digit_limit_and_keeps_it(capsys):
+    # W of Z(3 * 2**2000) has 1206 digits, past a limit of 1000; the spec's 603 digits are not.
+    spec = f"Z({3 * 2**2000})"
+    expected = wiener_closed(parse_ring_spec(spec)).wiener
+    with _digit_limit(1000):
+        outputs = [run(capsys, "wiener", spec, "--format", fmt) for fmt in ("plain", "json", "csv", "md")]
+        outputs.append(run(capsys, "table", "zn", str(3 * 2**2000), "--format", "json"))
+        assert sys.get_int_max_str_digits() == 1000
+    with _digit_limit(0):
+        for code, out, err in outputs:
+            assert code == 0 and str(expected) in out, err
+
+
 def test_classes_listing(capsys):
     code, out, _ = run(capsys, "classes", "Z(12)")
     assert code == 0

@@ -5,10 +5,12 @@ from cozero.ringspec import (
     FAMILY_FIELDS,
     FAMILY_PRODUCT,
     FAMILY_Z,
+    MAX_DIGITS,
     RingSpec,
     chain_sizes,
     crt_normalize,
     integers_mod,
+    parse_integer,
     parse_ring_spec,
     product_of_fields,
     product_of_integers_mod,
@@ -53,6 +55,20 @@ def test_parse_errors_name_the_offender(text, fragment):
     with pytest.raises(ValueError) as exc_info:
         parse_ring_spec(text)
     assert fragment in str(exc_info.value)
+
+
+@pytest.mark.parametrize(
+    "token,value",
+    [("12", 12), ("007", 7), ("٣٦", 36), ("-5", None), ("+5", None), ("1_000", None), (" 12", None), ("", None), ("1.5", None)],
+)
+def test_parse_integer_reads_decimal_digits_only(token, value):
+    assert parse_integer(token) == value
+
+
+def test_parse_integer_refuses_a_number_past_the_digit_limit_by_its_length():
+    assert parse_integer("9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+    with pytest.raises(ValueError, match=r"^123456\.\.\.456789 \(4301 digits\) is over the limit of 4300 digits$"):
+        parse_integer("123456" + "0" * 4289 + "456789")
 
 
 def test_spec_needs_a_known_family_and_a_component():
