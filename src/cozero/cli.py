@@ -16,6 +16,7 @@ from .elementgraph import (
     BruteForceLimitError,
     build_graph,
     graph_export,
+    read_brute_limit,
     vertex_name,
     wiener_brute,
 )
@@ -318,16 +319,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
-
-
 def _add_ring_list(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=("zn", "fields2", "fields3", "ppprod"))
     p.add_argument(
@@ -345,7 +336,6 @@ def _add_flags(p: argparse.ArgumentParser, fmt: str | None, brute_limit: bool) -
     if brute_limit:
         p.add_argument(
             "--brute-limit",
-            type=_non_negative_int,
             default=None,
             metavar="N",
             help=f"element cap for brute force (overrides ${BRUTE_LIMIT_ENV}; default {DEFAULT_BRUTE_LIMIT})",
@@ -405,6 +395,8 @@ def main(argv: list[str] | None = None) -> int:
         # The input is parsed under the interpreter's limit on decimal digits,
         # and the command runs without it: W can pass the default 4300 digits.
         args.parsed = parse_ring_spec(args.spec) if "spec" in args else _family_rings(args.family, args.params)
+        if getattr(args, "brute_limit", None) is not None:
+            args.brute_limit = read_brute_limit(args.brute_limit, "--brute-limit")
         _set_digit_limit(0)
         return args.func(args)
     except ValueError as exc:  # bad input, a limit hit, or an --out file that cannot be written

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 from math import prod
 from operator import ge, le
 
 from .numtheory import factorize
 from .report import WienerReport, make_report
-from .ringspec import RingSpec, chain_sizes, integers_mod, product_of_fields
+from .ringspec import RingSpec, integers_mod, product_of_fields
 
 
 # --------------------------------------------------------------------------
@@ -174,34 +174,42 @@ def classify_prime_power_distance(a, b, prime_powers) -> int:
 # The product-of-chains formula
 
 
+def _chain_sums(q: int, a: int) -> tuple[int, int, int, int]:
+    """The chain (q, a)'s units, squares, pairs and far sums of `_wiener_local`, in O(1) operations."""
+    h = q ** (a - 1)
+    size = q * h
+    units = size - h
+    squares = 1 + (q - 1) * (size * size - 1) // (q + 1)
+    pairs = (size * size + squares) // 2
+    far = h * (h - 1) - (h * h - 1) // (q + 1)
+    return units, squares, pairs, far
+
+
 def _wiener_local(factors, t0: float) -> WienerReport:
     """Wiener report for the product of local rings `factors`, each (q, a).
 
-    `s[x]` counts the elements of a factor with ideal exponent x
-    (`chain_sizes`).  Over all C elements, units and zero included, the
-    ordered pairs with comparable exponent vectors number
-    L = 2*prod(#{x <= y}) - prod(#{x = y}), and units and zero are
-    comparable with everything, so 2|E| = C**2 - L.  On one chain every
-    pair is comparable: |E| = 0, and each vertex is its own component.
+    On a chain (q, a), s[x] elements have ideal exponent x (`chain_sizes`).
+    With T = q**a and h = q**(a-1), `_chain_sums` gives their sums, each a
+    geometric series in q**2 (q**2 = 1 modulo q + 1, so /(q + 1) is exact):
+    units s[0] = T - h, squares = sum of s[x]**2 = 1 + (q-1)(T**2-1)/(q+1),
+    pairs = sum of s[x]*s[y] over x <= y = (T**2 + squares)/2, and far =
+    the same sum over 1 <= y <= x < a = h(h-1) - (h**2-1)/(q+1).  Over all
+    C elements, units and zero included, the ordered pairs with comparable
+    exponent vectors number L = 2*prod(pairs) - prod(squares), and units
+    and zero are comparable with everything, so 2|E| = C**2 - L.  On one
+    chain every pair is comparable: |E| = 0, and each vertex is its own
+    component.
     """
-    levels = [chain_sizes(q, a) for q, a in factors]
+    units_by_chain, squares, pairs, far = zip(*(_chain_sums(q, a) for q, a in factors))
     cardinality = prod(q**a for q, a in factors)
-    units = prod(s[0] for s in levels)
+    units = prod(units_by_chain)
     vertices = cardinality - units - 1
-    classes = prod(len(s) for s in levels) - 2
-    connected = len(levels) > 1
-    below = same = 1
-    distance3 = 0
-    for s in levels:
-        prefix = list(accumulate(s))
-        below *= sum(v * c for v, c in zip(s, prefix))
-        same *= sum(v * v for v in s)
-        if connected:
-            # The pairs `_pair_distance` puts at distance 3 with r this
-            # factor: one side at the top (zero) off r, the other 0 (a
-            # unit) off r, and exponents 1 <= y <= x < a at r.
-            distance3 += units // s[0] * sum(s[x] * (prefix[x] - s[0]) for x in range(1, len(s) - 1))
-    edges = (cardinality * cardinality - (2 * below - same)) // 2
+    classes = prod(a + 1 for _, a in factors) - 2
+    connected = len(factors) > 1
+    # The pairs `_pair_distance` puts at distance 3 with r a factor: one side at the top (zero)
+    # off r, the other 0 (a unit) off r, and exponents 1 <= y <= x < a at r.
+    distance3 = sum(units // u * d for u, d in zip(units_by_chain, far)) if connected else 0
+    edges = (cardinality * cardinality - (2 * prod(pairs) - prod(squares))) // 2
     components = 1 if connected else vertices
     return make_report("closed", vertices, classes, components, edges, distance3, 3 if distance3 else 0, t0)
 

@@ -9,7 +9,7 @@ checked against.
 
 * `build_graph` splits the elements into label groups and builds their
   rows by `groupbfs.product_rows`, within the element cap of
-  `resolve_brute_limit`;
+  `resolve_brute_limit` (read from text by `read_brute_limit`);
 * `ElementGraph` holds the groups, and builds what is per element on first
   read;
 * `compute_wiener` and `wiener_brute` hand the group sizes and rows to
@@ -29,7 +29,7 @@ from math import gcd
 
 from .groupbfs import group_report, members, product_rows
 from .report import WienerReport
-from .ringspec import FAMILY_Z, IdealLabel, RingSpec
+from .ringspec import FAMILY_Z, IdealLabel, RingSpec, parse_integer
 
 BRUTE_LIMIT_ENV = "COZERO_BRUTE_LIMIT"
 DEFAULT_BRUTE_LIMIT = 100_000
@@ -51,15 +51,18 @@ def resolve_brute_limit(limit: int | None = None) -> int:
             raise ValueError(f"brute-force limit must be a non-negative integer, got {limit!r}")
         return limit
     env = os.environ.get(BRUTE_LIMIT_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{BRUTE_LIMIT_ENV} must be an integer, got {env!r}") from None
-        if cap < 0:
-            raise ValueError(f"{BRUTE_LIMIT_ENV} must be a non-negative integer, got {env!r}")
-        return cap
-    return DEFAULT_BRUTE_LIMIT
+    return DEFAULT_BRUTE_LIMIT if env is None else read_brute_limit(env, BRUTE_LIMIT_ENV)
+
+
+def read_brute_limit(text: str, source: str) -> int:
+    """An element cap written as text, by `ringspec.parse_integer`'s rule; each error names `source`."""
+    try:
+        cap = parse_integer(text)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    if cap is None:
+        raise ValueError(f"{source} must be decimal digits alone, got {text!r}")
+    return cap
 
 
 class ElementGraph:

@@ -2,8 +2,10 @@
 
 `factorize` is the module's one job: every modulus, field order and prime
 of a (p, m) pair is factored by it, and the primality of the last two is
-checked by it.  It runs in three stages on Python integers, which are
-arbitrary precision, so every count and sum in the library stays exact:
+checked by it.  It keeps nothing between calls: a `RingSpec` keeps its own
+factorization (`RingSpec.chains`).  It runs in three stages on Python
+integers, which are arbitrary precision, so every count and sum in the
+library stays exact:
 
 1. trial division strips every prime below `SMALL_PRIME_BOUND` (a cofactor
    below its square is then 1 or prime);
@@ -30,10 +32,7 @@ half the cap.  These measurements are recorded in CHANGES.md.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, isqrt
-
-Factorization = list[tuple[int, int]]
 
 SMALL_PRIME_BOUND = 1000
 
@@ -140,8 +139,14 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-@lru_cache(maxsize=None)
-def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n as (prime, exponent) pairs, primes ascending.
+
+    Raises FactorizationError when n holds a piece beyond the proven or
+    budgeted range (see the module docstring).
+    """
+    if n < 2:
+        raise ValueError(f"factorize requires an integer >= 2, got {n}")
     counts: dict[int, int] = {}
     rem = n
     for p in _SMALL_PRIMES:
@@ -158,15 +163,4 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
         else:
             d = _rho_divisor(m)
             pieces += (d, m // d)
-    return tuple(sorted(counts.items()))
-
-
-def factorize(n: int) -> Factorization:
-    """Prime factorization of n as (prime, exponent) pairs, primes ascending.
-
-    Raises FactorizationError when n holds a piece beyond the proven or
-    budgeted range (see the module docstring).
-    """
-    if n < 2:
-        raise ValueError(f"factorize requires an integer >= 2, got {n}")
-    return list(_factor_pairs(n))
+    return sorted(counts.items())

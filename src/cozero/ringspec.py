@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from .numtheory import abbreviate, factorize
@@ -38,7 +39,7 @@ IdealLabel = tuple[int, ...]
 _SPEC_RE = re.compile(r"^(zxz|z|f)\((.*)\)$", re.IGNORECASE)
 _FAMILY_BY_TOKEN = {"z": FAMILY_Z, "zxz": FAMILY_PRODUCT, "f": FAMILY_FIELDS}
 MAX_DIGITS = 4300
-"""The most digits a number in a spec or a parameter may have: Python's default limit on `int(str)`."""
+"""The most digits a number the tool reads may have: Python's default limit on `int(str)`."""
 
 
 @dataclass(frozen=True)
@@ -71,16 +72,17 @@ class RingSpec:
     def is_field_product(self) -> bool:
         return self.family == FAMILY_FIELDS
 
+    @cached_property
+    def _chains(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(((c, 1),) if self.is_field_product else tuple(factorize(c)) for c in self.components)
+
     def chains(self, i: int) -> tuple[tuple[int, int], ...]:
-        """The chains (q, a) whose product is the i-th component."""
-        c = self.components[i]
-        if self.is_field_product:
-            return ((c, 1),)
-        return tuple(factorize(c))
+        """The chains (q, a) whose product is the i-th component, factored on the spec's first read and kept."""
+        return self._chains[i]
 
     def local_factors(self) -> list[tuple[int, int]]:
         """Every component's chains, in component order."""
-        return [chain for i in range(len(self.components)) for chain in self.chains(i)]
+        return [chain for chains in self._chains for chain in chains]
 
     def __str__(self) -> str:
         return f"{self.family}({','.join(str(c) for c in self.components)})"

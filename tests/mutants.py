@@ -316,34 +316,42 @@ MUTANTS = [
         ("test_elementgraph.py",),
         "a neighbour list is in group order, not vertex order, so the cut past i drops or keeps the wrong vertices",
     ),
-    # closedform._wiener_local: |E| and the distance-3 pairs.
+    # closedform._chain_sums: one mutant for each per-chain sum.
     Mutant(
         "closedform.py",
-        "edges = (cardinality * cardinality - (2 * below - same)) // 2",
-        "edges = (cardinality * cardinality - 2 * below) // 2",
+        "units = size - h",
+        "units = size - q",
+        ("test_closedform.py",),
+        "a chain's units are q**a - q, not q**a - q**(a-1), so fields have none",
+    ),
+    Mutant(
+        "closedform.py",
+        "squares = 1 + (q - 1) * (size * size - 1) // (q + 1)",
+        "squares = (q - 1) * (size * size - 1) // (q + 1)",
+        ("test_closedform.py",),
+        "the zero element's pair with itself is left out of the equal pairs",
+    ),
+    Mutant(
+        "closedform.py",
+        "pairs = (size * size + squares) // 2",
+        "pairs = (size * size - squares) // 2",
+        ("test_closedform.py",),
+        "the pairs x <= y of a chain count only x < y",
+    ),
+    Mutant(
+        "closedform.py",
+        "far = h * (h - 1) - (h * h - 1) // (q + 1)",
+        "far = h * (h - 1)",
+        ("test_closedform.py",),
+        "the distance-3 sum drops its (h**2 - 1)/(q + 1) term and overcounts",
+    ),
+    # closedform._wiener_local: |E| and the diameter.
+    Mutant(
+        "closedform.py",
+        "edges = (cardinality * cardinality - (2 * prod(pairs) - prod(squares))) // 2",
+        "edges = (cardinality * cardinality - 2 * prod(pairs)) // 2",
         ("test_closedform.py",),
         "the comparable ordered pairs count the equal ones twice, so |E| grows",
-    ),
-    Mutant(
-        "closedform.py",
-        "below *= sum(v * c for v, c in zip(s, prefix))",
-        "below *= sum(v * c for v, c in zip(s, s))",
-        ("test_closedform.py",),
-        "the pairs x <= y of a factor count only x = y",
-    ),
-    Mutant(
-        "closedform.py",
-        "distance3 += units // s[0] * sum(s[x] * (prefix[x] - s[0]) for x in range(1, len(s) - 1))",
-        "distance3 += units // s[0] * sum(s[x] * prefix[x] for x in range(1, len(s) - 1))",
-        ("test_closedform.py",),
-        "a unit exponent at r counts as a distance-3 partner",
-    ),
-    Mutant(
-        "closedform.py",
-        "distance3 += units // s[0] * sum(s[x] * (prefix[x] - s[0]) for x in range(1, len(s) - 1))",
-        "distance3 += units // s[0] * sum(s[x] * (prefix[x] - s[0]) for x in range(1, len(s) - 2))",
-        ("test_closedform.py",),
-        "the exponent just below the top of each chain adds no distance-3 pairs",
     ),
     Mutant(
         "closedform.py",

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 import cozero
 from cozero import report as report_mod
+from cozero import ringspec
 from cozero.cli import main
 from cozero.closedform import wiener_closed
-from cozero.numtheory import PSI_13
+from cozero.numtheory import PSI_13, factorize
 from cozero.report import WienerReport
 from cozero.ringspec import parse_ring_spec
 
@@ -102,18 +103,12 @@ def test_wiener_brute_limit_flag_beats_env(capsys, monkeypatch):
 
 def test_negative_brute_limit_is_rejected(capsys, monkeypatch):
     code, out, err = run(capsys, "wiener", "Z(12)", "--method", "brute", "--brute-limit", "-5")
-    assert code == 1
-    assert out == ""
-    assert "--brute-limit" in err and "non-negative" in err
+    assert (code, out, err) == (1, "", "error: --brute-limit must be decimal digits alone, got '-5'\n")
     code, out, err = run(capsys, "wiener", "Z(12)", "--method", "brute", "--brute-limit", "abc")
-    assert code == 1
-    assert out == ""
-    assert "--brute-limit" in err and "invalid int value: 'abc'" in err
+    assert (code, out, err) == (1, "", "error: --brute-limit must be decimal digits alone, got 'abc'\n")
     monkeypatch.setenv("COZERO_BRUTE_LIMIT", "-5")
     code, out, err = run(capsys, "wiener", "Z(12)", "--method", "brute")
-    assert code == 1
-    assert out == ""
-    assert "COZERO_BRUTE_LIMIT" in err and "non-negative" in err
+    assert (code, out, err) == (1, "", "error: COZERO_BRUTE_LIMIT must be decimal digits alone, got '-5'\n")
 
 
 def test_compare_agreement(capsys):
@@ -238,9 +233,13 @@ def test_table_zn_rejects_non_integer(capsys):
     assert "invalid literal" not in err
 
 
-# A spec's body and a table or bench param follow one integer rule: decimal
-# digits only, and at most 4300 of them (`ringspec.MAX_DIGITS`), refused at
-# once by the length of the text with the number cut to its ends.
+# A spec's body, a table or bench param and a brute-force limit follow one
+# integer rule: decimal digits only, and at most 4300 of them
+# (`ringspec.MAX_DIGITS`), refused at once by the length of the text with the
+# number cut to its ends.
+BRUTE = ["wiener", "Z(12)", "--method", "brute", "--brute-limit"]
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -253,6 +252,10 @@ def test_table_zn_rejects_non_integer(capsys):
         (["table", "zn", "1" + "0" * 4400], "error: 100000...000000 (4401 digits) is over the limit of 4300 digits"),
         (["bench", "fields2", "9," + "1" * 4301], "error: 111111...111111 (4301 digits) is over the limit of 4300 digits"),
         (["wiener", "Z(" + "7" * 5000 + ")"], "error: 777777...777777 (5000 digits) is over the limit of 4300 digits"),
+        (BRUTE + [" +1_0"], "error: --brute-limit must be decimal digits alone, got ' +1_0'"),
+        (BRUTE + ["1_000"], "error: --brute-limit must be decimal digits alone, got '1_000'"),
+        (BRUTE + ["-5"], "error: --brute-limit must be decimal digits alone, got '-5'"),
+        (BRUTE + ["7" * 5000], "error: --brute-limit: 777777...777777 (5000 digits) is over the limit of 4300 digits"),
     ],
     ids=lambda value: value if isinstance(value, str) else None,
 )
@@ -262,6 +265,38 @@ def test_specs_and_params_share_one_integer_rule(capsys, argv, message):
     assert (code, out) == (1, "")
     assert message in err and err.count("\n") == 1 and len(err) < 200, err
     assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (" +1_000", "error: COZERO_BRUTE_LIMIT must be decimal digits alone, got ' +1_000'"),
+        ("abc", "error: COZERO_BRUTE_LIMIT must be decimal digits alone, got 'abc'"),
+        # 128 KiB, the most an environment string may hold: refused by its length, unread.
+        ("7" * 131_072, "error: COZERO_BRUTE_LIMIT: 777777...777777 (131072 digits) is over the limit of 4300 digits"),
+    ],
+    ids=["sign and underscore", "letters", "131072 digits"],
+)
+def test_the_brute_limit_variable_shares_the_integer_rule(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("COZERO_BRUTE_LIMIT", value)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compare", "Z(12)")
+    assert (code, out, err) == (1, "", message + "\n")
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("argv", [["compare", "Z(360)"], ["classes", "Z(360)"], ["bench", "zn", "360"]])
+def test_each_spec_factors_its_modulus_once(capsys, monkeypatch, argv):
+    # Every route of a command reads the one spec's factorization.
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(ringspec, "factorize", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert calls.count(360) == 1, calls
 
 
 @contextlib.contextmanager
@@ -553,7 +588,7 @@ def test_bad_brute_limit_env_fails_only_where_brute_runs(capsys, monkeypatch):
     code, out, err = run(capsys, "compare", "Z(12)")
     assert code == 1
     assert out == ""
-    assert err == "error: COZERO_BRUTE_LIMIT must be an integer, got 'abc'\n"
+    assert err == "error: COZERO_BRUTE_LIMIT must be decimal digits alone, got 'abc'\n"
 
 
 def test_help_exits_zero(capsys):

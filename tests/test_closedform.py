@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cozero.closedform import (
+    _chain_sums,
     _pair_distance,
     classify_divisor_pairs,
     classify_prime_power_distance,
@@ -19,7 +20,7 @@ from cozero.closedform import (
 from cozero.elementgraph import wiener_brute
 from cozero.numtheory import FactorizationError, factorize
 from cozero.quotient import build_quotient_graph, enumerate_classes, quotient_distances, wiener_quotient
-from cozero.ringspec import integers_mod, parse_ring_spec, product_of_fields, product_of_integers_mod
+from cozero.ringspec import chain_sizes, integers_mod, parse_ring_spec, product_of_fields, product_of_integers_mod
 
 
 def poly_two_fields(p: int, q: int) -> int:
@@ -383,3 +384,22 @@ def test_single_chain_agrees_with_quotient_and_brute(ring):
     closed = outcome(wiener_closed(spec))
     assert closed == outcome(wiener_brute(spec))
     assert closed == outcome(wiener_quotient(spec))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 101, 125])
+def test_chain_sums_are_the_sums_over_chain_sizes(q):
+    # Field orders and primes alike: the closed forms equal the sums they replace.
+    for a in range(1, 31):
+        s = chain_sizes(q, a)
+        pairs = sum(s[x] * s[y] for x in range(a + 1) for y in range(x, a + 1))
+        far = sum(s[x] * s[y] for x in range(1, a) for y in range(1, x + 1))
+        assert _chain_sums(q, a) == (s[0], sum(v * v for v in s), pairs, far), (q, a)
+
+
+def test_one_long_chain_with_a_huge_modulus_is_fast():
+    # Z(3 * 2**14000): 14001 exponents on the chain of 2, each sum in O(1) operations.
+    spec = integers_mod(3 * 2**14000)
+    t0 = time.perf_counter()
+    report = wiener_closed(spec)
+    assert time.perf_counter() - t0 < 0.2
+    assert report.vertex_count == 3 * 2**14000 - 2**14000 - 1

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from math import gcd, prod
 
 import pytest
@@ -6,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cozero import numtheory
+from cozero.closedform import wiener_closed
 from cozero.numtheory import PSI_13, FactorizationError, abbreviate, factorize
+from cozero.ringspec import integers_mod
 
 
 def brute_phi(n: int) -> int:
@@ -165,9 +169,34 @@ def test_abbreviate_keeps_40_digits_and_cuts_past_them():
 
 
 def test_rho_gives_up_at_the_iteration_cap(monkeypatch):
+    # factorize keeps nothing between calls, so a product it has split before
+    # meets the cap again.
+    assert factorize(1000000007 * 1000000021) == [(1000000007, 1), (1000000021, 1)]
     monkeypatch.setattr(numtheory, "RHO_ITERATION_CAP", 1000)
     with pytest.raises(FactorizationError, match="within 1000 iterations"):
         factorize(1000000007 * 1000000021)
+
+
+def _held_after(moduli) -> int:
+    """Bytes allocated while solving Z(n) for each n of `moduli` that are still held after the loop."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in moduli:
+            wiener_closed(integers_mod(n))
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_held_does_not_grow_with_the_moduli_solved():
+    # Moduli that no other test factors: a memo of every factorization would
+    # hold about 300 bytes for each of the 18 000 more.
+    few = _held_after(range(300_000, 302_000))
+    many = _held_after(range(302_000, 322_000))
+    assert many < few + 18_000, (few, many)
 
 
 def test_rho_cap_shrinks_past_82_bits(monkeypatch):
