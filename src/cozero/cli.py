@@ -16,10 +16,10 @@ from .elementgraph import (
     BruteForceLimitError,
     build_graph,
     graph_export,
-    read_brute_limit,
     vertex_name,
     wiener_brute,
 )
+from .numtheory import abbreviate
 from .quotient import build_quotient_graph, wiener_quotient
 from .report import OUTCOME_FIELDS, STATUS_DISCONNECTED, WienerReport
 from .ringspec import (
@@ -171,7 +171,10 @@ def _cmd_compare(args) -> int:
     if spec.family == FAMILY_Z:
         routes.append(("quotient[crt]", crt_normalize(spec), "quotient"))
     runs, diffs, skipped = _run_routes(routes, args.brute_limit)
-    notes = [f"brute skipped: {skipped.elements} elements exceed the limit of {skipped.limit}"] if skipped else []
+    notes = []
+    if skipped:
+        elements, cap = abbreviate(skipped.elements), abbreviate(skipped.limit)
+        notes.append(f"brute skipped: {elements} elements exceed the limit of {cap}")
     records = [_record(*run) for run in runs]
     if args.format == "json":
         payload = {"ring": str(spec), "agree": not diffs, "notes": notes, "mismatches": diffs, "records": records}
@@ -193,27 +196,16 @@ def _cmd_compare(args) -> int:
 
 def _parse_tuple(token: str, arity: int | None, what: str) -> tuple[int, ...]:
     parts = token.split(",")
-    if arity is not None and len(parts) != arity:
-        raise ValueError(f"{what} expects {arity} comma-separated integers, got {token!r}")
-    if arity is None and len(parts) < 2:
-        raise ValueError(f"{what} expects at least 2 comma-separated integers, got {token!r}")
-    values = tuple(map(parse_integer, parts))
-    if None in values:
-        raise ValueError(f"{what}: {token!r} is not a comma-separated integer tuple")
-    return values
-
-
-def _parse_int(token: str, what: str) -> int:
-    value = parse_integer(token)
-    if value is None:
-        raise ValueError(f"{what}: {token!r} is not an integer")
-    return value
+    if len(parts) < 2 or arity and len(parts) != arity:
+        expected = arity or "at least 2"
+        raise ValueError(f"{what} expects {expected} comma-separated integers, got '{abbreviate(token)}'")
+    return tuple(parse_integer(part, what) for part in parts)
 
 
 def _family_rings(family: str, params: list[str]) -> list[tuple[int | tuple[int, ...], RingSpec]]:
     """(parameter, spec) for each ring `params` names in `family`; its reference table when there are none."""
     if family == "zn":
-        return [(n, integers_mod(n)) for n in [_parse_int(p, "zn") for p in params] or TABLE_ZN]
+        return [(n, integers_mod(n)) for n in [parse_integer(p, "zn") for p in params] or TABLE_ZN]
     arity, defaults, make = {
         "fields2": (2, TABLE_FIELD_PAIRS, product_of_fields),
         "fields3": (3, TABLE_FIELD_TRIPLES, product_of_fields),
@@ -297,7 +289,8 @@ def _cmd_bench(args) -> int:
     for _, spec in args.parsed:
         runs, diffs, skipped = _run_routes([(method, spec, method) for method in methods], args.brute_limit)
         if skipped:
-            print(f"note: brute skipped for {spec} ({skipped.elements} elements)", file=sys.stderr)
+            ring, elements = abbreviate(str(spec)), abbreviate(skipped.elements)
+            print(f"note: brute skipped for {ring} ({elements} elements)", file=sys.stderr)
         if diffs:
             mismatched = True
             print(f"MISMATCH on {spec}: " + "; ".join(diffs), file=sys.stderr)
@@ -396,15 +389,15 @@ def main(argv: list[str] | None = None) -> int:
         # and the command runs without it: W can pass the default 4300 digits.
         args.parsed = parse_ring_spec(args.spec) if "spec" in args else _family_rings(args.family, args.params)
         if getattr(args, "brute_limit", None) is not None:
-            args.brute_limit = read_brute_limit(args.brute_limit, "--brute-limit")
+            args.brute_limit = parse_integer(args.brute_limit, "--brute-limit")
         _set_digit_limit(0)
         return args.func(args)
     except ValueError as exc:  # bad input, a limit hit, or an --out file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError:
+    except (MemoryError, OverflowError):  # OverflowError: a ring of over 2**63 classes, whose rows no int can hold
         ring = getattr(args, "spec", None) or " ".join([args.family, *args.params])
-        print(f"error: {args.command} {ring}: out of memory", file=sys.stderr)
+        print(f"error: {args.command} {abbreviate(ring)}: out of memory", file=sys.stderr)
         return 1
     finally:
         _set_digit_limit(limit)

@@ -9,7 +9,7 @@ checked against.
 
 * `build_graph` splits the elements into label groups and builds their
   rows by `groupbfs.product_rows`, within the element cap of
-  `resolve_brute_limit` (read from text by `read_brute_limit`);
+  `resolve_brute_limit` (read from text by `ringspec.parse_integer`);
 * `ElementGraph` holds the groups, and builds what is per element on first
   read;
 * `compute_wiener` and `wiener_brute` hand the group sizes and rows to
@@ -28,6 +28,7 @@ from itertools import chain, compress, product, repeat
 from math import gcd
 
 from .groupbfs import group_report, members, product_rows
+from .numtheory import abbreviate
 from .report import WienerReport
 from .ringspec import FAMILY_Z, IdealLabel, RingSpec, parse_integer
 
@@ -39,7 +40,10 @@ class BruteForceLimitError(ValueError):
     """Raised when a ring has more `elements` than the brute-force `limit` allows."""
 
     def __init__(self, spec: RingSpec, elements: int, limit: int) -> None:
-        super().__init__(f"ring {spec} has {elements} elements, above the brute-force limit of {limit}")
+        super().__init__(
+            f"ring {abbreviate(str(spec))} has {abbreviate(elements)} elements, "
+            f"above the brute-force limit of {abbreviate(limit)}"
+        )
         self.elements = elements
         self.limit = limit
 
@@ -51,18 +55,7 @@ def resolve_brute_limit(limit: int | None = None) -> int:
             raise ValueError(f"brute-force limit must be a non-negative integer, got {limit!r}")
         return limit
     env = os.environ.get(BRUTE_LIMIT_ENV)
-    return DEFAULT_BRUTE_LIMIT if env is None else read_brute_limit(env, BRUTE_LIMIT_ENV)
-
-
-def read_brute_limit(text: str, source: str) -> int:
-    """An element cap written as text, by `ringspec.parse_integer`'s rule; each error names `source`."""
-    try:
-        cap = parse_integer(text)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-    if cap is None:
-        raise ValueError(f"{source} must be decimal digits alone, got {text!r}")
-    return cap
+    return DEFAULT_BRUTE_LIMIT if env is None else parse_integer(env, BRUTE_LIMIT_ENV)
 
 
 class ElementGraph:

@@ -32,7 +32,7 @@ half the cap.  These measurements are recorded in CHANGES.md.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, log10
 
 SMALL_PRIME_BOUND = 1000
 
@@ -65,11 +65,23 @@ class FactorizationError(ValueError):
 
 
 def abbreviate(n: int | str) -> str:
-    """n, or a token of its digits, for a message: whole up to 40 digits, past that its ends and its length."""
-    digits = str(n)
-    if len(digits) <= 40:
-        return digits
-    return f"{digits[:6]}...{digits[-6:]} ({len(digits)} digits)"
+    """n >= 0, or a text, for a message: whole up to 40 characters, past that its ends and its length.
+
+    An int is cut by arithmetic, never written whole, so no limit on `int`
+    to `str` conversion applies.  A text is shown as `repr` escapes it, so
+    it stays on one line, and counted in digits when it is decimal digits
+    alone, else in characters.
+    """
+    if isinstance(n, str):
+        shown = repr(n)[1:-1]
+        if len(shown) <= 40:
+            return shown
+        return f"{shown[:6]}...{shown[-6:]} ({len(n)} {'digits' if n.isdecimal() else 'characters'})"
+    if n < 10**40:
+        return str(n)
+    e = int(n.bit_length() * log10(2))  # floor(log10 n), or one more
+    e -= 10**e > n
+    return f"{n // 10 ** (e - 5)}...{n % 10**6:06d} ({e + 1} digits)"
 
 
 def _miller_rabin(n: int) -> bool:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import prod
 
 from .numtheory import abbreviate, factorize
@@ -37,6 +38,7 @@ FAMILY_FIELDS = "F"
 IdealLabel = tuple[int, ...]
 
 _SPEC_RE = re.compile(r"^(zxz|z|f)\((.*)\)$", re.IGNORECASE)
+_DIGITS_RE = re.compile(r"\d+")
 _FAMILY_BY_TOKEN = {"z": FAMILY_Z, "zxz": FAMILY_PRODUCT, "f": FAMILY_FIELDS}
 MAX_DIGITS = 4300
 """The most digits a number the tool reads may have: Python's default limit on `int(str)`."""
@@ -107,24 +109,18 @@ def parse_ring_spec(text: str) -> RingSpec:
     compact = re.sub(r"\s+", "", text)
     m = _SPEC_RE.match(compact)
     if m is None:
-        raise ValueError(f"malformed ring spec {text!r}: expected Z(n), ZxZ(n1,...,nk) or F(q1,...,qk)")
+        raise ValueError(f"malformed ring spec '{abbreviate(text)}': expected Z(n), ZxZ(n1,...,nk) or F(q1,...,qk)")
     family = _FAMILY_BY_TOKEN[m.group(1).lower()]
     body = m.group(2)
     if not body:
-        raise ValueError(f"malformed ring spec {text!r}: no parameters given")
-    tokens = body.split(",")
-    values = tuple(map(parse_integer, tokens))
-    if None in values:
-        raise ValueError(f"malformed ring spec {text!r}: {tokens[values.index(None)]!r} is not a positive integer")
-    return RingSpec(family, values)
+        raise ValueError(f"malformed ring spec '{abbreviate(text)}': no parameters given")
+    return RingSpec(family, tuple(map(parse_integer, body.split(","), repeat("ring spec"))))
 
 
-def parse_integer(token: str) -> int | None:
-    """A token's value when it is decimal digits alone, else None; past `MAX_DIGITS` of them it is refused unread."""
-    if not re.fullmatch(r"\d+", token):
-        return None
-    if len(token) > MAX_DIGITS:
-        raise ValueError(f"{abbreviate(token)} is over the limit of {MAX_DIGITS} digits")
+def parse_integer(token: str, what: str) -> int:
+    """The value of a token of 1 to `MAX_DIGITS` decimal digits; any other token is refused, naming `what`."""
+    if len(token) > MAX_DIGITS or not _DIGITS_RE.fullmatch(token):
+        raise ValueError(f"{what}: expected 1 to {MAX_DIGITS} decimal digits, got '{abbreviate(token)}'")
     return int(token)
 
 

@@ -1,12 +1,13 @@
 """Shared test helpers: an independent brute-force reference, a queue BFS
-over neighbour rows, ring sweeps, totient and divisor references, and a
-per-test time limit."""
+over neighbour rows, ring sweeps, totient and divisor references, a
+per-test time limit, and the interpreter's default limit on digits."""
 
 from __future__ import annotations
 
 import itertools
 import random
 import signal
+import sys
 import traceback
 from collections import deque
 from itertools import product as iter_product
@@ -48,6 +49,18 @@ def _time_limit():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of 4300 digits on `int` <-> `str`, where the interpreter has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(4300)
+    try:
+        yield
+    finally:
+        set_limit(limit)
 
 
 @pytest.hookimpl(wrapper=True)

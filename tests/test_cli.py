@@ -103,12 +103,12 @@ def test_wiener_brute_limit_flag_beats_env(capsys, monkeypatch):
 
 def test_negative_brute_limit_is_rejected(capsys, monkeypatch):
     code, out, err = run(capsys, "wiener", "Z(12)", "--method", "brute", "--brute-limit", "-5")
-    assert (code, out, err) == (1, "", "error: --brute-limit must be decimal digits alone, got '-5'\n")
+    assert (code, out, err) == (1, "", "error: --brute-limit: expected 1 to 4300 decimal digits, got '-5'\n")
     code, out, err = run(capsys, "wiener", "Z(12)", "--method", "brute", "--brute-limit", "abc")
-    assert (code, out, err) == (1, "", "error: --brute-limit must be decimal digits alone, got 'abc'\n")
+    assert (code, out, err) == (1, "", "error: --brute-limit: expected 1 to 4300 decimal digits, got 'abc'\n")
     monkeypatch.setenv("COZERO_BRUTE_LIMIT", "-5")
     code, out, err = run(capsys, "wiener", "Z(12)", "--method", "brute")
-    assert (code, out, err) == (1, "", "error: COZERO_BRUTE_LIMIT must be decimal digits alone, got '-5'\n")
+    assert (code, out, err) == (1, "", "error: COZERO_BRUTE_LIMIT: expected 1 to 4300 decimal digits, got '-5'\n")
 
 
 def test_compare_agreement(capsys):
@@ -229,60 +229,133 @@ def test_table_rejects_bad_tuple(capsys):
 def test_table_zn_rejects_non_integer(capsys):
     code, _, err = run(capsys, "table", "zn", "abc")
     assert code == 1
-    assert "zn: 'abc' is not an integer" in err
+    assert err == "error: zn: expected 1 to 4300 decimal digits, got 'abc'\n"
     assert "invalid literal" not in err
 
 
 # A spec's body, a table or bench param and a brute-force limit follow one
 # integer rule: decimal digits only, and at most 4300 of them
-# (`ringspec.MAX_DIGITS`), refused at once by the length of the text with the
-# number cut to its ends.
+# (`ringspec.MAX_DIGITS`), refused at once by the length of the text, with one
+# message that names what was read and cuts the token past 40 characters.
 BRUTE = ["wiener", "Z(12)", "--method", "brute", "--brute-limit"]
+LETTERS = "a" * 100_000
+CUT_LETTERS = "'aaaaaa...aaaaaa (100000 characters)'"
+EXPECTED = "expected 1 to 4300 decimal digits, got"
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["table", "zn", "1_000"], "zn: '1_000' is not an integer"),
-        (["table", "zn", "+12"], "zn: '+12' is not an integer"),
-        (["table", "zn", " 12"], "zn: ' 12' is not an integer"),
-        (["table", "fields2", "9,+25"], "fields2: '9,+25' is not a comma-separated integer tuple"),
-        (["bench", "ppprod", "2,1_0"], "ppprod: '2,1_0' is not a comma-separated integer tuple"),
-        (["wiener", "Z(1_000)"], "'1_000' is not a positive integer"),
-        (["table", "zn", "1" + "0" * 4400], "error: 100000...000000 (4401 digits) is over the limit of 4300 digits"),
-        (["bench", "fields2", "9," + "1" * 4301], "error: 111111...111111 (4301 digits) is over the limit of 4300 digits"),
-        (["wiener", "Z(" + "7" * 5000 + ")"], "error: 777777...777777 (5000 digits) is over the limit of 4300 digits"),
-        (BRUTE + [" +1_0"], "error: --brute-limit must be decimal digits alone, got ' +1_0'"),
-        (BRUTE + ["1_000"], "error: --brute-limit must be decimal digits alone, got '1_000'"),
-        (BRUTE + ["-5"], "error: --brute-limit must be decimal digits alone, got '-5'"),
-        (BRUTE + ["7" * 5000], "error: --brute-limit: 777777...777777 (5000 digits) is over the limit of 4300 digits"),
+        (["table", "zn", "1_000"], f"error: zn: {EXPECTED} '1_000'"),
+        (["table", "zn", "+12"], f"error: zn: {EXPECTED} '+12'"),
+        (["table", "zn", " 12"], f"error: zn: {EXPECTED} ' 12'"),
+        (["table", "fields2", "9,+25"], f"error: fields2: {EXPECTED} '+25'"),
+        (["bench", "ppprod", "2,1_0"], f"error: ppprod: {EXPECTED} '1_0'"),
+        (["wiener", "Z(1_000)"], f"error: ring spec: {EXPECTED} '1_000'"),
+        (["table", "zn", "1" + "0" * 4400], f"error: zn: {EXPECTED} '100000...000000 (4401 digits)'"),
+        (["bench", "fields2", "9," + "1" * 4301], f"error: fields2: {EXPECTED} '111111...111111 (4301 digits)'"),
+        (["wiener", "Z(" + "7" * 5000 + ")"], f"error: ring spec: {EXPECTED} '777777...777777 (5000 digits)'"),
+        (BRUTE + [" +1_0"], f"error: --brute-limit: {EXPECTED} ' +1_0'"),
+        (BRUTE + ["1_000"], f"error: --brute-limit: {EXPECTED} '1_000'"),
+        (BRUTE + ["-5"], f"error: --brute-limit: {EXPECTED} '-5'"),
+        (BRUTE + ["7" * 5000], f"error: --brute-limit: {EXPECTED} '777777...777777 (5000 digits)'"),
+        (["wiener", f"Z({LETTERS})"], f"error: ring spec: {EXPECTED} {CUT_LETTERS}"),
+        (["table", "zn", LETTERS], f"error: zn: {EXPECTED} {CUT_LETTERS}"),
+        (["table", "zn", "\u200b" * 40], f"error: zn: {EXPECTED} '\\u200b...\\u200b (40 characters)'"),
+        (["table", "fields2", f"9,{LETTERS}"], f"error: fields2: {EXPECTED} {CUT_LETTERS}"),
+        (BRUTE + [LETTERS], f"error: --brute-limit: {EXPECTED} {CUT_LETTERS}"),
     ],
-    ids=lambda value: value if isinstance(value, str) else None,
+    ids=[
+        *("zn underscore", "zn plus", "zn space", "fields2 plus", "ppprod underscore", "spec underscore"),
+        *("zn 4401 digits", "fields2 4301 digits", "spec 5000 digits"),
+        *("brute-limit sign and space", "brute-limit underscore", "brute-limit minus", "brute-limit 5000 digits"),
+        *("spec 100000 letters", "zn 100000 letters", "zn 40 zero-width spaces"),
+        *("fields2 100000 letters", "brute-limit 100000 letters"),
+    ],
 )
 def test_specs_and_params_share_one_integer_rule(capsys, argv, message):
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert message in err and err.count("\n") == 1 and len(err) < 200, err
+    assert (code, out, err) == (1, "", message + "\n")
+    assert len(err) < 200
     assert time.perf_counter() - t0 < 1
 
 
 @pytest.mark.parametrize(
     "value,message",
     [
-        (" +1_000", "error: COZERO_BRUTE_LIMIT must be decimal digits alone, got ' +1_000'"),
-        ("abc", "error: COZERO_BRUTE_LIMIT must be decimal digits alone, got 'abc'"),
+        (" +1_000", f"error: COZERO_BRUTE_LIMIT: {EXPECTED} ' +1_000'"),
+        ("abc", f"error: COZERO_BRUTE_LIMIT: {EXPECTED} 'abc'"),
         # 128 KiB, the most an environment string may hold: refused by its length, unread.
-        ("7" * 131_072, "error: COZERO_BRUTE_LIMIT: 777777...777777 (131072 digits) is over the limit of 4300 digits"),
+        ("7" * 131_072, f"error: COZERO_BRUTE_LIMIT: {EXPECTED} '777777...777777 (131072 digits)'"),
+        (LETTERS, f"error: COZERO_BRUTE_LIMIT: {EXPECTED} {CUT_LETTERS}"),
     ],
-    ids=["sign and underscore", "letters", "131072 digits"],
+    ids=["sign and underscore", "letters", "131072 digits", "100000 letters"],
 )
 def test_the_brute_limit_variable_shares_the_integer_rule(capsys, monkeypatch, value, message):
     monkeypatch.setenv("COZERO_BRUTE_LIMIT", value)
     t0 = time.perf_counter()
     code, out, err = run(capsys, "compare", "Z(12)")
     assert (code, out, err) == (1, "", message + "\n")
+    assert len(err) < 200
     assert time.perf_counter() - t0 < 1
+
+
+# Rings whose text or size runs past 40 characters, and the three whose class
+# rows would need more than 2**63 bits (`OverflowError`, told as out of memory).
+TWOS = ",".join(["2"] * 20_000)
+F_TWOS_70 = "F(" + ",".join(["2"] * 70) + ")"
+ZXZ_30030_14 = "ZxZ(" + ",".join(["30030"] * 14) + ")"
+ZXZ_THREES = "ZxZ(" + ",".join(["3"] * 5000) + ")"
+ELEMENTS = "398027...309376 (6021 digits)"  # 2**20000
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["wiener", "Q" * 100_000],
+            "error: malformed ring spec 'QQQQQQ...QQQQQQ (100000 characters)': "
+            "expected Z(n), ZxZ(n1,...,nk) or F(q1,...,qk)",
+        ),
+        (
+            ["wiener", f"F({TWOS})", "--method", "brute"],
+            f"error: ring F(2,2,...2,2,2) (40002 characters) has {ELEMENTS} elements, "
+            "above the brute-force limit of 100000",
+        ),
+        (
+            ["table", "fields2", "9" + LETTERS],
+            "error: fields2 expects 2 comma-separated integers, got '9aaaaa...aaaaaa (100001 characters)'",
+        ),
+        (
+            ["wiener", "Z()" + " " * 100_000],
+            "error: malformed ring spec 'Z()   ...       (100003 characters)': no parameters given",
+        ),
+        (["classes", ZXZ_30030_14], "error: classes ZxZ(30...30030) (88 characters): out of memory"),
+        (
+            ["wiener", F_TWOS_70, "--method", "quotient"],
+            "error: wiener F(2,2,...2,2,2) (142 characters): out of memory",
+        ),
+        (["compare", ZXZ_THREES], "error: compare ZxZ(3,...3,3,3) (10004 characters): out of memory"),
+    ],
+    ids=["malformed", "brute limit", "arity", "no parameters", "classes 2^84", "quotient 2^70", "compare 2^5000"],
+)
+def test_a_refusal_cuts_the_input_it_echoes(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("COZERO_BRUTE_LIMIT", raising=False)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", message + "\n")
+    assert len(err) < 200
+    assert time.perf_counter() - t0 < 1
+
+
+def test_brute_skipped_notes_cut_the_ring_and_its_size(capsys, monkeypatch):
+    monkeypatch.delenv("COZERO_BRUTE_LIMIT", raising=False)
+    code, out, _ = run(capsys, "compare", f"Z({2**200})")
+    assert code == 0
+    assert "note: brute skipped: 160693...301376 (61 digits) elements exceed the limit of 100000\n" in out
+    code, out, err = run(capsys, "bench", "ppprod", TWOS, "--only", "brute")
+    assert (code, err) == (0, f"note: brute skipped for ZxZ(2,...2,2,2) (40004 characters) ({ELEMENTS} elements)\n")
 
 
 @pytest.mark.parametrize("argv", [["compare", "Z(360)"], ["classes", "Z(360)"], ["bench", "zn", "360"]])
@@ -588,7 +661,7 @@ def test_bad_brute_limit_env_fails_only_where_brute_runs(capsys, monkeypatch):
     code, out, err = run(capsys, "compare", "Z(12)")
     assert code == 1
     assert out == ""
-    assert err == "error: COZERO_BRUTE_LIMIT must be decimal digits alone, got 'abc'\n"
+    assert err == "error: COZERO_BRUTE_LIMIT: expected 1 to 4300 decimal digits, got 'abc'\n"
 
 
 def test_help_exits_zero(capsys):
@@ -696,6 +769,9 @@ def fuzz_argv(draw):
 @example(["export-graph", "F(4,5,5,3)", "--graph-format", "edgelist"])
 @example(["compare", f"ZxZ({SEMIPRIME_300_DIGITS},4)", "--format", "json"])
 @example(["classes", f"F({SEMIPRIME_300_DIGITS})", "--format", "plain"])
+@example(["classes", ZXZ_30030_14, "--format", "json"])
+@example(["wiener", F_TWOS_70, "--format", "plain", "--method", "quotient"])
+@example(["compare", ZXZ_THREES, "--format", "csv"])
 def test_cli_fuzz_fails_cleanly(argv):
     # Whatever the input, main returns a documented exit code, prints no
     # traceback, and a failure (exit 1) prints exactly one `error:` line.

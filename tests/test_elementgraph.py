@@ -181,6 +181,17 @@ def test_limit_enforced_with_named_numbers():
     assert (exc_info.value.elements, exc_info.value.limit) == (200, 100)
 
 
+def test_limit_refusal_cuts_the_ring_and_its_size_to_their_ends(default_digit_limit, monkeypatch):
+    # 2**20000 elements: 6021 digits, which `str` refuses at the default limit.
+    monkeypatch.delenv("COZERO_BRUTE_LIMIT", raising=False)
+    with pytest.raises(BruteForceLimitError) as exc_info:
+        wiener_brute(product_of_fields([2] * 20000))
+    assert str(exc_info.value) == (
+        "ring F(2,2,...2,2,2) (40002 characters) has 398027...309376 (6021 digits) elements, "
+        "above the brute-force limit of 100000"
+    )
+
+
 def test_negative_explicit_limit_is_rejected():
     with pytest.raises(ValueError, match="-1") as exc_info:
         wiener_brute(integers_mod(6), limit=-1)

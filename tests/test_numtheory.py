@@ -161,11 +161,22 @@ def test_factorize_rejects_unprovable_primes():
     assert factorize(PSI_13 + 1) == [(2, 1), (702809, 1), (1858007, 1), (1270096107457, 1)]
 
 
-def test_abbreviate_keeps_40_digits_and_cuts_past_them():
+def test_abbreviate_keeps_40_digits_and_cuts_past_them(default_digit_limit):
     assert abbreviate(10**39) == "1" + "0" * 39
     assert abbreviate(PSI_13) == str(PSI_13)
     assert abbreviate(10**40 + 123456) == "100000...123456 (41 digits)"
     assert abbreviate(2**1279 - 1) == "104079...729087 (386 digits)"
+    # `str` refuses these at the default limit of 4300 digits; abbreviate never writes an int whole.
+    assert abbreviate(2**20000) == "398027...309376 (6021 digits)"
+    assert abbreviate(10**5000) == "100000...000000 (5001 digits)"
+    assert abbreviate(10**5000 - 1) == "999999...999999 (5000 digits)"
+    # A text is cut the same way, and counted in characters unless it is decimal digits alone.
+    assert abbreviate("7" * 5000) == "777777...777777 (5000 digits)"
+    assert abbreviate("a\nb") == "a\\nb"
+    assert abbreviate("\u200b" * 40) == "\\u200b...\\u200b (40 characters)"
+    assert abbreviate("٣" * 41) == "٣٣٣٣٣٣...٣٣٣٣٣٣ (41 digits)"
+    assert abbreviate("Z(" + "1" * 39) == "Z(1111...111111 (41 characters)"
+    assert abbreviate("x" * 40) == "x" * 40
 
 
 def test_rho_gives_up_at_the_iteration_cap(monkeypatch):
