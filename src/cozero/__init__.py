@@ -1,16 +1,20 @@
 """Wiener index of the cozero-divisor graph of finite commutative rings.
 
-Three independent computation routes over three ring families (integers
-mod n, products of integers-mod rings, products of finite fields):
+Three computation routes over three ring families (integers mod n,
+products of integers-mod rings, products of finite fields):
 
-* :func:`wiener_brute` groups the ring's elements by ideal label (the
-  ground-truth oracle), and :func:`wiener_quotient` counts the same
-  classes arithmetically; both sum distances by `groupbfs.group_wiener`;
+* :func:`wiener_brute` groups the ring's elements by their residue labels,
+  and :func:`wiener_quotient` counts the same classes from the chain
+  exponents;
 * :func:`wiener_closed` evaluates one arithmetic formula over the ring's
   local factors, with no graph search.
 
-All three agree on every outcome field of their `WienerReport` on every
-supported ring, which the test suite enforces.
+The graph routes share the row layout and edge identity
+(`groupbfs.product_rows`) and the pair sum (`groupbfs.group_wiener`), and
+all three build their report by `report.make_report`; each route checks
+its own containment rule, and the naive reference in the tests'
+`conftest.py` is the element-level oracle on small rings.  All three agree
+on every outcome field of their `WienerReport` on every supported ring.
 Everything else is imported from its module: the per-family closed forms
 and the pairwise classifiers from `cozero.closedform`, the graphs from
 `cozero.elementgraph` and `cozero.quotient`, the ring specs from

@@ -3,17 +3,18 @@
 The graph of a ring has one vertex per element that is neither zero nor a
 unit; two distinct vertices are adjacent exactly when neither one's
 principal ideal contains the other's.  This module builds that graph from
-per-component residue tables, independently of the quotient route's class
-enumeration, making it the ground-truth oracle the arithmetic routes are
-checked against.
+per-component residue tables, reading no chain of the spec.  It shares
+`groupbfs.product_rows`, `groupbfs.group_wiener` and `report.make_report`
+with the quotient route, so it checks its label tables and divisibility
+rule against the quotient's chain sizes and exponent order.
 
 * `build_graph` splits the elements into label groups and builds their
-  rows by `groupbfs.product_rows`, within the element cap of
+  rows and edge count by `groupbfs.product_rows`, within the element cap of
   `resolve_brute_limit` (read from text by `ringspec.parse_integer`);
 * `ElementGraph` holds the groups, and builds what is per element on first
   read;
-* `compute_wiener` and `wiener_brute` hand the group sizes and rows to
-  `groupbfs.group_report`;
+* `compute_wiener` and `wiener_brute` hand the group sizes, rows and edge
+  count to `groupbfs.group_report`;
 * `graph_export` writes the graph as DOT or an edge list.
 """
 
@@ -86,15 +87,17 @@ class ElementGraph:
         group_keys: list[IdealLabel],
         group_sizes: list[int],
         group_rows: list[int],
+        edge_count: int,
     ) -> None:
         self.spec = spec
         self.vertex_count = sum(group_sizes)
         self.group_keys = group_keys
         self.group_sizes = group_sizes
         self.group_rows = group_rows
+        self._edge_count = edge_count
 
     def __repr__(self) -> str:
-        # Counting edges decodes every row: seconds on F(2)^12, minutes past it.
+        # The counts the graph holds; no row is decoded.
         return f"ElementGraph({self.spec}, vertices={self.vertex_count}, groups={len(self.group_keys)})"
 
     @cached_property
@@ -125,9 +128,8 @@ class ElementGraph:
         return groups
 
     def edge_count(self) -> int:
-        sizes = self.group_sizes
-        pairs = sum(size * sum(map(sizes.__getitem__, members(row))) for size, row in zip(sizes, self.group_rows))
-        return pairs // 2  # each edge from both ends
+        """|E|, which `groupbfs.product_rows` counts from the label divisibility with the rows."""
+        return self._edge_count
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) index pairs with i < j, lexicographic.
@@ -158,9 +160,10 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
     each with the number of residues carrying it.  A label group takes one
     label per component, so the product of the label lists gives
     `group_keys` in sorted order, with the unit key first and the zero key
-    last (both skipped).  `groupbfs.product_rows` gives the groups' sizes
-    and rows from the counts and label divisibility (`_divisibility`); the
-    acceptance sweep checks that both routes build the same rows.  Only the
+    last (both skipped).  `groupbfs.product_rows` gives the groups' sizes,
+    rows and edge count from the counts and label divisibility
+    (`_divisibility`); the acceptance sweep checks that both routes build
+    the same rows, and that each edge count matches its rows.  Only the
     tables and their C-level counts take a step per residue, and what is
     per element is left to `ElementGraph`.
 
@@ -173,14 +176,16 @@ def build_graph(spec: RingSpec, limit: int | None = None) -> ElementGraph:
 
     counted = [zip(*sorted(Counter(table).items())) for table in _label_tables(spec)]
     labels_by_component, counts_by_component = zip(*counted)
-    group_sizes, group_rows = product_rows(counts_by_component, _divisibility, labels_by_component)
-    return ElementGraph(spec, list(product(*labels_by_component))[1:-1], group_sizes, group_rows)
+    group_sizes, group_rows, edge_count = product_rows(counts_by_component, _divisibility, labels_by_component)
+    return ElementGraph(spec, list(product(*labels_by_component))[1:-1], group_sizes, group_rows, edge_count)
 
 
-def _divisibility(labels: tuple[int, ...], cells: list[int], lay) -> list[tuple[int, int]]:
+def _divisibility(labels: tuple[int, ...], counts: tuple[int, ...], cells: list[int], lay) -> tuple[zip, list[int]]:
     """Brute's rule for `groupbfs.product_rows`: label a's ideal contains label b's when a divides b."""
-    multiples = [lay(sum(compress(cells, [b % a == 0 for b in labels]))) for a in labels]
-    return list(zip(multiples, [lay(sum(compress(cells, [a % b == 0 for b in labels]))) for a in labels]))
+    flags = [[b % a == 0 for b in labels] for a in labels]
+    multiples = [lay(sum(compress(cells, f))) for f in flags]
+    divisors = [lay(sum(compress(cells, [a % b == 0 for b in labels]))) for a in labels]
+    return zip(multiples, divisors), [sum(compress(counts, f)) for f in flags]
 
 
 def compute_wiener(graph: ElementGraph) -> WienerReport:
@@ -189,14 +194,14 @@ def compute_wiener(graph: ElementGraph) -> WienerReport:
     Reads only the groups' sizes and rows, nothing per element, and runs no search per vertex;
     `elapsed` times this search alone.
     """
-    return group_report("brute", graph.group_sizes, graph.group_rows, time.perf_counter())
+    return group_report("brute", graph.group_sizes, graph.group_rows, graph.edge_count(), time.perf_counter())
 
 
 def wiener_brute(spec: RingSpec, limit: int | None = None) -> WienerReport:
     """Wiener index of the graph built from the ring's enumerated elements, timed with the build."""
     t0 = time.perf_counter()
     graph = build_graph(spec, limit)
-    return group_report("brute", graph.group_sizes, graph.group_rows, t0)
+    return group_report("brute", graph.group_sizes, graph.group_rows, graph.edge_count(), t0)
 
 
 def vertex_name(spec: RingSpec, element: tuple[int, ...]) -> str:

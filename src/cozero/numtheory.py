@@ -69,14 +69,15 @@ def abbreviate(n: int | str) -> str:
 
     An int is cut by arithmetic, never written whole, so no limit on `int`
     to `str` conversion applies.  A text is shown as `repr` escapes it, so
-    it stays on one line, and counted in digits when it is decimal digits
-    alone, else in characters.
+    it stays on one line; a long one is cut to six characters at each end
+    before they are escaped, so no escape is split, and counted in digits
+    when it is decimal digits alone, else in characters.
     """
     if isinstance(n, str):
         shown = repr(n)[1:-1]
         if len(shown) <= 40:
             return shown
-        return f"{shown[:6]}...{shown[-6:]} ({len(n)} {'digits' if n.isdecimal() else 'characters'})"
+        return f"{repr(n[:6])[1:-1]}...{repr(n[-6:])[1:-1]} ({len(n)} {'digits' if n.isdecimal() else 'characters'})"
     if n < 10**40:
         return str(n)
     e = int(n.bit_length() * log10(2))  # floor(log10 n), or one more

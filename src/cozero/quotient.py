@@ -6,12 +6,13 @@ identified by its ideal label; its size is a product of chain sizes
 ideals are mutually non-containing, and the classes are groups of twins,
 as brute's label groups are.
 
-* `build_quotient_graph` builds the class sizes and neighbour rows, a
-  `QuotientGraph`;
+* `build_quotient_graph` builds the class sizes, neighbour rows and edge
+  count, a `QuotientGraph`;
 * `enumerate_classes` lists the `ClassInfo` records, which
   `QuotientGraph.classes` builds on first read, as the `classes` CLI and
   the tests do;
-* `wiener_quotient` hands the sizes and rows to `groupbfs.group_report`;
+* `wiener_quotient` hands the sizes, rows and edge count to
+  `groupbfs.group_report`;
 * `quotient_distances` is a BFS distance table over class pairs, which no
   route reads.
 """
@@ -19,11 +20,10 @@ as brute's label groups are.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import accumulate
-from operator import and_, or_
+from operator import and_, mul, or_
 
 from .groupbfs import group_report, members, product_rows, sweep, upper_edges
 from .report import WienerReport
@@ -46,13 +46,16 @@ class QuotientGraph:
 
     `sizes[i]` is the element count of class i, and `rows[i]` the bitmask
     of the classes adjacent to class i; `adjacency`, `degree` and `edges`
-    are read off the rows.  `classes`, the `ClassInfo` records in the same
-    order, is built on first read.
+    are read off the rows.  `edge_count` is |E| of the element graph, which
+    `groupbfs.product_rows` counts from the exponent order with the rows.
+    `classes`, the `ClassInfo` records in the same order, is built on first
+    read.
     """
 
     spec: RingSpec
     sizes: list[int]
     rows: list[int]
+    edge_count: int
 
     @property
     def class_count(self) -> int:
@@ -103,33 +106,41 @@ def _component_ideals(chains) -> list[tuple[int, int, tuple[int, ...]]]:
 
 
 def build_quotient_graph(spec: RingSpec) -> QuotientGraph:
-    """The class sizes and neighbour rows of a ring, in `enumerate_classes`' order, by `groupbfs.product_rows`."""
-    ideals = [list(zip(*_component_ideals(spec.chains(i)))) for i in range(len(spec.components))]
-    columns = [list(zip(*exponents)) for _, _, exponents in ideals]
-    return QuotientGraph(spec, *product_rows([sizes for _, sizes, _ in ideals], _exponent_order, columns))
+    """The class sizes, neighbour rows and edge count of a ring, in `enumerate_classes`' order, by `groupbfs.product_rows`."""
+    counts, entries = [], []
+    for i in range(len(spec.components)):
+        chains = spec.chains(i)
+        _, sizes, exponents = zip(*_component_ideals(chains))
+        counts.append(sizes)
+        entries.append([(column, chain_sizes(q, a)) for column, (q, a) in zip(zip(*exponents), chains)])
+    return QuotientGraph(spec, *product_rows(counts, _exponent_order, entries))
 
 
-def _exponent_order(columns: list[tuple[int, ...]], cells: list[int], lay) -> Iterator[tuple[int, int]]:
+def _exponent_order(chains: list[tuple[tuple[int, ...], list[int]]], counts, cells: list[int], lay) -> tuple[zip, list[int]]:
     """The quotient's rule for `groupbfs.product_rows`: the exponent order, chain by chain.
 
     One ideal contains another exactly when its exponent is no larger on
-    every chain.  `columns` holds each chain's exponent by ideal, and `at[x]`
-    the tile of the ideals at x there.  Laid down, its prefix ORs `le[x]` are
-    the classes at most x, and `ge[x]`, at least x, all but `le[x - 1]`; ANDed
-    over the chains, an ideal's `ge` gives the classes it contains, and its
-    `le` those that contain it.
+    every chain.  `chains` holds each chain's exponent by ideal and its
+    `chain_sizes`, and `at[x]` the tile of the ideals at x there.  Laid
+    down, its prefix ORs `le[x]` are the classes at most x, and `ge[x]`, at
+    least x, all but `le[x - 1]`; ANDed over the chains, an ideal's `ge`
+    gives the classes it contains, and its `le` those that contain it.  Its
+    held weight is the product over the chains of the sizes at its exponent
+    or past it, the suffix sums `tail`, so the ideals' `counts` go unread.
     """
-    below, above = [], []
-    for column in columns:
-        at = [0] * (max(column) + 1)
+    below, above, held = [], [], []
+    for column, sizes in chains:
+        at = [0] * len(sizes)
         for cell, x in zip(cells, column):
             at[x] |= cell
         le = list(accumulate(map(lay, at), or_))
         ge = [le[-1] ^ mask for mask in [0, *le[:-1]]]
+        tail = list(accumulate(reversed(sizes)))[::-1]
         below.append(map(le.__getitem__, column))
         above.append(map(ge.__getitem__, column))
+        held.append(map(tail.__getitem__, column))
     meet = partial(map, and_)
-    return zip(reduce(meet, above), reduce(meet, below))
+    return zip(reduce(meet, above), reduce(meet, below)), list(reduce(partial(map, mul), held))
 
 
 def quotient_distances(qg: QuotientGraph) -> tuple[list[list[int | None]], bool]:
@@ -149,4 +160,4 @@ def wiener_quotient(spec: RingSpec) -> WienerReport:
     """Wiener index from the class sizes and the class graph, by `groupbfs.group_report`."""
     t0 = time.perf_counter()
     qg = build_quotient_graph(spec)
-    return group_report("quotient", qg.sizes, qg.rows, t0)
+    return group_report("quotient", qg.sizes, qg.rows, qg.edge_count, t0)

@@ -255,6 +255,14 @@ def outcome(report) -> tuple:
     return tuple(getattr(report, f) for f in OUTCOME_FIELDS)
 
 
+def row_edge_count(sizes, rows) -> int:
+    """|E| of a graph of groups of twins, read off its rows: each group's size times its neighbours' sizes, halved."""
+    total = 0
+    for size, row in zip(sizes, rows):
+        total += size * sum(sizes[j] for j, bit in enumerate(reversed(f"{row:b}")) if bit == "1")
+    return total // 2
+
+
 def reference_levels(rows, sources):
     """Plain per-vertex queue BFS from each source: `(source, d, bits)` per level d >= 1."""
     n = len(rows)

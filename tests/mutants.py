@@ -1,10 +1,12 @@
-"""Mutation check for the shared pair counts, the row layout, the edge list and the Wiener identity.
+"""Mutation check for the shared pair counts, the row layout, the edge identity, the edge list and the Wiener identity.
 
-Brute and quotient build their rows through `groupbfs.product_rows` and hand
-them to `groupbfs.group_wiener`, and every route hands its counts to
-`report.make_report`, so a fault in any of these shows in all routes alike
-and agreement between routes cannot catch it.  Each layout mutant is listed
-once under each route's own test file.  Each entry of `MUTANTS` changes one
+Brute and quotient build their rows, and count |E| by its product identity,
+through `groupbfs.product_rows`, and hand the rows to
+`groupbfs.group_wiener`; every route hands its counts to
+`report.make_report`.  So a fault in any of these shows in all routes alike
+and agreement between routes cannot catch it.  Each mutant of the layout or
+the edge identity is listed once under each route's own test file, and each
+route's containment rule and held weights have their own mutants.  Each entry of `MUTANTS` changes one
 line of a module of `src/cozero` in a fresh temporary copy of `src/` and
 `tests/`, and runs the entry's test files on that copy with `pytest -x`;
 the mutant is killed when they fail.  Every
@@ -52,7 +54,7 @@ SUM = ("test_groupbfs.py", "test_quotient.py")
 REPORT = ("test_report.py", "test_groupbfs.py")
 
 MUTANTS = [
-    # groupbfs.group_wiener: components, pair counts and weighing.
+    # groupbfs.group_wiener: components and the later non-neighbours.
     Mutant(
         "groupbfs.py",
         "components = sum(1 if rows[r] else sizes[r] for r in component_roots(rows))",
@@ -62,66 +64,17 @@ MUTANTS = [
     ),
     Mutant(
         "groupbfs.py",
-        "pairs = (vertex_count * vertex_count - sum(map(mul, sizes, sizes))) // 2",
-        "pairs = (vertex_count * vertex_count - sum(sizes)) // 2",
+        "later = everyone >> i + 1 << i + 1",
+        "later = everyone & ~(1 << i)",
         SUM,
-        "the pairs within a group count as cross-group pairs, so |E| grows by sum C(s, 2)",
+        "each non-adjacent pair of groups is taken from both ends, so the excess doubles",
     ),
     Mutant(
         "groupbfs.py",
-        "lighter = smaller | same >> i + 1 << i + 1",
-        "lighter = smaller | same",
+        "need = later & ~row & partners.get(row.bit_count(), everyone)",
+        "need = later & partners.get(row.bit_count(), everyone)",
         SUM,
-        "a pair of groups of equal size is counted from both ends, and each group is its own partner",
-    ),
-    Mutant(
-        "groupbfs.py",
-        "apart = lighter & ~row",
-        "apart = lighter",
-        SUM,
-        "adjacent lighter groups count as non-adjacent, so |E| shrinks",
-    ),
-    Mutant(
-        "groupbfs.py",
-        "apart_pairs += size * weigh(apart, planes)",
-        "apart_pairs += weigh(apart, planes)",
-        SUM,
-        "the non-adjacent pairs lose the factor of group i's size",
-    ),
-    Mutant(
-        "groupbfs.py",
-        "while n < count and planes[n][0] <= size:",
-        "while n < count and planes[n][0] < size:",
-        SUM,
-        "a size's planes stop below its own weight, so groups as heavy as it are lost",
-    ),
-    Mutant(
-        "groupbfs.py",
-        "return [(1 << b, int(digits[bits - 1 - b :: bits], 2)) for b in range(width)]",
-        "return [(1 << b, int(digits[bits - 1 - b :: bits], 2)) for b in range(width - 1)]",
-        SUM,
-        "the top bit plane of the sizes is left out of every weighing",
-    ),
-    Mutant(
-        "groupbfs.py",
-        "return [(1 << b, int(digits[bits - 1 - b :: bits], 2)) for b in range(width)]",
-        "return [(1 << b, int(digits[width - 1 - b :: bits], 2)) for b in range(width)]",
-        SUM,
-        "each plane is read at the size's width into its slot, not the slot's, so a width that is not whole bytes shifts the bits",
-    ),
-    Mutant(
-        "groupbfs.py",
-        "slot = (width + 7) // 8",
-        "slot = width // 8",
-        SUM,
-        "a slot is a byte short when the width is not whole bytes, so packing a size past it overflows",
-    ),
-    Mutant(
-        "groupbfs.py",
-        "by_size[size] = by_size.get(size, 0) | 1 << i",
-        "by_size[size] = 1 << i",
-        SUM,
-        "a size's mask keeps only its last group, so the others weigh 0 and drop out of the lighter masks",
+        "adjacent later groups are candidates too, so a neighbour with no common neighbour counts as far",
     ),
     # groupbfs.group_wiener: the deep test's three covers.
     Mutant(
@@ -162,7 +115,7 @@ MUTANTS = [
     ),
     Mutant(
         "groupbfs.py",
-        "excess += size * sum(map(sizes.__getitem__, far))",
+        "excess += sizes[i] * sum(map(sizes.__getitem__, far))",
         "excess += sum(map(sizes.__getitem__, far))",
         SUM,
         "the certified pairs lose the factor of group i's size",
@@ -184,17 +137,24 @@ MUTANTS = [
     ),
     Mutant(
         "groupbfs.py",
-        "excess += (d - 2) * size * weigh(frontier & deep[s], classes[size][2])",
-        "excess += (d - 2) * size * weigh(frontier, classes[size][2])",
+        "excess += (d - 2) * sizes[s] * sum(map(sizes.__getitem__, members(frontier >> s + 1 << s + 1)))",
+        "excess += (d - 2) * sizes[s] * sum(map(sizes.__getitem__, members(frontier)))",
         SUM,
-        "the sweep weighs every group of a level, not only s's lighter ones, so far pairs are counted twice or cut",
+        "the sweep sums every group of a level, not only s's later ones, so far pairs are counted twice",
     ),
     Mutant(
         "groupbfs.py",
-        "excess += (d - 2) * size * weigh(frontier & deep[s], classes[size][2])",
-        "excess += size * weigh(frontier & deep[s], classes[size][2])",
+        "excess += (d - 2) * sizes[s] * sum(map(sizes.__getitem__, members(frontier >> s + 1 << s + 1)))",
+        "excess += sizes[s] * sum(map(sizes.__getitem__, members(frontier >> s + 1 << s + 1)))",
         SUM,
         "a pair at distance 4 or more adds 1 to the excess, not d - 2",
+    ),
+    Mutant(
+        "groupbfs.py",
+        "excess += (d - 2) * sizes[s] * sum(map(sizes.__getitem__, members(frontier >> s + 1 << s + 1)))",
+        "excess += (d - 2) * sizes[s] * len(list(members(frontier >> s + 1 << s + 1)))",
+        SUM,
+        "the deep fallback counts a level's later groups, not their sizes",
     ),
     Mutant(
         "groupbfs.py",
@@ -262,9 +222,10 @@ MUTANTS = [
         REPORT,
         "a graph with pairs at distance 3 or more reports diameter 2",
     ),
-    # groupbfs.product_rows: the one product layout.  Brute and quotient build
-    # their rows through it alike, so each layout mutant is listed once per
-    # route, to show that each route's own rule tests catch it.
+    # groupbfs.product_rows: the one product layout and the edge identity.
+    # Brute and quotient build their rows and count |E| through it alike, so
+    # each of these mutants is listed once per route, to show that each
+    # route's own tests catch it.
     *(
         Mutant("groupbfs.py", before, after, (tests,), why)
         for before, after, why in (
@@ -283,10 +244,31 @@ MUTANTS = [
                 "return ((inside & outer, outside & inner) for inside, outside in column for inner, outer in entries)",
                 "one component's inside mask meets the next one's outside, so containment mixes its directions",
             ),
+            (
+                "order *= sum(counts)",
+                "order *= sum(counts) - 1",
+                "the ring's order C leaves out one element per component, so |E| shrinks",
+            ),
+            (
+                "contained *= sum(map(mul, counts, held))",
+                "contained *= sum(held)",
+                "the containing pairs P lose the factor of each entry's count",
+            ),
+            (
+                "equal *= sum(map(mul, counts, counts))",
+                "equal *= sum(counts)",
+                "the pairs of equal ideals Q count each element once, not each pair of the entry",
+            ),
+            (
+                "edge_count = (order * order - 2 * contained + equal) // 2",
+                "edge_count = (order * order - 2 * contained) // 2",
+                "the equal pairs are taken out of the comparable ones twice, so |E| shrinks",
+            ),
         )
         for tests in ("test_elementgraph.py", "test_quotient.py")
     ),
-    # quotient._exponent_order and elementgraph._divisibility: each route's own rule.
+    # quotient._exponent_order and elementgraph._divisibility: each route's own
+    # rule and held weights.
     Mutant(
         "quotient.py",
         "le = list(accumulate(map(lay, at), or_))",
@@ -295,11 +277,25 @@ MUTANTS = [
         "a class is below only the classes of equal exponent, so nested classes become adjacent",
     ),
     Mutant(
+        "quotient.py",
+        "tail = list(accumulate(reversed(sizes)))[::-1]",
+        "tail = list(accumulate(reversed(sizes[:-1])))[::-1] + [0]",
+        ("test_quotient.py",),
+        "each held weight leaves out the chain's zero, so the containing pairs shrink and |E| grows",
+    ),
+    Mutant(
         "elementgraph.py",
-        "multiples = [lay(sum(compress(cells, [b % a == 0 for b in labels]))) for a in labels]",
+        "multiples = [lay(sum(compress(cells, f))) for f in flags]",
         "multiples = [lay(sum(compress(cells, [a % b == 0 for b in labels]))) for a in labels]",
         ("test_elementgraph.py",),
         "the multiples mask holds the divisors, so a group's multiples become its neighbours",
+    ),
+    Mutant(
+        "elementgraph.py",
+        "return zip(multiples, divisors), [sum(compress(counts, f)) for f in flags]",
+        "return zip(multiples, divisors), [sum(compress(counts[:-1], f)) for f in flags]",
+        ("test_elementgraph.py",),
+        "each held weight leaves out the zero residue's label, so the containing pairs shrink and |E| grows",
     ),
     # elementgraph.ElementGraph.edges: each edge once, from its lower end.
     Mutant(

@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion.
 
-Criteria 6, 8 and 9 share one sweep (`_sweep_specs`) over Z(n) for every
+Criteria 6, 8 and 9, and the tie of each route's edge count to its rows,
+share one sweep (`_sweep_specs`) over Z(n) for every
 n <= 500, and over every product of 2 or 3 prime-power factors whose orders
 multiply to at most 2000, once as ZxZ and once as F.  Other supported rings,
 such as single fields, F(2,2,2,2), ZxZ(6,10) and Z(501) to Z(2000), are not
@@ -19,7 +20,15 @@ from functools import cache
 
 import pytest
 
-from conftest import contains, divisors, naive_distances, naive_labels, outcome, prime_power_multisets
+from conftest import (
+    contains,
+    divisors,
+    naive_distances,
+    naive_labels,
+    outcome,
+    prime_power_multisets,
+    row_edge_count,
+)
 from cozero.cli import main as cli_main
 from cozero.closedform import wiener_closed, wiener_prime_power_product, wiener_reduced, wiener_zn
 from cozero.elementgraph import ElementGraph, build_graph, compute_wiener
@@ -89,6 +98,7 @@ class Instance:
     crt: WienerReport | None
     partition_ok: bool
     adjacency_ok: bool
+    edges_ok: bool
     pairwise_ok: bool | None
 
 
@@ -98,7 +108,7 @@ class Sweep:
     compute_seconds: float
 
 
-def _check_structure(spec: RingSpec, graph: ElementGraph) -> tuple[bool, bool, bool | None]:
+def _check_structure(spec: RingSpec, graph: ElementGraph) -> tuple[bool, bool, bool, bool | None]:
     qg = build_quotient_graph(spec)
     class_keys = [c.key for c in qg.classes]
     group_sizes = {k: len(m) for k, m in zip(graph.group_keys, graph.group_members)}
@@ -119,6 +129,10 @@ def _check_structure(spec: RingSpec, graph: ElementGraph) -> tuple[bool, bool, b
     adjacency_ok = (
         element_edges == quotient_edges and graph.group_keys == class_keys and graph.group_rows == qg.rows
     )
+    # Each route counts |E| from its own containment rule, not from its
+    # rows; both counts must equal the one read off the rows.
+    brute_edges_ok = graph.edge_count() == row_edge_count(graph.group_sizes, graph.group_rows)
+    edges_ok = brute_edges_ok and qg.edge_count == row_edge_count(qg.sizes, qg.rows)
 
     pairwise_ok: bool | None = None
     if graph.vertex_count <= PAIRWISE_CAP:
@@ -149,7 +163,7 @@ def _check_structure(spec: RingSpec, graph: ElementGraph) -> tuple[bool, bool, b
                         pairwise_ok = False
                     if a == b and raw:
                         pairwise_ok = False
-    return partition_ok, adjacency_ok, pairwise_ok
+    return partition_ok, adjacency_ok, edges_ok, pairwise_ok
 
 
 def _sweep_specs() -> list[tuple[str, RingSpec, object]]:
@@ -184,9 +198,9 @@ def sweep() -> Sweep:
             closed = wiener_reduced(param)
             crt = None
         compute_seconds += time.perf_counter() - t0
-        partition_ok, adjacency_ok, pairwise_ok = _check_structure(spec, graph)
+        partition_ok, adjacency_ok, edges_ok, pairwise_ok = _check_structure(spec, graph)
         instances.append(
-            Instance(kind, spec, brute, quot, closed, crt, partition_ok, adjacency_ok, pairwise_ok)
+            Instance(kind, spec, brute, quot, closed, crt, partition_ok, adjacency_ok, edges_ok, pairwise_ok)
         )
     return Sweep(instances, compute_seconds)
 
@@ -295,6 +309,14 @@ def test_criterion_06_oracle_equivalence_sweep(sweep):
         assert outcome(inst.brute) == outcome(inst.closed), inst.spec
         assert inst.brute.edge_count is not None, inst.spec
     assert sweep.compute_seconds < 120.0, f"sweep took {sweep.compute_seconds:.1f} s"
+
+
+def test_product_edge_counts_match_the_rows(sweep):
+    # `groupbfs.product_rows` gives |E| from each route's held weights, a
+    # product over the components; the sweep ties it, for brute and for the
+    # quotient, to the size-weighted edges of the rows each route built.
+    for inst in sweep.instances:
+        assert inst.edges_ok, inst.spec
 
 
 def test_criterion_07_degenerate_rings(capsys):

@@ -20,9 +20,10 @@ def test_traced_functions_exist(monkeypatch):
 
 
 def test_observed_attributes_exist(monkeypatch):
-    # The traced run's observers read class_count and adjacency (a list of
-    # neighbour lists) of a QuotientGraph, and group_keys, vertex_count and
-    # edge_count() of an ElementGraph.
+    # The traced run's observers read class_count and adjacency (neighbour
+    # lists decoded from the rows) of a QuotientGraph, and spec, group_keys,
+    # vertex_count and edge_count() (the count that product_rows gave with
+    # the rows) of an ElementGraph.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     spans = importlib.import_module("spans")

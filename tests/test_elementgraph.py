@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import contains, naive_distances, naive_labels, naive_reference
+from conftest import contains, naive_distances, naive_labels, naive_reference, row_edge_count
 from cozero.closedform import wiener_closed
 from cozero.elementgraph import (
     BruteForceLimitError,
@@ -292,13 +292,13 @@ def test_wiener_builds_no_vertices_or_labels():
 def test_wiener_reads_group_sizes_only():
     # compute_wiener builds nothing per element: no group index, member
     # list or keep flags; the sizes it reads match the member lists built
-    # on first read, and the edge count from the pair sum matches the
-    # per-group sum.
+    # on first read, and the edge count that product_rows gives from the
+    # label divisibility matches the one read off the rows.
     for spec in SMALL_SPECS:
         g = build_graph(spec)
         report = compute_wiener(g)
         assert not {"group_of", "group_members", "keep"} & vars(g).keys(), spec
-        assert report.edge_count == g.edge_count(), spec
+        assert report.edge_count == row_edge_count(g.group_sizes, g.group_rows), spec
         assert g.group_sizes == [len(m) for m in g.group_members], spec
 
 

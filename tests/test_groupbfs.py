@@ -1,24 +1,13 @@
 import itertools
 import time
-from unittest.mock import ANY
 
 import pytest
-from conftest import reference_levels, single_bit_graphs
+from conftest import reference_levels, row_edge_count, single_bit_graphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cozero import groupbfs
-from cozero.groupbfs import (
-    HUBS,
-    bit_planes,
-    component_roots,
-    group_report,
-    group_wiener,
-    members,
-    size_planes,
-    sweep,
-    weigh,
-)
+from cozero.groupbfs import HUBS, component_roots, group_report, group_wiener, members, sweep
 from cozero.quotient import build_quotient_graph
 from cozero.ringspec import integers_mod, product_of_integers_mod
 
@@ -156,15 +145,18 @@ def reference_summary(groups, group_of):
 
 
 def assert_group_wiener_matches(groups, group_of, expected):
-    """`group_report` on `group_wiener`'s counts against `reference_summary`'s.
+    """`group_report` on `group_wiener`'s counts and the reference's edges against `reference_summary`'s.
 
-    Components and edges are compared always; the Wiener index and the
-    excess, half their ordered-pair totals, and the diameter only when the
-    graph is connected, and the diameter only with two or more vertices.
+    The row-reading edge count is compared with the reference's, and the
+    components always; the Wiener index and the excess, half their
+    ordered-pair totals, and the diameter only when the graph is connected,
+    and the diameter only with two or more vertices.
     """
     total, eccentricity, components, edges, excess = expected
-    report = group_report("test", *as_adjacency(groups), time.perf_counter())
-    assert (report.component_count, report.edge_count) == (components, edges)
+    sizes, rows = as_adjacency(groups)
+    assert row_edge_count(sizes, rows) == edges
+    report = group_report("test", sizes, rows, edges, time.perf_counter())
+    assert report.component_count == components
     if components == 1:
         diameter = eccentricity if len(group_of) > 1 else None
         assert (report.wiener, report.diameter, report.excess) == (total // 2, diameter, excess // 2)
@@ -198,17 +190,17 @@ def test_group_wiener_on_interleaved_groups():
     # Without the isolated group the path is connected, and the isolated
     # vertices added no distance to the total.
     group_sizes, group_rows = as_adjacency(groups)
-    report = group_report("test", group_sizes[:-1], group_rows[:-1], time.perf_counter())
+    report = group_report("test", group_sizes[:-1], group_rows[:-1], expected[3], time.perf_counter())
     assert (report.wiener, report.diameter, report.component_count, report.edge_count) == (
         expected[0] // 2, k - 2, 1, expected[3]
     )
-    assert group_wiener(group_sizes[:-1], group_rows[:-1]) == (expected[4] // 2, k - 2, 1, expected[3])
+    assert group_wiener(group_sizes[:-1], group_rows[:-1]) == (expected[4] // 2, k - 2, 1)
 
 
 def test_group_wiener_without_pairs():
-    assert group_wiener([], []) == (0, 0, 0, 0)
-    # One group without neighbours: three isolated vertices and no edge.
-    assert group_wiener([3], [0]) == (0, 0, 3, 0)
+    assert group_wiener([], []) == (0, 0, 0)
+    # One group without neighbours: three isolated vertices.
+    assert group_wiener([3], [0]) == (0, 0, 3)
 
 
 def single_vertex_groups(rows):
@@ -312,73 +304,6 @@ def test_group_wiener_at_the_degree_bound(low, one_vertex_groups, shared, diamet
     assert_group_wiener_matches(groups, group_of, expected)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**70), max_size=20), st.integers(0, 2**20 - 1), st.booleans())
-def test_weigh_sums_the_sizes_in_a_mask(sizes, mask, repeated):
-    # Fewer distinct sizes than twice the bit planes take one mask per
-    # size; more, the bit planes.  The largest size's list holds them all.
-    if repeated:
-        sizes = [size % 3 + 100 for size in sizes]
-    mask &= (1 << len(sizes)) - 1
-    classes = size_planes(sizes)
-    planes = classes[max(sizes)][2] if sizes else []
-    assert weigh(mask, planes) == sum(sizes[i] for i in members(mask))
-    distinct, width = len(set(sizes)), max(sizes, default=0).bit_length()
-    assert len(planes) == (distinct if distinct < 2 * width else width)
-    for size, (smaller, same, _) in classes.items():
-        assert smaller == sum(1 << i for i, s in enumerate(sizes) if s < size)
-        assert same == sum(1 << i for i, s in enumerate(sizes) if s == size)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**70), max_size=20), st.booleans(), st.data())
-def test_each_size_weighs_its_lighter_groups_with_its_own_planes(sizes, repeated, data):
-    # A group's lighter groups are no larger than it, so its size's list
-    # needs no plane heavier than that size, and holds none.
-    if repeated:
-        sizes = [size % 3 + 100 for size in sizes]
-    for size, (_, _, planes) in size_planes(sizes).items():
-        assert all(weight <= size for weight, _ in planes)
-        mask = data.draw(st.integers(0, 2 ** len(sizes) - 1))
-        mask &= sum(1 << i for i, s in enumerate(sizes) if s <= size)
-        assert weigh(mask, planes) == sum(sizes[i] for i in members(mask))
-
-
-def formatted_planes(sizes, width):
-    """`bit_planes` from one fixed-width `format` per size: the reference for the packed integer."""
-    digits = "".join(format(size, f"0{width}b") for size in reversed(sizes))
-    return [(1 << b, int(digits[width - 1 - b :: width], 2)) for b in range(width)]
-
-
-@pytest.mark.parametrize("width", [1, 7, 8, 9, 64, 65, 70])
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_packed_bit_planes_match_one_format_per_size(width, data):
-    # The slots are whole bytes, so a width just below, at and just past a
-    # byte or a 64-bit word reads each plane at its own offset in the slot.
-    top = data.draw(st.integers(2 ** (width - 1), 2**width - 1))
-    rest = data.draw(st.lists(st.integers(0, top), max_size=30))
-    for sizes in ([top], [*rest, top, *rest]):
-        assert bit_planes(sizes, width) == formatted_planes(sizes, width)
-    assert bit_planes([], 0) == formatted_planes([], 0) == []
-
-
-def test_size_planes_ascend_in_both_shapes():
-    # Few distinct sizes take one mask per size, many the bit planes; both
-    # ascend in weight, and each size's list holds those no heavier than it.
-    for sizes, shape in (([9, 2, 9, 5, 2], [2, 5, 9]), ([6, 1, 3, 2, 5, 4], [1, 2, 4])):
-        classes = size_planes(sizes)
-        assert list(classes) == sorted(set(sizes))
-        for size, (_, _, planes) in classes.items():
-            assert [weight for weight, _ in planes] == [weight for weight in shape if weight <= size]
-    assert size_planes([9, 2, 9, 5, 2]) == {
-        2: (0, 0b10010, [(2, 0b10010)]),
-        5: (0b10010, 0b01000, [(2, 0b10010), (5, 0b01000)]),
-        9: (0b11010, 0b00101, [(2, 0b10010), (5, 0b01000), (9, 0b00101)]),
-    }
-    assert size_planes([]) == {}
-
-
 def spy_on_sweep(monkeypatch):
     """The sources that `groupbfs.sweep` searches from, in order, from here on."""
     sources_read = []
@@ -402,7 +327,7 @@ def far_pair_past_the_hubs(pendant):
     The hubs are a clique, adjacent to j, a and b, and the path i - a - b - j
     joins the far pair: i's one neighbour a ties the hubs' degree but ranks
     after them, so i's row holds no hub and the hub certificate cannot
-    clear i's far partner j, and `sweep` counts it from i, the heavier of
+    clear i's far partner j, and `sweep` counts it from i, the lower of
     the two.  z's one neighbour j is no hub either, and z is at distance 4
     from i.
     """
@@ -439,14 +364,11 @@ def test_group_wiener_sweeps_a_far_pair_the_hubs_cannot_certify(pendant, cycle, 
 @pytest.mark.parametrize("cycle", [(1, 2, 3, 4, 5, 6, 7, 8, 8, 4, 1), (8, 8, 1)], ids=["bit_planes", "size_masks"])
 @pytest.mark.parametrize("path_first", [False, True])
 def test_group_wiener_with_equal_and_mixed_sizes(cycle, path_first):
-    # Pairs of groups of equal size are counted from the lower group, and
-    # groups of sizes 4 and 8 stop the weighing on their own plane, whether
-    # the sizes take bit planes (8 distinct sizes over 4 bits) or one mask
-    # per size.
+    # The deep levels' size sums over many distinct sizes (8 over 4 bits,
+    # the "bit_planes" cycle) and over few, with equal sizes side by side,
+    # each pair counted once from its lower group.
     rows, _ = path_joined_to_clique(HUBS + 4, 9, path_first)
     groups, group_of = groups_of_sizes(rows, cycle)
-    sizes = as_adjacency(groups)[0]
-    assert len(size_planes(sizes)[max(sizes)][2]) == (4 if len(cycle) > 3 else 2)
     expected = reference_summary(groups, group_of)
     assert expected[1:3] == (10, 1)
     assert_group_wiener_matches(groups, group_of, expected)
@@ -459,11 +381,11 @@ def test_group_wiener_with_equal_and_mixed_sizes(cycle, path_first):
 )
 def test_hubs_certify_every_deep_group(spec, excess, monkeypatch):
     # Every pair at distance 3 of these rings is certified through a hub in
-    # its heavier group's row, so `sweep` runs only to count the component.
+    # its lower group's row, so `sweep` runs only to count the component.
     # A pair sum that stopped certifying would keep every value and lose
     # the time that the certificate saves.
     qg = build_quotient_graph(spec)
     assert component_roots(qg.rows) == [0]
     sources = spy_on_sweep(monkeypatch)
-    assert group_wiener(qg.sizes, qg.rows) == (excess, 3, 1, ANY)
+    assert group_wiener(qg.sizes, qg.rows) == (excess, 3, 1)
     assert sources == [0]

@@ -173,7 +173,10 @@ def test_abbreviate_keeps_40_digits_and_cuts_past_them(default_digit_limit):
     # A text is cut the same way, and counted in characters unless it is decimal digits alone.
     assert abbreviate("7" * 5000) == "777777...777777 (5000 digits)"
     assert abbreviate("a\nb") == "a\\nb"
-    assert abbreviate("\u200b" * 40) == "\\u200b...\\u200b (40 characters)"
+    # Each end is cut from the text before it is escaped, so no escape is split.
+    assert abbreviate("\u200b" * 40) == "\\u200b" * 6 + "..." + "\\u200b" * 6 + " (40 characters)"
+    assert abbreviate("\U000e0001" * 40) == "\\U000e0001" * 6 + "..." + "\\U000e0001" * 6 + " (40 characters)"
+    assert abbreviate("a\nb" * 20) == "a\\nba\\nb...a\\nba\\nb (60 characters)"
     assert abbreviate("٣" * 41) == "٣٣٣٣٣٣...٣٣٣٣٣٣ (41 digits)"
     assert abbreviate("Z(" + "1" * 39) == "Z(1111...111111 (41 characters)"
     assert abbreviate("x" * 40) == "x" * 40

@@ -99,6 +99,50 @@ def test_source_docstring_names_resolve():
     assert sum(named.values()) >= 20, named
 
 
+# What each route module may not import from the package.  The graph routes
+# share `groupbfs` and `report`, so a fault there shows in both alike; each
+# still checks its own containment rule, and the closed form shares no graph
+# code, only while these imports stay out.
+FORBIDDEN_IMPORTS = {
+    "elementgraph": {"quotient", "closedform"},
+    "closedform": {"groupbfs", "quotient", "elementgraph"},
+    "quotient": {"elementgraph", "closedform"},
+}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The `cozero` modules that the module at `path` imports, relative or absolute."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # The package is flat, so a relative import is from `cozero`; a
+            # name imported from a package may itself be a module.
+            base = ("cozero" + (f".{node.module}" if node.module else "")) if node.level else node.module
+            dotted = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        imported.update(name.split(".")[1] for name in dotted if name.startswith("cozero."))
+    return imported
+
+
+def test_route_modules_import_no_other_route():
+    sources = {path.stem: path for path in SOURCES}
+    for module, forbidden in FORBIDDEN_IMPORTS.items():
+        imported = _package_imports(sources[module])
+        assert imported, module  # every route imports something from the package
+        assert not imported & forbidden, f"{module} imports {sorted(imported & forbidden)}"
+
+
+def test_package_imports_are_read_from_every_form(tmp_path):
+    # The pin reads relative, absolute and bare-package imports alike.
+    path = tmp_path / "module.py"
+    forms = ["from .quotient import x", "from cozero.closedform import y", "import cozero.groupbfs", "from . import report"]
+    path.write_text("\n".join([*forms, "from cozero import elementgraph", "from os import path"]))
+    assert _package_imports(path) == {"quotient", "closedform", "groupbfs", "report", "elementgraph"}
+
+
 def _fenced(heading: str, language: str) -> list[str]:
     """The lines of the first ```language block under README's `## heading`."""
     section = README.read_text().split(f"\n## {heading}\n", 1)[1]

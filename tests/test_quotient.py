@@ -3,7 +3,16 @@ import time
 from math import comb, prod
 
 import pytest
-from conftest import contains, divisors, naive_distances, outcome, phi, reference_levels, single_bit_graphs
+from conftest import (
+    contains,
+    divisors,
+    naive_distances,
+    outcome,
+    phi,
+    reference_levels,
+    row_edge_count,
+    single_bit_graphs,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -254,10 +263,10 @@ def test_wiener_quotient_two_thousand_classes():
 
 def test_wiener_quotient_six_thousand_classes():
     # Z(963761198400) = 2^6 3^4 5^2 7 11 13 17 19 23 has tau - 2 = 6718 classes
-    # and ~1.8 M non-adjacent class pairs. group_wiener weighs each class's
-    # non-neighbours as one row and tests one by one only the pairs the hub
-    # rows leave, 724 of them; its per-row bitmask work over 6718-bit rows
-    # is most of the cost of this call.
+    # and ~1.8 M non-adjacent class pairs. product_rows counts |E| from the
+    # exponent order, and group_wiener tests one by one only the pairs the
+    # degree bound and the hub rows leave; its per-row bitmask work over
+    # 6718-bit rows is most of the cost of this call.
     spec = integers_mod(963761198400)
     start = time.perf_counter()
     report = wiener_quotient(spec)
@@ -347,26 +356,28 @@ def test_classes_match_label_rule_fields(orders):
 
 
 def reference_group_wiener(rows, sizes):
-    """`group_report`'s `(wiener, diameter, excess)` by a queue BFS from every group, each pair weighed from its lower end.
+    """`(wiener, diameter, excess, edges)` by a queue BFS from every group, each pair weighed from its lower end.
 
     Classmates sit at distance 2: `2 * sum C(s, 2)` of them, which makes
     the diameter at least 2 when some size is 2 or more.  The excess weighs
-    d - 2 for each pair at distance d >= 3.
+    d - 2 for each pair at distance d >= 3, and the edges are the pairs at
+    distance 1.
     """
     total = 2 * sum(comb(s, 2) for s in sizes)
-    excess = 0
+    excess = edges = 0
     diameter = 2 if max(sizes) > 1 else 0
     for s, d, bits in reference_levels(rows, range(len(rows))):
         weight = sizes[s] * sum(sizes[j] for j in range(s + 1, len(rows)) if bits >> j & 1)
         total += d * weight
         excess += max(d - 2, 0) * weight
+        edges += weight if d == 1 else 0
         diameter = max(diameter, d)
-    return total, diameter, excess
+    return total, diameter, excess, edges
 
 
-def group_outcome(sizes, rows):
-    """`(wiener, diameter, excess, components)` of `group_report` on these groups."""
-    report = group_report("test", sizes, rows, time.perf_counter())
+def group_outcome(sizes, rows, edges):
+    """`(wiener, diameter, excess, components)` of `group_report` on these groups with `edges` edges."""
+    report = group_report("test", sizes, rows, edges, time.perf_counter())
     return report.wiener, report.diameter, report.excess, report.component_count
 
 
@@ -385,9 +396,10 @@ def test_group_wiener_matches_weighted_reference_bfs(rows, data):
     sizes = data.draw(positive_sizes(len(rows)))
     if len(rows) == 1:
         # One group without neighbours: its members are isolated vertices.
-        assert group_outcome(sizes, rows)[3] == sizes[0]
+        assert group_outcome(sizes, rows, 0)[3] == sizes[0]
     else:
-        assert group_outcome(sizes, rows) == (*reference_group_wiener(rows, sizes), 1)
+        wiener, diameter, excess, edges = reference_group_wiener(rows, sizes)
+        assert group_outcome(sizes, rows, edges) == (wiener, diameter, excess, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -399,22 +411,25 @@ def test_group_wiener_on_paths_and_cycles(n, cycle, data):
         rows[0] |= 1 << n - 1
         rows[n - 1] |= 1
     sizes = data.draw(positive_sizes(n))
-    got = group_outcome(sizes, rows)
-    assert got == (*reference_group_wiener(rows, sizes), 1)
+    wiener, diameter, excess, edges = reference_group_wiener(rows, sizes)
+    got = group_outcome(sizes, rows, edges)
+    assert got == (wiener, diameter, excess, 1)
     assert got[1] == (n // 2 if cycle else n - 1)
 
 
 def assert_group_wiener_matches_table(spec):
-    """On a connected class graph of two or more classes, `group_report` is the size-weighted sum over `quotient_distances`' table."""
+    """`build_quotient_graph`'s edge count is the size-weighted count of the pairs at distance 1 in `quotient_distances`' table and of its rows, and on a connected class graph of two or more classes, `group_report` is the size-weighted sum over the table."""
     qg = build_quotient_graph(spec)
     table, connected = quotient_distances(qg)
     sizes = [c.size for c in qg.classes]
+    pairs = list(itertools.combinations(range(len(sizes)), 2))
+    edges = sum(sizes[i] * sizes[j] for i, j in pairs if table[i][j] == 1)
+    assert qg.edge_count == row_edge_count(sizes, qg.rows) == edges, spec
     if connected and len(sizes) > 1:
-        pairs = list(itertools.combinations(range(len(sizes)), 2))
         total = sum(sizes[i] * sizes[j] * table[i][j] for i, j in pairs) + 2 * sum(comb(s, 2) for s in sizes)
         excess = sum(sizes[i] * sizes[j] * (table[i][j] - 2) for i, j in pairs if table[i][j] >= 3)
         diameter = max(max(table[i][j] for i, j in pairs), 2 if max(sizes) > 1 else 0)
-        assert group_outcome(sizes, qg.rows) == (total, diameter, excess, 1), spec
+        assert group_outcome(sizes, qg.rows, qg.edge_count) == (total, diameter, excess, 1), spec
 
 
 def test_group_wiener_matches_distance_table_zn():

@@ -110,5 +110,5 @@ def test_group_report_on_a_path():
     # Five single-vertex groups in a path: 4, 3, 2 and 1 pairs at distances
     # 1 to 4, so W = 4 + 6 + 6 + 4 and the excess is 2 * 1 + 1 * 2.
     rows = [0b00010, 0b00101, 0b01010, 0b10100, 0b01000]
-    made = group_report("test", [1] * 5, rows, time.perf_counter())
+    made = group_report("test", [1] * 5, rows, 4, time.perf_counter())
     assert (made.wiener, made.excess, made.diameter, made.edge_count) == (20, 4, 4, 4)
